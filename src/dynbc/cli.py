@@ -283,14 +283,22 @@ def _status_from_dict(d: dict):
 
 
 def write_solution(sol: Solution, out_dir: Path) -> None:
-    lines = ["t,x,u,ux,ut"]
-    times = sol.grid.times
-    nodes = sol.grid.nodes
-    for i, t in enumerate(times):
-        for j, x in enumerate(nodes):
-            lines.append(_csv_row((t, x, sol.grid.values[i, j],
-                                   sol.ux.values[i, j], sol.ut.values[i, j])))
-    _write(out_dir / "solution.csv", "\n".join(lines))
+    """Write ``solution.csv``, streamed one time slice at a time.
+
+    One ``t,x,u,ux,ut`` row per node and stored time, every float at 17
+    significant digits (``%.17g``, which prints ``nan``, ``inf`` and ``-0``
+    as Python does).  The x cells are formatted once into a row template;
+    each slice adds its t cell and fills the u, ux and ut cells with one
+    ``%`` format, and is written before the next slice is built.
+    """
+    rows = [",%.17g,%%.17g,%%.17g,%%.17g\n" % x for x in sol.grid.nodes.tolist()]
+    with open(out_dir / "solution.csv", "w", encoding="utf-8") as fh:
+        fh.write("t,x,u,ux,ut\n")
+        for t, u, ux, ut in zip(sol.grid.times.tolist(), sol.grid.values,
+                                sol.ux.values, sol.ut.values):
+            t_cell = "%.17g" % t
+            template = t_cell + t_cell.join(rows)
+            fh.write(template % tuple(np.column_stack((u, ux, ut)).ravel().tolist()))
 
 
 def read_solution(out_dir: Path) -> Solution:
@@ -305,10 +313,10 @@ def read_solution(out_dir: Path) -> Solution:
     nt, nx = times.size, nodes.size
     if data.shape[0] != nt * nx:
         raise ConfigError("solution.csv is not a full rectangular grid")
+    jidx = np.searchsorted(nodes, data[:, 1])
     cols = {}
     for k, name in ((2, "u"), (3, "ux"), (4, "ut")):
         grid = np.empty((nt, nx))
-        jidx = np.searchsorted(nodes, data[:, 1])
         grid[inverse, jidx] = data[:, k]
         cols[name] = grid
     summary = json.loads(summary_path.read_text(encoding="utf-8"))

@@ -218,28 +218,35 @@ def golden_section(f: Callable[[float], float], a: float, b: float,
 # ---------------------------------------------------------------------------
 # tridiagonal solve (Thomas algorithm)
 
-def thomas(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-           rhs: np.ndarray) -> np.ndarray:
+def thomas(lower, diag, upper, rhs) -> np.ndarray:
     """Solve a tridiagonal system.
 
     lower[i] multiplies x[i-1] in row i (lower[0] unused); upper[i]
     multiplies x[i+1] (upper[-1] unused).  No pivoting: rows must be
-    diagonally usable, which the implicit-step matrices here are.
+    diagonally usable, which the implicit-step matrices here are; a zero
+    pivot raises ZeroDivisionError.
+
+    The bands may be numpy arrays or lists of floats.  The sweep runs over
+    Python floats: the same IEEE double operations, in the same order, as
+    the element-by-element loop over float64 arrays, so the result is
+    bit-identical to it at a fraction of the interpreter cost.
     """
-    n = diag.size
-    c = np.empty(n)
-    d = np.empty(n)
-    c[0] = upper[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
+    lower, diag, upper, rhs = (v.tolist() if isinstance(v, np.ndarray) else v
+                               for v in (lower, diag, upper, rhs))
+    n = len(diag)
+    c = [0.0] * n
+    d = [0.0] * n
+    cp = c[0] = upper[0] / diag[0]
+    dp = d[0] = rhs[0] / diag[0]
     for i in range(1, n):
-        denom = diag[i] - lower[i] * c[i - 1]
-        c[i] = upper[i] / denom if i < n - 1 else 0.0
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = d[-1]
+        lo = lower[i]
+        denom = diag[i] - lo * cp
+        cp = c[i] = upper[i] / denom
+        dp = d[i] = (rhs[i] - lo * dp) / denom
+    x = dp
     for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+        x = d[i] = d[i] - c[i] * x
+    return np.array(d)
 
 
 # ---------------------------------------------------------------------------

@@ -309,30 +309,28 @@ def semidiscretize(problem: ProblemSpec, nx: int) -> SemiDiscretization:
 
 def _solve_bordered(lower, diag, upper, corner_right, corner_left, rhs):
     """Solve the tridiagonal system with two optional corner entries by
-    eliminating them against the adjacent rows, then a Thomas sweep."""
-    n = diag.size
-    lower = lower.copy()
-    diag = diag.copy()
-    upper = upper.copy()
-    rhs = rhs.copy()
-    dense_needed = False
-    if corner_right != 0.0:
-        if abs(upper[1]) > 1e-300:
-            fac = corner_right / upper[1]
-            diag[0] -= fac * lower[1]
-            upper[0] -= fac * diag[1]
-            rhs[0] -= fac * rhs[1]
-        else:
-            dense_needed = True
-    if corner_left != 0.0:
-        if abs(lower[n - 2]) > 1e-300:
-            fac = corner_left / lower[n - 2]
-            lower[-1] -= fac * diag[n - 2]
-            diag[-1] -= fac * upper[n - 2]
-            rhs[-1] -= fac * rhs[n - 2]
-        else:
-            dense_needed = True
-    if dense_needed:
+    eliminating them against the adjacent rows, then a Thomas sweep.
+
+    The elimination runs on Python-float copies of the bands, which the
+    sweep then uses as they are.  A corner whose adjacent band entry is
+    zero cannot be eliminated; the system then goes to a dense solve, with
+    any corner already eliminated left out of it.
+    """
+    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    n = len(diag)
+    if corner_right != 0.0 and abs(upper[1]) > 1e-300:
+        fac = float(corner_right) / upper[1]
+        diag[0] -= fac * lower[1]
+        upper[0] -= fac * diag[1]
+        rhs[0] -= fac * rhs[1]
+        corner_right = 0.0
+    if corner_left != 0.0 and abs(lower[n - 2]) > 1e-300:
+        fac = float(corner_left) / lower[n - 2]
+        lower[-1] -= fac * diag[n - 2]
+        diag[-1] -= fac * upper[n - 2]
+        rhs[-1] -= fac * rhs[n - 2]
+        corner_left = 0.0
+    if corner_right != 0.0 or corner_left != 0.0:
         dense = np.zeros((n, n))
         dense[np.arange(1, n), np.arange(n - 1)] = lower[1:]
         dense[np.arange(n), np.arange(n)] = diag
