@@ -77,11 +77,6 @@ class PsiSpec:
         f = compile_expr(self.expr)
         return lambda rho: float(f(p=float(rho)))
 
-    def vec_fn(self):
-        f = compile_expr(self.expr)
-        return lambda rho: np.broadcast_to(np.asarray(f(p=rho), dtype=float), np.shape(rho)).copy() \
-            if np.ndim(rho) else float(f(p=rho))
-
     @property
     def text(self) -> str:
         return to_str(self.expr)
@@ -226,7 +221,7 @@ def build_barrier(psi: PsiSpec, q0: float, M: float, K: float) -> BarrierCertifi
     1e-4 * (q1 - q0) per step; the h' = q0 stop is localized by bisection
     on the cubic dense output of the final step.
     """
-    if K > q0 * (1.0 + K_SLACK):
+    if K > max(q0, q0 * (1.0 + K_SLACK)):  # the slack must not tighten a negative q0
         raise PreconditionFailed(f"K = {K} exceeds q0 = {q0}; barrier needs q0 >= K")
     q1 = find_q1(psi, q0, M)
     fn = psi.fn()
@@ -348,17 +343,6 @@ def check_compatibility(problem: ProblemSpec) -> dict:
 # ---------------------------------------------------------------------------
 # dense-sampling hypothesis checks
 
-def _vec(e: Expr):
-    f = compile_expr(e)
-
-    def call(**kw):
-        with np.errstate(all="ignore"):
-            out = f(**kw)
-        return np.asarray(out, dtype=float)
-
-    return call
-
-
 def _box_worst(values: np.ndarray, shape: tuple, axes: dict) -> tuple[float, dict]:
     """Max of a margin array over a box, with the argmax sample point."""
     arr = np.broadcast_to(np.asarray(values, dtype=float), shape)
@@ -391,6 +375,7 @@ def _cummin2(a: np.ndarray, axis0_forward: bool, axis1_forward: bool) -> np.ndar
     return -_cummax2(-a, axis0_forward, axis1_forward)
 
 
+@np.errstate(all="ignore")
 def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
                      pmax: float | None = None, *, n_samples: int = 33,
                      phi: Expr | None = None, B: float | None = None,
@@ -417,8 +402,7 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     ps = np.linspace(-pmax, pmax, n if n % 2 else n + 1)  # symmetric about 0
     pos = np.linspace(q0, pmax, n)
 
-    a_fn, f_fn = _vec(problem.a), _vec(problem.f)
-    psi_vec = psi.vec_fn()
+    a_fn, f_fn, psi_fn = compile_expr(problem.a), compile_expr(problem.f), compile_expr(psi.expr)
     entries: list[ConditionCheck] = []
 
     # (6): |f| <= a psi(|p|) on [0,T] x [-ell,ell] x [-M,M] x [-pmax,pmax]
@@ -427,7 +411,7 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     xx = xs[None, :, None, None]
     zz = zs[None, None, :, None]
     pp = ps[None, None, None, :]
-    margin6 = np.abs(f_fn(t=tt, x=xx, z=zz, p=pp)) - a_fn(t=tt, x=xx, z=zz, p=pp) * psi_vec(np.abs(pp))
+    margin6 = np.abs(f_fn(t=tt, x=xx, z=zz, p=pp)) - a_fn(t=tt, x=xx, z=zz, p=pp) * psi_fn(p=np.abs(pp))
     worst, wit = _box_worst(margin6, shape4, {"t": ts, "x": xs, "z": zs, "p": ps})
     entries.append(ConditionCheck("(6)", worst <= 0.0, worst, wit))
 
@@ -448,7 +432,7 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
 
     # (10): sampled Lipschitz constant of u0 fits under q0
     K_est = estimate_lipschitz(problem.u0, ell)
-    du0 = _vec(diff(problem.u0, "x"))
+    du0 = compile_expr(diff(problem.u0, "x"))
     xs_k = np.linspace(-ell, ell, 10_000)
     slopes = np.abs(np.broadcast_to(du0(x=xs_k), xs_k.shape))
     entries.append(ConditionCheck(
@@ -458,7 +442,11 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     # (upc): a > 0 everywhere; at dynamic ends d_p(b) p + b -/+ d_p(g) > 0
     # (margin 0.0 from exact degeneracy still counts as satisfied per the
     # signed-margin convention; strict positivity failures show up > 0)
-    worst, wit = _upc_margins(problem, ts, xs, zs, ps)
+    worst = None
+    for part, margin, axes in _upc_margins(problem, ts, xs, zs, ps):
+        w, isample = _box_worst(margin, tuple(g.size for g in axes.values()), axes)
+        if worst is None or w > worst:
+            worst, wit = w, {"part": part, **isample}
     entries.append(ConditionCheck("(upc)", worst <= 0.0, worst, wit))
 
     # (66): zero-time balance between interior and boundary laws
@@ -498,7 +486,7 @@ def _boundary_sign_margins(problem: ProblemSpec, ts, zs, pos):
         if not isinstance(bc, DynamicBC):
             continue
         found = True
-        b_fn, g_fn = _vec(bc.b), _vec(bc.g)
+        b_fn, g_fn = compile_expr(bc.b), compile_expr(bc.g)
         for s in (+1.0, -1.0):
             # at +ell: s*g(t,ell,z,s p) <= b(t,ell,z,s p) p
             # at -ell: -s*g(t,-ell,z,s p) <= b(t,-ell,z,s p) p
@@ -515,18 +503,11 @@ def _boundary_sign_margins(problem: ProblemSpec, ts, zs, pos):
 
 
 def _upc_margins(problem: ProblemSpec, ts, xs, zs, ps):
-    """Positivity margins: interior a and the dynamic-end flux derivative."""
-    shape4 = (ts.size, xs.size, zs.size, ps.size)
-    tt = ts[:, None, None, None]
-    xx = xs[None, :, None, None]
-    zz = zs[None, None, :, None]
-    pp = ps[None, None, None, :]
-    a_fn = _vec(problem.a)
-    neg_a = -a_fn(t=tt, x=xx, z=zz, p=pp)
-    worst, wit = _box_worst(neg_a, shape4, {"t": ts, "x": xs, "z": zs, "p": ps})
-    wit = {"part": "a", **wit}
-
-    shape3 = (ts.size, zs.size, ps.size)
+    """Positivity margins as (part, margin array, sample axes): -a on the
+    interior box, then -(d_p(b) p + b -/+ d_p(g)) at each dynamic end."""
+    a = compile_expr(problem.a)(t=ts[:, None, None, None], x=xs[None, :, None, None],
+                                z=zs[None, None, :, None], p=ps[None, None, None, :])
+    yield "a", -a, {"t": ts, "x": xs, "z": zs, "p": ps}
     t3 = ts[:, None, None]
     z3 = zs[None, :, None]
     p3 = ps[None, None, :]
@@ -534,16 +515,10 @@ def _upc_margins(problem: ProblemSpec, ts, xs, zs, ps):
                             (-problem.ell, problem.bc_minus, +1.0)):
         if not isinstance(bc, DynamicBC):
             continue
-        bp = _vec(diff(bc.b, "p"))
-        b_fn = _vec(bc.b)
-        gp = _vec(diff(bc.g, "p"))
-        expr = (bp(t=t3, x=x_end, z=z3, p=p3) * p3 + b_fn(t=t3, x=x_end, z=z3, p=p3)
-                + sign * gp(t=t3, x=x_end, z=z3, p=p3))
-        w, isample = _box_worst(-expr, shape3, {"t": ts, "z": zs, "p": ps})
-        if w > worst:
-            worst = w
-            wit = {"part": "boundary at " + ("+ell" if sign < 0 else "-ell"), **isample}
-    return worst, wit
+        kw = dict(t=t3, x=x_end, z=z3, p=p3)
+        flux = (compile_expr(diff(bc.b, "p"))(**kw) * p3 + compile_expr(bc.b)(**kw)
+                + sign * compile_expr(diff(bc.g, "p"))(**kw))
+        yield "boundary at " + ("+ell" if sign < 0 else "-ell"), -flux, {"t": ts, "z": zs, "p": ps}
 
 
 def _split_rhs_entries(problem: ProblemSpec, ts, xs, zs, pos, n) -> list[ConditionCheck]:
@@ -555,7 +530,7 @@ def _split_rhs_entries(problem: ProblemSpec, ts, xs, zs, pos, n) -> list[Conditi
     """
     zero = parse("0")
     f1 = problem.f1 if problem.f1 is not None else zero
-    f1_fn = _vec(f1)
+    f1_fn = compile_expr(f1)
     entries = []
 
     # (225): f1(t, y, z1, +-p) >= f1(t, x, z2, +-p) for x <= y, z1 <= z2, p >= 0
@@ -594,7 +569,7 @@ def _split_rhs_entries(problem: ProblemSpec, ts, xs, zs, pos, n) -> list[Conditi
 def _bc_g1_fn(bc) -> "callable | None":
     if not isinstance(bc, DynamicBC):
         return None
-    return _vec(bc.g1 if bc.g1 is not None else parse("0"))
+    return compile_expr(bc.g1 if bc.g1 is not None else parse("0"))
 
 
 def _condition_226(problem, f1_fn, ts, xs, zs, pos):
@@ -669,8 +644,8 @@ def _condition_209b(problem: ProblemSpec, phi: Expr, B: float, ts, xs, ps, zmax:
     """z f(t,x,z,0) and z g(t,+-ell,z,p) bounded by Phi(|z|)|z| + B."""
     nz = 65
     zs = np.linspace(-zmax, zmax, nz)
-    phi_fn = _vec(phi)
-    f_fn = _vec(problem.f)
+    phi_fn = compile_expr(phi)
+    f_fn = compile_expr(problem.f)
 
     def gauge(zarr):
         az = np.abs(zarr)
@@ -691,7 +666,7 @@ def _condition_209b(problem: ProblemSpec, phi: Expr, B: float, ts, xs, ps, zmax:
     for x_end, bc in ((problem.ell, problem.bc_plus), (-problem.ell, problem.bc_minus)):
         if not isinstance(bc, DynamicBC):
             continue
-        g_fn = _vec(bc.g)
+        g_fn = compile_expr(bc.g)
         margin_g = z3 * g_fn(t=t3, x=x_end, z=z3, p=p3) - gauge(z3)
         w, isample = _box_worst(margin_g, shape3b, {"t": ts, "z": zs, "p": ps})
         if w > worst:

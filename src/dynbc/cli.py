@@ -3,12 +3,14 @@
     dynbc certify --spec problem.json --out run/
     dynbc solve   --spec problem.json --out run/
     dynbc verify  --spec problem.json --out run/
-    dynbc sweep   --spec problem.json --out run/ --jobs 4
+    dynbc sweep   --spec problem.json --out run/
 
 The problem file is JSON with expression strings (see docs/formats.md); the
 optional blocks "certificate", "sup_bound", "solver" and "sweep" carry the
 workflow parameters.  Reports are written with fixed field order and floats
 at 17 significant digits, so identical inputs produce byte-identical files.
+Sweeps evaluate their points serially: the work is pure Python holding the
+interpreter lock, so ``--jobs`` is accepted and has no effect.
 
 Exit codes: 0 success / all conditions satisfied; 1 input or artifact error;
 2 condition violations or negative verification slacks; 3 gradient blow-up
@@ -22,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from .certificate import (
     BarrierCertificate, PsiSpec, SupBoundCertificate, build_barrier,
-    check_hypotheses, estimate_lipschitz, find_q1, sup_bound,
+    check_hypotheses, estimate_lipschitz, sup_bound,
 )
 from .errors import (
     CertificateMismatch, ConditionViolated, ConfigError, DivergentIntegral,
@@ -485,10 +486,9 @@ def _sweep_point(args):
     psi_text, q0, M, K_est = args
     try:
         psi = PsiSpec.from_text(psi_text)
-        q1 = find_q1(psi, q0, M)
         cert = build_barrier(psi, q0=q0, M=M, K=min(K_est, q0))
         covers = K_est <= q0 * (1.0 + 1e-5)
-        return (psi_text, q0, M, "ok", q1, cert.kappa0, covers, "")
+        return (psi_text, q0, M, "ok", cert.q1, cert.kappa0, covers, "")
     except DynbcError as exc:
         return (psi_text, q0, M, type(exc).__name__, math.nan, math.nan, False, str(exc))
 
@@ -516,12 +516,7 @@ def cmd_sweep(manifest: RunManifest) -> int:
     except DynbcError:
         K_est = math.nan
 
-    points = [(p, q, M, K_est) for p in psis for q in q0s for M in Ms]
-    if manifest.jobs > 1:
-        with ThreadPoolExecutor(max_workers=manifest.jobs) as pool:
-            rows = list(pool.map(_sweep_point, points))
-    else:
-        rows = [_sweep_point(pt) for pt in points]
+    rows = [_sweep_point((p, q, M, K_est)) for p in psis for q in q0s for M in Ms]
 
     lines = ["psi,q0,M,status,q1,kappa0,q0_covers_K,detail"]
     for row in rows:
@@ -548,7 +543,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--format", default="json", choices=("json", "csv"))
         p.add_argument("--strict", action="store_true", default=None,
                        help="require exact zero-time compatibility")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; sweeps run serially")
         p.add_argument("--nx", type=int, default=None)
         p.add_argument("--dt0", type=float, default=None)
         p.add_argument("--cutoff", type=float, default=None)

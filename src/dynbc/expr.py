@@ -13,8 +13,11 @@ expression trees parsed from text.  The grammar is plain infix arithmetic:
 Identifiers are restricted to the variables ``t x z p``, the constants
 ``pi e`` and the function names ``sin cos exp log sqrt abs tanh sign``.
 The exponent of ``^`` must fold to a constant, which keeps symbolic
-differentiation closed under the node set.  There is no simplification
-beyond constant folding.
+differentiation closed under the node set.  Parsing does no simplification
+beyond constant folding.  Differentiation also drops what is identically
+zero: a zero factor or numerator makes a product or quotient zero, and a
+zero term leaves a sum, so the derivative in a variable the expression does
+not read is exactly 0 instead of ``0 * <tree>`` (nan once the tree overflows).
 
 Trees are immutable; all operations here are pure.
 """
@@ -319,6 +322,28 @@ def diff(e: Expr, v: str) -> Expr:
     return _diff(e, v)
 
 
+def _is_zero(e: Expr) -> bool:
+    return isinstance(e, Const) and e.value == 0.0
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if _is_zero(a) or _is_zero(b):
+        return Const(0.0)
+    return _fold_binary("*", a, b)
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    if _is_zero(a):
+        return b
+    if _is_zero(b):
+        return a
+    return _fold_binary("+", a, b)
+
+
+def _sub(a: Expr, b: Expr) -> Expr:
+    return a if _is_zero(b) else _fold_binary("-", a, b)
+
+
 def _diff(e: Expr, v: str) -> Expr:
     if isinstance(e, Const):
         return Const(0.0)
@@ -346,25 +371,27 @@ def _diff(e: Expr, v: str) -> Expr:
             outer = Const(0.0)  # flat away from 0; 0 at 0 by the abs convention
         else:
             raise ValueError(f"unknown unary op {e.op!r}")
-        return _fold_binary("*", outer, du)
+        return _mul(outer, du)
     if isinstance(e, Binary):
         dl = _diff(e.left, v)
         dr = _diff(e.right, v)
         if e.op == "+":
-            return _fold_binary("+", dl, dr)
+            return _add(dl, dr)
         if e.op == "-":
-            return _fold_binary("-", dl, dr)
+            return _sub(dl, dr)
         if e.op == "*":
-            return _fold_binary("+", _fold_binary("*", dl, e.right), _fold_binary("*", e.left, dr))
+            return _add(_mul(dl, e.right), _mul(e.left, dr))
         if e.op == "/":
-            num = _fold_binary("-", _fold_binary("*", dl, e.right), _fold_binary("*", e.left, dr))
+            num = _sub(_mul(dl, e.right), _mul(e.left, dr))
+            if _is_zero(num):
+                return Const(0.0)
             return _fold_binary("/", num, _fold_binary("^", e.right, Const(2.0)))
         if e.op == "^":
             c = e.right
             if not isinstance(c, Const):
                 raise ValueError("exponent must be a constant")
             powm1 = _fold_binary("^", e.left, Const(c.value - 1.0))
-            return _fold_binary("*", _fold_binary("*", c, powm1), dl)
+            return _mul(_mul(c, powm1), dl)
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -434,8 +461,11 @@ def compile_expr(e: Expr):
     """Compile to ``f(t=0, x=0, z=0, p=0)`` broadcasting over numpy arrays.
 
     The compiled form does not police domains: out-of-domain points yield
-    nan/inf under numpy semantics (callers check finiteness).  Use
-    ``evaluate`` for the strict scalar contract.
+    nan/inf under numpy semantics (callers check finiteness).  Nor does it
+    touch numpy's floating-point error policy: callers set it once per entry
+    point (``np.errstate``), not around each kernel call.  The result is what
+    the arithmetic gives, a float or an array.  Use ``evaluate`` for the
+    strict scalar contract.
     """
     src = f"def _f(t=0.0, x=0.0, z=0.0, p=0.0):\n    return {_pycode(e)}\n"
     ns = {"_np": np}

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificate import check_compatibility, estimate_lipschitz
+from .certificate import _upc_margins, check_compatibility, estimate_lipschitz
 from .errors import ConfigError, PreconditionFailed
 from .expr import compile_expr, diff
 from .holder import GridFunction
@@ -119,16 +119,6 @@ class _NewtonFailure(Exception):
     pass
 
 
-def _vec(expr):
-    f = compile_expr(expr)
-
-    def call(**kw):
-        with np.errstate(all="ignore"):
-            return np.asarray(f(**kw), dtype=float)
-
-    return call
-
-
 class _DynamicEnd:
     """Compiled boundary law -/+ b p + g (+ g1) and its z/p derivatives."""
 
@@ -140,9 +130,9 @@ class _DynamicEnd:
             terms.append(("g1", bc.g1))
         self.fns = {}
         for name, e in terms:
-            self.fns[name] = _vec(e)
-            self.fns[name + "_z"] = _vec(diff(e, "z"))
-            self.fns[name + "_p"] = _vec(diff(e, "p"))
+            self.fns[name] = compile_expr(e)
+            self.fns[name + "_z"] = compile_expr(diff(e, "z"))
+            self.fns[name + "_p"] = compile_expr(diff(e, "p"))
         self.has_g1 = bc.g1 is not None
 
     def law(self, t: float, z: float, p: float) -> float:
@@ -168,8 +158,8 @@ class _DynamicEnd:
 class _DirichletEnd:
     def __init__(self, bc: DirichletBC, x_end: float):
         self.x = x_end
-        self.value = _vec(bc.value)
-        self.dvalue = _vec(diff(bc.value, "t"))
+        self.value = compile_expr(bc.value)
+        self.dvalue = compile_expr(diff(bc.value, "t"))
 
     def at(self, t: float) -> float:
         return float(self.value(t=t))
@@ -189,17 +179,17 @@ class SemiDiscretization:
         self.nodes = np.linspace(-problem.ell, problem.ell, nx)
         self.dx = float(self.nodes[1] - self.nodes[0])
 
-        self.a = _vec(problem.a)
-        self.f = _vec(problem.f)
-        self.a_z = _vec(diff(problem.a, "z"))
-        self.a_p = _vec(diff(problem.a, "p"))
-        self.f_z = _vec(diff(problem.f, "z"))
-        self.f_p = _vec(diff(problem.f, "p"))
+        self.a = compile_expr(problem.a)
+        self.f = compile_expr(problem.f)
+        self.a_z = compile_expr(diff(problem.a, "z"))
+        self.a_p = compile_expr(diff(problem.a, "p"))
+        self.f_z = compile_expr(diff(problem.f, "z"))
+        self.f_p = compile_expr(diff(problem.f, "p"))
         self.has_f1 = problem.f1 is not None
         if self.has_f1:
-            self.f1 = _vec(problem.f1)
-            self.f1_z = _vec(diff(problem.f1, "z"))
-            self.f1_p = _vec(diff(problem.f1, "p"))
+            self.f1 = compile_expr(problem.f1)
+            self.f1_z = compile_expr(diff(problem.f1, "z"))
+            self.f1_p = compile_expr(diff(problem.f1, "p"))
 
         self.end_minus = (_DynamicEnd(problem.bc_minus, -problem.ell, -1.0)
                           if isinstance(problem.bc_minus, DynamicBC)
@@ -428,10 +418,11 @@ def _attempt(disc, t, u, dt, theta, cfg):
 # validation for strict runs
 
 def _validate_upc(problem: ProblemSpec, nx_probe: int = 17) -> None:
-    """Sampled positivity of a and of the dynamic-end flux derivative over a
-    box informed by the initial data."""
+    """Refuse a strict run unless, on a box informed by the initial data,
+    every (upc) margin of the certificate is finite and negative and b is
+    finite and positive at each dynamic end."""
     xs0 = np.linspace(-problem.ell, problem.ell, 201)
-    u0vals = np.broadcast_to(_vec(problem.u0)(x=xs0), xs0.shape)
+    u0vals = np.broadcast_to(compile_expr(problem.u0)(x=xs0), xs0.shape)
     u0sup = float(np.max(np.abs(u0vals)))
     K = estimate_lipschitz(problem.u0, problem.ell, samples=2001)
     zbox = 2.0 * (1.0 + u0sup)
@@ -440,36 +431,26 @@ def _validate_upc(problem: ProblemSpec, nx_probe: int = 17) -> None:
     xs = np.linspace(-problem.ell, problem.ell, nx_probe)
     zs = np.linspace(-zbox, zbox, nx_probe)
     ps = np.linspace(-pbox, pbox, nx_probe)
-    a = _vec(problem.a)(t=ts[:, None, None, None], x=xs[None, :, None, None],
-                        z=zs[None, None, :, None], p=ps[None, None, None, :])
-    if not np.all(np.isfinite(a)) or np.min(a) <= 0.0:
-        raise PreconditionFailed(
-            f"diffusivity not positive on the sampled working box (min = {np.min(a):.6g})")
-    for x_end, bc, sign in ((problem.ell, problem.bc_plus, -1.0),
-                            (-problem.ell, problem.bc_minus, +1.0)):
+    for part, margin, _ in _upc_margins(problem, ts, xs, zs, ps):
+        if not (np.all(np.isfinite(margin)) and np.max(margin) < 0.0):
+            raise PreconditionFailed(
+                f"parabolicity fails for {part} on the sampled working box "
+                f"(worst margin = {np.max(margin):.6g})")
+    for x_end, bc, end in ((problem.ell, problem.bc_plus, "+ell"),
+                           (-problem.ell, problem.bc_minus, "-ell")):
         if not isinstance(bc, DynamicBC):
             continue
-        end = "+ell" if sign < 0 else "-ell"
-        bp = _vec(diff(bc.b, "p"))
-        b = _vec(bc.b)
-        gp = _vec(diff(bc.g, "p"))
-        tt = ts[:, None, None]
-        zz = zs[None, :, None]
-        pp = ps[None, None, :]
-        bv = b(t=tt, x=x_end, z=zz, p=pp)
+        bv = compile_expr(bc.b)(t=ts[:, None, None], x=x_end, z=zs[None, :, None],
+                                p=ps[None, None, :])
         if not np.all(np.isfinite(bv)) or np.min(bv) <= 0.0:
             raise PreconditionFailed(
                 f"boundary coefficient b not positive at {end} (min = {np.min(bv):.6g})")
-        expr = bp(t=tt, x=x_end, z=zz, p=pp) * pp + bv \
-            + sign * gp(t=tt, x=x_end, z=zz, p=pp)
-        if not np.all(np.isfinite(expr)) or np.min(expr) <= 0.0:
-            raise PreconditionFailed(
-                f"boundary parabolicity fails at {end} (min = {np.min(expr):.6g})")
 
 
 # ---------------------------------------------------------------------------
 # driver
 
+@np.errstate(all="ignore")
 def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
     """Run the problem to T, to gradient blow-up, or to step failure.
 

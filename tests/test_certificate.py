@@ -7,6 +7,7 @@ independent quadrature oracles computed in the tests themselves.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,17 @@ def test_condition_upc_violations():
     e2 = rep2.entry("(upc)")
     assert not e2.satisfied
     assert "boundary" in e2.witness["part"]
+
+
+def test_check_hypotheses_emits_no_runtime_warning():
+    # exp(p^2) overflows for |p| > ~26.6 inside the p-box [-30, 30]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_hypotheses(_problem(f="exp(p^2)", g_minus="0", g_plus="0", u0="0"),
+                               M=1.0, q0=1.0, psi=PSI_QUAD, pmax=30.0)
+    e = rep.entry("(6)")
+    assert not e.satisfied
+    assert e.worst_violation == math.inf
 
 
 def test_condition_66_entry():

@@ -215,6 +215,20 @@ def test_sweep_closed_form_column(tmp_path):
     assert all(r.split(",")[6] == "True" for r in rows)
 
 
+def test_sweep_rows_keep_the_first_error_of_a_point(tmp_path):
+    doc = dict(STEADY)
+    # q0 = -1 fails its positivity check before the barrier's q0 >= K check
+    doc["sweep"] = {"psi": ["1"], "q0": [-1.0], "M": [2.0, -2.0]}
+    spec = _write_spec(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        assert ",PreconditionFailed,nan,nan,False," in row
+        assert row.endswith('"q0 must be positive, got -1.0"')
+
+
 def test_sweep_empty_axes(tmp_path):
     doc = dict(STEADY)
     doc["sweep"] = {"psi": [], "q0": [], "M": []}

@@ -7,10 +7,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynbc.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from dynbc.expr import (
-    Binary, Const, Unary, Var,
+    Binary, Const, Unary, Var, _fold_binary, _fold_unary,
     compile_expr, diff, evaluate, free_variables, parse, to_str,
 )
 
@@ -234,3 +236,104 @@ def test_compile_broadcasts():
 def test_free_variables():
     assert free_variables(parse("z*p^2 + sin(x)")) == {"z", "p", "x"}
     assert free_variables(parse("1+pi")) == set()
+
+
+# ---------------------------------------------------------------------------
+# derivatives of variables an expression does not read
+
+def test_unused_variable_derivative_is_zero_where_tree_overflows():
+    # exp(900) overflows; the derivative in t must still be exactly 0
+    d = diff(parse("z*exp(p^2)"), "t")
+    assert compile_expr(d)(p=30.0, z=1.0) == 0.0
+    assert diff(parse("-2*z^3"), "p") == Const(0.0)
+    assert diff(parse("x^0"), "x") == Const(0.0)
+    # the parser still folds constants only
+    assert parse("0*p") == Binary("*", Const(0.0), Var("p"))
+    assert free_variables(parse("0*p")) == {"p"}
+
+
+def reference_diff(e, v):
+    """Symbolic derivative with constant folding only, kept verbatim from
+    before zero factors and zero terms were dropped; the property below
+    compares ``diff`` against it."""
+    if isinstance(e, Const):
+        return Const(0.0)
+    if isinstance(e, Var):
+        return Const(1.0 if e.name == v else 0.0)
+    if isinstance(e, Unary):
+        du = reference_diff(e.arg, v)
+        if e.op == "neg":
+            return _fold_unary("neg", du)
+        if e.op == "sin":
+            outer = _fold_unary("cos", e.arg)
+        elif e.op == "cos":
+            outer = _fold_unary("neg", _fold_unary("sin", e.arg))
+        elif e.op == "exp":
+            outer = e
+        elif e.op == "log":
+            outer = _fold_binary("/", Const(1.0), e.arg)
+        elif e.op == "sqrt":
+            outer = _fold_binary("/", Const(0.5), e)
+        elif e.op == "tanh":
+            outer = _fold_binary("-", Const(1.0), _fold_binary("^", e, Const(2.0)))
+        elif e.op == "abs":
+            outer = _fold_unary("sign", e.arg)
+        elif e.op == "sign":
+            outer = Const(0.0)
+        else:
+            raise ValueError(f"unknown unary op {e.op!r}")
+        return _fold_binary("*", outer, du)
+    if isinstance(e, Binary):
+        dl = reference_diff(e.left, v)
+        dr = reference_diff(e.right, v)
+        if e.op == "+":
+            return _fold_binary("+", dl, dr)
+        if e.op == "-":
+            return _fold_binary("-", dl, dr)
+        if e.op == "*":
+            return _fold_binary("+", _fold_binary("*", dl, e.right), _fold_binary("*", e.left, dr))
+        if e.op == "/":
+            num = _fold_binary("-", _fold_binary("*", dl, e.right), _fold_binary("*", e.left, dr))
+            return _fold_binary("/", num, _fold_binary("^", e.right, Const(2.0)))
+        if e.op == "^":
+            c = e.right
+            powm1 = _fold_binary("^", e.left, Const(c.value - 1.0))
+            return _fold_binary("*", _fold_binary("*", c, powm1), dl)
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+_leaves = st.one_of(
+    st.sampled_from([Var(n) for n in ("t", "x", "z", "p")]),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -0.5, 3.0]).map(Const),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", "sin", "cos", "exp", "log", "sqrt",
+                                          "abs", "tanh", "sign"]), children),
+        st.builds(Binary, st.sampled_from(["+", "-", "*", "/"]), children, children),
+        st.builds(lambda base, c: Binary("^", base, Const(c)), children,
+                  st.sampled_from([0.0, 1.0, 2.0, 3.0, -1.0, 0.5])),
+    )
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=12)
+_point = st.one_of(st.floats(-3.0, 3.0), st.floats(-40.0, 40.0), st.sampled_from([0.0, 30.0, -30.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_trees, v=st.sampled_from(["t", "x", "z", "p"]),
+       t=_point, x=_point, z=_point, p=_point)
+def test_diff_equals_reference_wherever_reference_is_finite(tree, v, t, x, z, p):
+    # reparse so constant subtrees fold exactly as for real coefficient text
+    e = parse(to_str(tree))
+    env = {n: np.float64(val) for n, val in zip("txzp", (t, x, z, p))}
+    with np.errstate(all="ignore"):
+        try:
+            ref = compile_expr(reference_diff(e, v))(**env)
+        except (ZeroDivisionError, OverflowError):
+            assume(False)
+        assume(np.isfinite(ref))
+        got = compile_expr(diff(e, v))(**env)
+    assert got == ref  # -0.0 == 0.0

@@ -4,10 +4,12 @@ solutions for order verification, status trichotomy, blow-up detection."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from dynbc.cli import preset_path
 from dynbc.errors import ConfigError, PreconditionFailed
 from dynbc.expr import parse
 from dynbc.problem import DirichletBC, DynamicBC, ProblemSpec
@@ -201,6 +203,60 @@ def test_strict_mode_rejects_degenerate_diffusivity():
                        bc_plus=DynamicBC(parse("1"), parse("0")))
     with pytest.raises(PreconditionFailed):
         solve(prob, SolverConfig(nx=21))
+
+
+def _flat_problem(a="1", b_plus="1", g_plus="0", b_minus="1", g_minus="0"):
+    """u0 = 0 with sources vanishing at p = 0: compatible at t = 0, so a strict
+    run gets as far as the parabolicity check on its working box."""
+    return ProblemSpec(ell=1.0, T=1.0, a=parse(a), f=parse("0"), u0=parse("0"),
+                       bc_minus=DynamicBC(parse(b_minus), parse(g_minus)),
+                       bc_plus=DynamicBC(parse(b_plus), parse(g_plus)))
+
+
+@pytest.mark.parametrize("kw", [
+    # b <= 0 at +ell while d_p(b) p + b - d_p(g) = -1 + 2 stays positive
+    dict(b_plus="-1", g_plus="-2*p"),
+    # boundary flux derivative d_p(b) p + b - d_p(g) = 1 - 2 < 0 at +ell
+    dict(g_plus="2*p"),
+    # the same at -ell, where the sign of d_p(g) flips: 1 + (-2) < 0
+    dict(g_minus="-2*p"),
+], ids=["b_not_positive", "flux_derivative_plus", "flux_derivative_minus"])
+def test_strict_mode_rejects_boundary_degeneracy(kw):
+    prob = _flat_problem(**kw)
+    with pytest.raises(PreconditionFailed):
+        solve(prob, SolverConfig(nx=21))
+    sol = solve(prob, SolverConfig(nx=21, strict_compatibility=False, dt_max=0.05))
+    assert sol.status.kind in ("completed", "blowup", "stepfailure")
+
+
+@pytest.mark.parametrize("kw", [
+    # u0 = 0 gives the z-box [-2, 2] on a 17-point grid, which holds z = 1
+    dict(a="1/(1-z)^2"),
+    dict(b_plus="1/(1-z)^2"),
+    # at -ell d_p(g) enters with a plus sign: the flux derivative is +inf there
+    dict(g_minus="p/(1-z)^2"),
+], ids=["a_infinite", "b_infinite", "flux_derivative_infinite"])
+def test_strict_mode_rejects_non_finite_coefficients(kw):
+    # the refusal, not a RuntimeWarning from the 1/0 on the box, reaches the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionFailed):
+            solve(_flat_problem(**kw), SolverConfig(nx=21))
+
+
+def test_strict_mode_accepts_positive_finite_coefficients():
+    sol = solve(_flat_problem(a="1+z^2", b_plus="2+p^2", g_plus="-p"), SolverConfig(nx=21))
+    assert isinstance(sol.status, Completed)
+
+
+def test_blowup_preset_solve_emits_no_runtime_warning():
+    prob = ProblemSpec.from_json(preset_path("blowup_270").read_text())
+    cfg = SolverConfig(nx=101, strict_compatibility=False, gradient_cutoff=25.0, dt_max=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(prob, cfg)
+    assert isinstance(sol.status, BlowUpDetected)
+    assert sol.status.time == pytest.approx(3.17, abs=0.03)
 
 
 def test_blowup_detection_reports_time_and_gradient():
