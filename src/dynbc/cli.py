@@ -209,12 +209,8 @@ def cmd_certify(manifest: RunManifest) -> int:
 
         pmax = float(blk["pmax"]) if "pmax" in blk else None
         n_samples = int(blk.get("n_samples", 33))
-        report = check_hypotheses(
-            problem, M=M, q0=q0, psi=psi, pmax=pmax, n_samples=n_samples,
-            phi=parse(sup_blk["Phi"]) if sup_blk else None,
-            B=float(sup_blk["B"]) if sup_blk else None,
-            compat_tol=default_tol())
-
+        # the barrier goes first: its q1 gives the default pmax = 4 q1 that
+        # check_hypotheses would otherwise find with a second find_q1
         cert: BarrierCertificate | None = None
         barrier_error = None
         try:
@@ -222,6 +218,18 @@ def cmd_certify(manifest: RunManifest) -> int:
                                  K=estimate_lipschitz(problem.u0, problem.ell))
         except (ConditionViolated, PreconditionFailed) as exc:
             barrier_error = str(exc)
+            # ConditionViolated is find_q1's "no finite q1", where
+            # check_hypotheses uses pmax = 100; after a PreconditionFailed
+            # it runs find_q1 itself and raises first, as before
+            if pmax is None and isinstance(exc, ConditionViolated):
+                pmax = 100.0
+        if pmax is None and cert is not None:
+            pmax = 4.0 * cert.q1
+        report = check_hypotheses(
+            problem, M=M, q0=q0, psi=psi, pmax=pmax, n_samples=n_samples,
+            phi=parse(sup_blk["Phi"]) if sup_blk else None,
+            B=float(sup_blk["B"]) if sup_blk else None,
+            compat_tol=default_tol())
     except (DynbcError, KeyError, ValueError) as exc:
         print(f"certify: {exc}", file=sys.stderr)
         return 1

@@ -14,10 +14,26 @@ comparison value is exactly 0 because h(0) = 0 exactly.
 Derived slacks: gradient_slack = q1 - sup|u_x|, modulus_slack =
 min h(|x-y|) - |u(t,x) - u(t,y)| over in-range pairs, sup_slack = budget
 minus sup|u|.  Negative slacks are findings, not errors.
+
+Both pair scans skip pairs that cannot reach the running extreme, with the
+same values and witnesses as a scan of every pair.  Let osc = fl(max u -
+min u) on a slice.  Rounding is monotone and u_j - u_k <= max u - min u, so
+every pair has fl(u_j - u_k) <= osc and fl(u_k - u_j) <= osc; hence
+
+    w~, w~1 <= fl(damp * fl(osc - h))    and    slack >= fl(h - osc).
+
+Both bounds are monotone in h.  With the pairs sorted by h, the pairs whose
+bound is strictly worse than the best so far form a suffix; they can
+neither beat nor tie the best, so only the prefix before it is evaluated.
+A NaN bound compares false and skips nothing, and a NaN in h makes every
+slice's extreme NaN, so no best is ever set; where exp(-t) underflows to 0
+no value can beat a positive best.  Among equal extremes the witness is the
+first in (t, then x, then y) order, the pair a full argmax/argmin returns.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -95,6 +111,54 @@ def _pair_mask(nodes: np.ndarray, kappa0: float):
     return jj, kk, dm[jj, kk]
 
 
+def _scan(sol: Solution, cert: BarrierCertificate, tidx: np.ndarray,
+          damped: bool) -> list[tuple[float, dict]] | None:
+    """Extremes over the in-band pairs on the slices ``tidx``, in time order,
+    each with its witness: max w~ and max w~1 when ``damped``, otherwise the
+    min modulus slack; None when kappa0 leaves no pair.  Each slice
+    evaluates only the pairs its oscillation bound leaves in reach of the
+    running best (see the module docstring)."""
+    jj, kk, offsets = _pair_mask(sol.grid.nodes, cert.kappa0)
+    if jj.size == 0:
+        return None
+    h = cert.h_curve()(offsets)
+    # sorted by h, each pair with its row-major rank; one table at a time
+    rank = np.argsort(h, kind="stable")
+    del offsets
+    jj = jj[rank]
+    kk = kk[rank]
+    h = h[rank]
+    h_seq = memoryview(h)   # Python floats for bisect, without a copy
+    times = sol.grid.times
+    best = [-math.inf, -math.inf] if damped else [math.inf]
+    wits: list[dict] = [{} for _ in best]
+    for i in tidx:
+        row = sol.grid.values[i]
+        osc = float(row.max() - row.min())
+        if damped:
+            damp, floor = math.exp(-times[i]), min(best)
+            n = bisect.bisect_left(h_seq, True, key=lambda hv: damp * (osc - hv) < floor)
+        else:
+            n = bisect.bisect_left(h_seq, True, key=lambda hv: hv - osc > best[0])
+        if n == 0:
+            continue
+        diffs = row.take(jj[:n]) - row.take(kk[:n])
+        if damped:
+            terms = (damp * (diffs - h[:n]), damp * (-diffs - h[:n]))
+        else:
+            terms = (h[:n] - np.abs(diffs),)
+        for q, vals in enumerate(terms):
+            top = vals.max() if damped else vals.min()
+            if (top > best[q]) if damped else (top < best[q]):
+                # the witness is the first extreme in row-major pair order
+                tied = np.flatnonzero(vals == top)
+                m = tied[np.argmin(rank[tied])]
+                best[q] = float(vals[m])
+                wits[q] = {"t": float(times[i]), "x": float(sol.grid.nodes[jj[m]]),
+                           "y": float(sol.grid.nodes[kk[m]])}
+    return list(zip(best, wits))
+
+
 def doubling_check(sol: Solution, cert: BarrierCertificate,
                    max_time_slices: int = MAX_TIME_SLICES) -> DoublingResult:
     """Scan the doubled domain for positive comparison values.
@@ -111,35 +175,13 @@ def doubling_check(sol: Solution, cert: BarrierCertificate,
 
     nodes = sol.grid.nodes
     times = sol.grid.times
-    jj, kk, offsets = _pair_mask(nodes, cert.kappa0)
-    if jj.size == 0:
+    scan = _scan(sol, cert, _time_subsample(times, max_time_slices), damped=True)
+    if scan is None:
         # kappa0 below the grid spacing: only the diagonal remains, where
         # the comparison value is exactly 0
         zero = {"t": float(times[0]), "x": float(nodes[0]), "y": float(nodes[0])}
         return DoublingResult(0.0, 0.0, dict(zero), dict(zero))
-
-    curve = cert.h_curve()
-    h_vals = curve(offsets)
-    tidx = _time_subsample(times, max_time_slices)
-
-    best_w = -math.inf
-    best_w1 = -math.inf
-    wit_w: dict = {}
-    wit_w1: dict = {}
-    for i in tidx:
-        row = sol.grid.values[i]
-        diffs = row[jj] - row[kk]
-        damp = math.exp(-times[i])
-        w = damp * (diffs - h_vals)
-        w1 = damp * (-diffs - h_vals)
-        m = int(np.argmax(w))
-        if w[m] > best_w:
-            best_w = float(w[m])
-            wit_w = {"t": float(times[i]), "x": float(nodes[jj[m]]), "y": float(nodes[kk[m]])}
-        m1 = int(np.argmax(w1))
-        if w1[m1] > best_w1:
-            best_w1 = float(w1[m1])
-            wit_w1 = {"t": float(times[i]), "x": float(nodes[jj[m1]]), "y": float(nodes[kk[m1]])}
+    (best_w, wit_w), (best_w1, wit_w1) = scan
     return DoublingResult(best_w, best_w1, wit_w, wit_w1)
 
 
@@ -166,22 +208,13 @@ def bounds_check(sol: Solution, cert: BarrierCertificate,
     witnesses["gradient"] = {"t": float(times[it]), "x": float(nodes[ix]),
                              "ux": float(sol.ux.values[it, ix])}
 
-    jj, kk, offsets = _pair_mask(nodes, cert.kappa0)
-    if jj.size:
-        curve = cert.h_curve()
-        h_vals = curve(offsets)
-        # every stored slice enters the modulus scan (the slice cap applies
-        # only to the doubled scan); the wide guard is for pathological runs
-        tidx = _time_subsample(times, cap=32_768)
-        modulus_slack = math.inf
-        for i in tidx:
-            row = values[i]
-            slack_row = h_vals - np.abs(row[jj] - row[kk])
-            m = int(np.argmin(slack_row))
-            if slack_row[m] < modulus_slack:
-                modulus_slack = float(slack_row[m])
-                witnesses["modulus"] = {"t": float(times[i]), "x": float(nodes[jj[m]]),
-                                        "y": float(nodes[kk[m]])}
+    # every stored slice enters the modulus scan (the slice cap applies
+    # only to the doubled scan); the wide guard is for pathological runs
+    scan = _scan(sol, cert, _time_subsample(times, cap=32_768), damped=False)
+    if scan is not None:
+        ((modulus_slack, wit),) = scan
+        if wit:     # none when every slice's slack has a NaN
+            witnesses["modulus"] = wit
     else:
         modulus_slack = 0.0
         witnesses["modulus"] = {"note": "kappa0 below grid spacing; diagonal only"}

@@ -9,10 +9,13 @@ import shutil
 import numpy as np
 import pytest
 
+import dynbc.certificate as certificate
+from dynbc.certificate import PsiSpec, check_hypotheses
 from dynbc.cli import (
-    RunManifest, cmd_certify, cmd_solve, cmd_sweep, cmd_verify, json_dumps,
+    RunManifest, cmd_certify, cmd_solve, cmd_sweep, cmd_verify, default_tol, json_dumps,
     main, preset_path, read_solution,
 )
+from dynbc.problem import ProblemSpec
 
 
 def _manifest(spec, out, **kw):
@@ -227,6 +230,44 @@ def test_sweep_rows_keep_the_first_error_of_a_point(tmp_path):
     for row in rows:
         assert ",PreconditionFailed,nan,nan,False," in row
         assert row.endswith('"q0 must be positive, got -1.0"')
+
+
+@pytest.mark.parametrize("changes, code, error", [
+    # q0 = -1 fails find_q1's positivity check inside check_hypotheses: no report
+    ({"q0": -1.0}, 1, "q0 must be positive, got -1.0"),
+    ({"M": -2.0}, 1, "M must be positive, got -2.0"),
+    # with pmax given check_hypotheses needs no q1; the barrier's q0 >= K check fails first
+    ({"q0": -1.0, "pmax": 5.0}, 2, "K = 1.000001 exceeds q0 = -1.0"),
+    ({"q0": 0.5, "psi": "(1+p^2)^1.5"}, 2, "K = 1.000001 exceeds q0 = 0.5"),
+    ({"psi": "(1+p^2)^1.5"}, 2, "integral of rho/psi"),
+])
+def test_certify_keeps_the_first_error(tmp_path, capsys, changes, code, error):
+    doc = dict(STEADY)
+    doc["certificate"] = dict(STEADY["certificate"], **changes)
+    spec = _write_spec(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["certify", "--spec", str(spec), "--out", str(out)]) == code
+    if code == 1:
+        assert capsys.readouterr().err == f"certify: {error}\n"
+        assert not (out / "certificate.json").exists()
+        return
+    rep = json.loads((out / "certificate.json").read_text())
+    assert rep["barrier"] is None and rep["barrier_error"].startswith(error)
+    # without a finite q1 the conditions are sampled up to pmax = 100
+    blk = doc["certificate"]
+    want = check_hypotheses(ProblemSpec.from_dict(doc), M=blk["M"], q0=blk["q0"],
+                            psi=PsiSpec.from_text(blk["psi"]), pmax=blk.get("pmax", 100.0),
+                            compat_tol=default_tol())
+    assert rep["conditions"] == json.loads(json_dumps(want.as_dict()))
+
+
+def test_certify_finds_q1_once(tmp_path, monkeypatch):
+    calls = []
+    find_q1 = certificate.find_q1
+    monkeypatch.setattr(certificate, "find_q1", lambda *a: calls.append(a) or find_q1(*a))
+    spec = _write_spec(tmp_path, STEADY)
+    assert main(["certify", "--spec", str(spec), "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
 
 
 def test_sweep_empty_axes(tmp_path):
