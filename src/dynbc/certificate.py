@@ -294,16 +294,24 @@ def build_barrier(psi: PsiSpec, q0: float, M: float, K: float) -> BarrierCertifi
         psi_text=psi.text)
 
 
-def estimate_lipschitz(u0: Expr, ell: float, samples: int = 10_000) -> float:
-    """Sampled Lipschitz constant of the initial data: max |u0'| over a
-    uniform grid times a (1 + 1e-6) safety factor."""
+def _lipschitz_witness(u0: Expr, ell: float, samples: int) -> tuple[float, float]:
+    """The sampled Lipschitz constant of ``estimate_lipschitz`` and the first
+    grid point where |u0'| is largest."""
     du = compile_expr(diff(u0, "x"))
     xs = np.linspace(-ell, ell, samples)
     with np.errstate(all="ignore"):
         vals = np.broadcast_to(np.asarray(du(x=xs), dtype=float), xs.shape)
     if not np.all(np.isfinite(vals)):
         raise PreconditionFailed("u0 derivative not finite on the sample grid")
-    return float(np.max(np.abs(vals)) * (1.0 + 1e-6))
+    slopes = np.abs(vals)
+    i = int(np.argmax(slopes))
+    return float(slopes[i] * (1.0 + 1e-6)), float(xs[i])
+
+
+def estimate_lipschitz(u0: Expr, ell: float, samples: int = 10_000) -> float:
+    """Sampled Lipschitz constant of the initial data: max |u0'| over a
+    uniform grid times a (1 + 1e-6) safety factor."""
+    return _lipschitz_witness(u0, ell, samples)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +439,10 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
         entries.append(ConditionCheck("(9bNEU)", worst <= 0.0, worst, wit))
 
     # (10): sampled Lipschitz constant of u0 fits under q0
-    K_est = estimate_lipschitz(problem.u0, ell)
-    du0 = compile_expr(diff(problem.u0, "x"))
-    xs_k = np.linspace(-ell, ell, 10_000)
-    slopes = np.abs(np.broadcast_to(du0(x=xs_k), xs_k.shape))
+    K_est, x_k = _lipschitz_witness(problem.u0, ell, 10_000)
     entries.append(ConditionCheck(
         "(10)", K_est <= q0 * (1.0 + K_SLACK), K_est - q0 * (1.0 + K_SLACK),
-        {"K_estimate": K_est, "q0": q0, "x": float(xs_k[int(np.argmax(slopes))])}))
+        {"K_estimate": K_est, "q0": q0, "x": x_k}))
 
     # (upc): a > 0 everywhere; at dynamic ends d_p(b) p + b -/+ d_p(g) > 0
     # (margin 0.0 from exact degeneracy still counts as satisfied per the

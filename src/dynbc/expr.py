@@ -139,14 +139,12 @@ def _apply_binary(op: str, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_]+)|([()+\-*/^]))")
 _NUMBER_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
 
 
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []  # (kind, value, offset)
         self._scan()
         self.index = 0

@@ -14,8 +14,8 @@ import numpy as np
 from .errors import DynbcError
 
 __all__ = [
-    "adaptive_simpson", "brent", "expand_bracket", "tail_probe", "TailProbe",
-    "golden_section", "thomas", "pchip_slopes", "PchipCurve",
+    "adaptive_simpson", "brent", "tail_probe", "TailProbe",
+    "golden_section", "thomas", "PchipCurve",
 ]
 
 
@@ -114,28 +114,6 @@ def brent(f: Callable[[float], float], a: float, b: float,
             c, fc = a, fa
             d = e = b - a
     return b
-
-
-def expand_bracket(f: Callable[[float], float], lo: float, step: float,
-                   hi_limit: float = 1e18, factor: float = 2.0):
-    """Walk right from lo in geometric steps until f changes sign.
-
-    Returns (a, b) with f(a) <= 0 <= f(b), or None if no sign change was
-    found before hi_limit.  f(lo) must be <= 0.
-    """
-    a = lo
-    fa = f(a)
-    if fa > 0.0:
-        return (a, a)
-    while True:
-        b = a + step
-        if b > hi_limit:
-            return None
-        fb = f(b)
-        if fb >= 0.0:
-            return (a, b)
-        a, fa = b, fb
-        step *= factor
 
 
 # ---------------------------------------------------------------------------
@@ -250,47 +228,20 @@ def thomas(lower, diag, upper, rhs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# monotone cubic interpolation (Fritsch-Carlson limited slopes)
-
-def pchip_slopes(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Node slopes for a shape-preserving cubic Hermite interpolant."""
-    h = np.diff(xs)
-    delta = np.diff(ys) / h
-    n = xs.size
-    m = np.zeros(n)
-    for i in range(1, n - 1):
-        if delta[i - 1] * delta[i] <= 0.0:
-            m[i] = 0.0
-        else:
-            w1 = 2.0 * h[i] + h[i - 1]
-            w2 = h[i] + 2.0 * h[i - 1]
-            m[i] = (w1 + w2) / (w1 / delta[i - 1] + w2 / delta[i])
-    # one-sided ends, clipped to preserve monotonicity on the edge interval
-    for idx, (hi, hj, di, dj) in ((0, (h[0], h[1] if n > 2 else h[0],
-                                        delta[0], delta[1] if n > 2 else delta[0])),
-                                  (n - 1, (h[-1], h[-2] if n > 2 else h[-1],
-                                           delta[-1], delta[-2] if n > 2 else delta[-1]))):
-        m_end = ((2.0 * hi + hj) * di - hi * dj) / (hi + hj)
-        if m_end * di <= 0.0:
-            m_end = 0.0
-        elif di * dj < 0.0 and abs(m_end) > 3.0 * abs(di):
-            m_end = 3.0 * di
-        m[idx] = m_end
-    return m
-
+# cubic Hermite interpolation
 
 class PchipCurve:
-    """Monotone cubic interpolant of tabulated (x, y); optionally with exact
-    tabulated derivatives instead of estimated slopes."""
+    """Cubic Hermite interpolant of tabulated (x, y) with exact tabulated
+    derivatives dys at the nodes."""
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, dys: np.ndarray | None = None):
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, dys: np.ndarray):
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         if self.xs.ndim != 1 or self.xs.size < 2:
             raise DynbcError("PchipCurve needs at least two nodes")
         if np.any(np.diff(self.xs) <= 0):
             raise DynbcError("PchipCurve abscissae must be strictly increasing")
-        self.ms = np.asarray(dys, dtype=float) if dys is not None else pchip_slopes(self.xs, self.ys)
+        self.ms = np.asarray(dys, dtype=float)
 
     def __call__(self, q):
         q = np.asarray(q, dtype=float)

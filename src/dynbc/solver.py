@@ -4,15 +4,19 @@ Dirichlet boundary conditions, with gradient blow-up detection.
 Space: uniform nodes, centered second-order interior differences, and a
 three-point one-sided second-order gradient at boundary nodes (a first-order
 one-sided stencil would pollute the global order through the boundary ODE).
-Dynamic boundary nodes evolve by their own law du/dt = -/+ b p + g; Dirichlet
-nodes are pinned algebraically.
+Each law is a lead term plus source terms: a u_xx + f (+ f1) inside, and
+du/dt = -/+ b p + g (+ g1) at a dynamic boundary node.  Every coefficient is
+compiled once with its exact z- and p-derivatives, and the sources are added
+left to right.  Dirichlet nodes are pinned algebraically.
 
 Time: theta-scheme (trapezoidal by default) with damped Newton on the stage
-system; Jacobian entries come from the exact symbolic z- and p-derivatives
-of the coefficients, assembled into a tridiagonal-plus-two-corners matrix
-(the corners from the one-sided boundary stencils are eliminated before the
-Thomas sweep).  Step size adapts on a step-doubling error estimate; Newton
-failure first retries the step fully implicitly (theta = 1), then shrinks dt.
+system; Jacobian entries come from the exact derivatives, assembled into a
+tridiagonal-plus-two-corners matrix.  A corner is eliminated against its
+adjacent row before the Thomas sweep when the multiplier is at most 1;
+otherwise the stage system is solved densely.  Step size adapts on a
+step-doubling error estimate (the full step and the first half step share
+the start slope rhs(t, u)); Newton failure first retries the step fully
+implicitly (theta = 1), then shrinks dt.
 
 Every run ends in exactly one of three states: Completed at T, BlowUpDetected
 once max |u_x| crosses the cutoff, or StepFailure when dt hits its floor.
@@ -119,43 +123,46 @@ class _NewtonFailure(Exception):
     pass
 
 
+def _compile_terms(*exprs):
+    """Kernels of each expression and of its exact z- and p-derivatives, as
+    three tuples (values, d/dz, d/dp) in the order given; None is skipped."""
+    kept = [e for e in exprs if e is not None]
+    return tuple(tuple(compile_expr(diff(e, v) if v else e) for e in kept)
+                 for v in (None, "z", "p"))
+
+
+def _sum_terms(kernels, kw, total=None):
+    """The kernels' values at kw added left to right, onto total if given."""
+    for k in kernels:
+        value = k(**kw)
+        total = value if total is None else total + value
+    return total
+
+
 class _DynamicEnd:
     """Compiled boundary law -/+ b p + g (+ g1) and its z/p derivatives."""
 
     def __init__(self, bc: DynamicBC, x_end: float, outward: float):
         self.x = x_end
         self.outward = outward  # +1 at +ell, -1 at -ell: law is u_t = -outward*b*p + g
-        terms = [("b", bc.b), ("g", bc.g)]
-        if bc.g1 is not None:
-            terms.append(("g1", bc.g1))
-        self.fns = {}
-        for name, e in terms:
-            self.fns[name] = compile_expr(e)
-            self.fns[name + "_z"] = compile_expr(diff(e, "z"))
-            self.fns[name + "_p"] = compile_expr(diff(e, "p"))
-        self.has_g1 = bc.g1 is not None
+        (self.b,), (self.b_z,), (self.b_p,) = _compile_terms(bc.b)
+        self.g, self.g_z, self.g_p = _compile_terms(bc.g, bc.g1)
 
     def law(self, t: float, z: float, p: float) -> float:
-        b = float(self.fns["b"](t=t, x=self.x, z=z, p=p))
-        g = float(self.fns["g"](t=t, x=self.x, z=z, p=p))
-        out = -self.outward * b * p + g
-        if self.has_g1:
-            out += float(self.fns["g1"](t=t, x=self.x, z=z, p=p))
-        return out
+        kw = dict(t=t, x=self.x, z=z, p=p)
+        return _sum_terms(self.g, kw, -self.outward * self.b(**kw) * p)
 
     def law_derivs(self, t: float, z: float, p: float) -> tuple[float, float]:
         """(d/dz, d/dp) of the boundary law at fixed stencil gradient p."""
         kw = dict(t=t, x=self.x, z=z, p=p)
-        b = float(self.fns["b"](**kw))
-        dz = -self.outward * float(self.fns["b_z"](**kw)) * p + float(self.fns["g_z"](**kw))
-        dp = -self.outward * (float(self.fns["b_p"](**kw)) * p + b) + float(self.fns["g_p"](**kw))
-        if self.has_g1:
-            dz += float(self.fns["g1_z"](**kw))
-            dp += float(self.fns["g1_p"](**kw))
+        dz = _sum_terms(self.g_z, kw, -self.outward * self.b_z(**kw) * p)
+        dp = _sum_terms(self.g_p, kw, -self.outward * (self.b_p(**kw) * p + self.b(**kw)))
         return dz, dp
 
 
 class _DirichletEnd:
+    """A pinned node: it moves with the pin, whatever the state."""
+
     def __init__(self, bc: DirichletBC, x_end: float):
         self.x = x_end
         self.value = compile_expr(bc.value)
@@ -164,12 +171,19 @@ class _DirichletEnd:
     def at(self, t: float) -> float:
         return float(self.value(t=t))
 
-    def rate(self, t: float) -> float:
+    def law(self, t: float, z: float, p: float) -> float:
         return float(self.dvalue(t=t))
+
+    def law_derivs(self, t: float, z: float, p: float) -> tuple[float, float]:
+        return 0.0, 0.0
 
 
 class SemiDiscretization:
-    """Spatial discretization: node set, right-hand side, Jacobian stencils."""
+    """Spatial discretization: node set, right-hand side, Jacobian stencils.
+
+    The interior law is a u_xx + f (+ f1): the lead coefficient a and the
+    source terms, each compiled once with its z- and p-derivatives.
+    """
 
     def __init__(self, problem: ProblemSpec, nx: int):
         if nx < 5:
@@ -179,17 +193,8 @@ class SemiDiscretization:
         self.nodes = np.linspace(-problem.ell, problem.ell, nx)
         self.dx = float(self.nodes[1] - self.nodes[0])
 
-        self.a = compile_expr(problem.a)
-        self.f = compile_expr(problem.f)
-        self.a_z = compile_expr(diff(problem.a, "z"))
-        self.a_p = compile_expr(diff(problem.a, "p"))
-        self.f_z = compile_expr(diff(problem.f, "z"))
-        self.f_p = compile_expr(diff(problem.f, "p"))
-        self.has_f1 = problem.f1 is not None
-        if self.has_f1:
-            self.f1 = compile_expr(problem.f1)
-            self.f1_z = compile_expr(diff(problem.f1, "z"))
-            self.f1_p = compile_expr(diff(problem.f1, "p"))
+        (self.a,), (self.a_z,), (self.a_p,) = _compile_terms(problem.a)
+        self.f, self.f_z, self.f_p = _compile_terms(problem.f, problem.f1)
 
         self.end_minus = (_DynamicEnd(problem.bc_minus, -problem.ell, -1.0)
                           if isinstance(problem.bc_minus, DynamicBC)
@@ -219,28 +224,19 @@ class SemiDiscretization:
         p[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * self.dx)
         return p
 
+    def _stencil(self, t: float, u: np.ndarray):
+        """Slopes at every node, interior u_xx, and the interior kernel arguments."""
+        p = self.gradient(u)
+        uxx = (u[2:] - 2 * u[1:-1] + u[:-2]) / self.dx ** 2
+        return p, uxx, dict(t=t, x=self.nodes[1:-1], z=u[1:-1], p=p[1:-1])
+
     def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
         """du/dt of every node; pinned nodes report the pin's rate."""
-        dx = self.dx
+        p, uxx, kw = self._stencil(t, u)
         out = np.empty_like(u)
-        xi = self.nodes[1:-1]
-        z = u[1:-1]
-        p = (u[2:] - u[:-2]) / (2 * dx)
-        uxx = (u[2:] - 2 * u[1:-1] + u[:-2]) / dx ** 2
-        kw = dict(t=t, x=xi, z=z, p=p)
-        out[1:-1] = self.a(**kw) * uxx + self.f(**kw)
-        if self.has_f1:
-            out[1:-1] += self.f1(**kw)
-        if self.pinned_minus:
-            out[0] = self.end_minus.rate(t)
-        else:
-            pm = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dx)
-            out[0] = self.end_minus.law(t, u[0], pm)
-        if self.pinned_plus:
-            out[-1] = self.end_plus.rate(t)
-        else:
-            pp = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dx)
-            out[-1] = self.end_plus.law(t, u[-1], pp)
+        out[1:-1] = _sum_terms(self.f, kw, self.a(**kw) * uxx)
+        out[0] = self.end_minus.law(t, u[0], p[0])
+        out[-1] = self.end_plus.law(t, u[-1], p[-1])
         return out
 
     def rhs_jacobian(self, t: float, u: np.ndarray):
@@ -255,37 +251,22 @@ class SemiDiscretization:
         diag = np.zeros(n)
         upper = np.zeros(n)
 
-        xi = self.nodes[1:-1]
-        z = u[1:-1]
-        p = (u[2:] - u[:-2]) / (2 * dx)
-        uxx = (u[2:] - 2 * u[1:-1] + u[:-2]) / dx ** 2
-        kw = dict(t=t, x=xi, z=z, p=p)
+        p, uxx, kw = self._stencil(t, u)
         a = self.a(**kw)
-        az = self.a_z(**kw)
         ap = self.a_p(**kw)
-        fz = self.f_z(**kw)
-        fp = self.f_p(**kw)
-        if self.has_f1:
-            fz = fz + self.f1_z(**kw)
-            fp = fp + self.f1_p(**kw)
-        diag[1:-1] = az * uxx - 2 * a / dx ** 2 + fz
+        fp = _sum_terms(self.f_p, kw)
+        diag[1:-1] = self.a_z(**kw) * uxx - 2 * a / dx ** 2 + _sum_terms(self.f_z, kw)
         lower[1:-1] = -ap * uxx / (2 * dx) + a / dx ** 2 - fp / (2 * dx)
         upper[1:-1] = ap * uxx / (2 * dx) + a / dx ** 2 + fp / (2 * dx)
 
-        corner_right = 0.0
-        corner_left = 0.0
-        if not self.pinned_minus:
-            pm = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dx)
-            dz, dp = self.end_minus.law_derivs(t, u[0], pm)
-            diag[0] = dz + dp * (-3 / (2 * dx))
-            upper[0] = dp * (4 / (2 * dx))
-            corner_right = dp * (-1 / (2 * dx))
-        if not self.pinned_plus:
-            pp = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dx)
-            dz, dp = self.end_plus.law_derivs(t, u[-1], pp)
-            diag[-1] = dz + dp * (3 / (2 * dx))
-            lower[-1] = dp * (-4 / (2 * dx))
-            corner_left = dp * (1 / (2 * dx))
+        dz, dp = self.end_minus.law_derivs(t, u[0], p[0])
+        diag[0] = dz + dp * (-3 / (2 * dx))
+        upper[0] = dp * (4 / (2 * dx))
+        corner_right = dp * (-1 / (2 * dx))
+        dz, dp = self.end_plus.law_derivs(t, u[-1], p[-1])
+        diag[-1] = dz + dp * (3 / (2 * dx))
+        lower[-1] = dp * (-4 / (2 * dx))
+        corner_left = dp * (1 / (2 * dx))
         return lower, diag, upper, corner_right, corner_left
 
 
@@ -302,19 +283,20 @@ def _solve_bordered(lower, diag, upper, corner_right, corner_left, rhs):
     eliminating them against the adjacent rows, then a Thomas sweep.
 
     The elimination runs on Python-float copies of the bands, which the
-    sweep then uses as they are.  A corner whose adjacent band entry is
-    zero cannot be eliminated; the system then goes to a dense solve, with
-    any corner already eliminated left out of it.
+    sweep then uses as they are.  A corner is eliminated only when the
+    adjacent band entry is at least as large in magnitude, so the
+    multiplier is at most 1; otherwise the system goes to a dense solve,
+    with any corner already eliminated left out of it.
     """
     lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
     n = len(diag)
-    if corner_right != 0.0 and abs(upper[1]) > 1e-300:
+    if corner_right != 0.0 and abs(upper[1]) >= abs(corner_right):
         fac = float(corner_right) / upper[1]
         diag[0] -= fac * lower[1]
         upper[0] -= fac * diag[1]
         rhs[0] -= fac * rhs[1]
         corner_right = 0.0
-    if corner_left != 0.0 and abs(lower[n - 2]) > 1e-300:
+    if corner_left != 0.0 and abs(lower[n - 2]) >= abs(corner_left):
         fac = float(corner_left) / lower[n - 2]
         lower[-1] -= fac * diag[n - 2]
         diag[-1] -= fac * upper[n - 2]
@@ -334,11 +316,12 @@ def _solve_bordered(lower, diag, upper, corner_right, corner_left, rhs):
 # ---------------------------------------------------------------------------
 # implicit stepping
 
-def _theta_step(disc: SemiDiscretization, t: float, u: np.ndarray, dt: float,
-                theta: float, cfg: SolverConfig) -> np.ndarray:
-    """One theta-scheme step with damped Newton; raises _NewtonFailure."""
+def _theta_step(disc: SemiDiscretization, t: float, u: np.ndarray, f0: np.ndarray,
+                dt: float, theta: float, cfg: SolverConfig) -> np.ndarray:
+    """One theta-scheme step from u, whose slope is f0 = rhs(t, u), with
+    damped Newton; raises _NewtonFailure."""
     t1 = t + dt
-    explicit = u + dt * (1.0 - theta) * disc.rhs(t, u) if theta < 1.0 else u.copy()
+    explicit = u + dt * (1.0 - theta) * f0 if theta < 1.0 else u.copy()
 
     pin_lo = disc.pinned_minus
     pin_hi = disc.pinned_plus
@@ -354,7 +337,7 @@ def _theta_step(disc: SemiDiscretization, t: float, u: np.ndarray, dt: float,
         return R
 
     # explicit Euler predictor keeps Newton in its quadratic basin
-    U = u + dt * disc.rhs(t, u)
+    U = u + dt * f0
     if pin_lo:
         U[0] = val_lo
     if pin_hi:
@@ -407,10 +390,15 @@ def _theta_step(disc: SemiDiscretization, t: float, u: np.ndarray, dt: float,
 
 
 def _attempt(disc, t, u, dt, theta, cfg):
-    """Step-doubled pair: full step and two half steps (the accepted value)."""
-    big = _theta_step(disc, t, u, dt, theta, cfg)
-    half = _theta_step(disc, t, u, dt / 2, theta, cfg)
-    half = _theta_step(disc, t + dt / 2, half, dt / 2, theta, cfg)
+    """Step-doubled pair: full step and two half steps (the accepted value).
+
+    The full step and the first half step share the start slope rhs(t, u).
+    """
+    f0 = disc.rhs(t, u)
+    big = _theta_step(disc, t, u, f0, dt, theta, cfg)
+    half = _theta_step(disc, t, u, f0, dt / 2, theta, cfg)
+    t_mid = t + dt / 2
+    half = _theta_step(disc, t_mid, half, disc.rhs(t_mid, half), dt / 2, theta, cfg)
     return big, half
 
 
@@ -492,27 +480,21 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
             status = StepFailure(time=t, reason="step budget exhausted")
             break
         dt = min(dt, cfg.dt_max, problem.T - t)
-        theta_used = cfg.theta
-        try:
-            big, half = _attempt(disc, t, u, dt, theta_used, cfg)
-        except _NewtonFailure:
-            newton_failures += 1
-            if cfg.theta != 1.0:
-                # fully implicit fallback before any dt reduction
-                try:
-                    theta_used = 1.0
-                    big, half = _attempt(disc, t, u, dt, theta_used, cfg)
-                except _NewtonFailure:
-                    big = half = None
-            else:
-                big = half = None
-            if half is None:
-                if dt <= cfg.dt_min * (1 + 1e-9) or cfg.fixed_step:
-                    status = StepFailure(time=t, reason="newton failure at minimal step")
-                    break
-                dt = max(dt * 0.25, cfg.dt_min)
-                rejected += 1
-                continue
+        # the configured theta, then the fully implicit fallback, before any dt reduction
+        for theta_used in dict.fromkeys((cfg.theta, 1.0)):
+            try:
+                big, half = _attempt(disc, t, u, dt, theta_used, cfg)
+                break
+            except _NewtonFailure:
+                if theta_used == cfg.theta:
+                    newton_failures += 1
+        else:
+            if dt <= cfg.dt_min * (1 + 1e-9) or cfg.fixed_step:
+                status = StepFailure(time=t, reason="newton failure at minimal step")
+                break
+            dt = max(dt * 0.25, cfg.dt_min)
+            rejected += 1
+            continue
 
         order = 2.0 if theta_used == 0.5 else 1.0
         err = float(np.max(np.abs(big - half))) / (2.0 ** order - 1.0)

@@ -6,7 +6,10 @@ and the bytes passes unchanged; any changed digit fails here.  Reports a
 stage does not write (``h_table.csv`` when certify finds no barrier) are
 recorded as ``null``.  ``GRIDS`` adds problems derived from a preset: burgers
 at nx = 257 and amplitude 0.47 is a grid where the verify scans' oscillation
-bound skips most pairs.
+bound skips most pairs.  ``burgers_newton_retry`` caps Newton at two
+iterations from a large first step, so both the configured theta and the
+theta = 1 retry fail and dt shrinks; ``burgers_implicit_fixed`` runs the
+fully implicit scheme at a fixed step.
 
 Record the digests again, from the root of a checkout, with
 
@@ -32,6 +35,10 @@ REPORTS = ("certificate.json", "h_table.csv", "summary.json", "solution.csv",
            "verification.json")
 GRIDS = {
     "burgers_nx257": ("burgers", {"u0": "0.47*cos(pi*x/2)^3", "solver": {"nx": 257}}),
+    "burgers_newton_retry": ("burgers", {"solver": {"nx": 65, "dt0": 0.05,
+                                                    "newton_max_iter": 2}}),
+    "burgers_implicit_fixed": ("burgers", {"solver": {"nx": 65, "theta": 1.0,
+                                                      "dt_min": 0.01, "dt_max": 0.01}}),
 }
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from dynbc.numerics import (
-    PchipCurve, adaptive_simpson, brent, expand_bracket, golden_section,
-    pchip_slopes, tail_probe, thomas,
+    PchipCurve, adaptive_simpson, brent, golden_section, tail_probe, thomas,
 )
 
 
@@ -35,13 +34,6 @@ def test_brent_root():
 def test_brent_requires_sign_change():
     with pytest.raises(Exception):
         brent(lambda q: q * q + 1.0, 0.0, 1.0)
-
-
-def test_expand_bracket():
-    f = lambda q: q - 37.5
-    a, b = expand_bracket(f, 0.0, 1.0)
-    assert f(a) <= 0 <= f(b)
-    assert expand_bracket(lambda q: -1.0, 0.0, 1.0, hi_limit=1e6) is None
 
 
 def test_tail_probe_convergent():
@@ -87,35 +79,9 @@ def test_thomas_vs_dense():
     assert np.allclose(x, np.linalg.solve(dense, rhs), atol=1e-12)
 
 
-def test_pchip_preserves_monotonicity():
-    xs = np.linspace(0, 1, 9)
-    ys = np.sqrt(xs)  # concave increasing
-    curve = PchipCurve(xs, ys)
-    fine = np.linspace(0, 1, 1001)
-    vals = curve(fine)
-    assert np.all(np.diff(vals) >= -1e-15)
-    # interpolant reproduces the nodes exactly
-    assert np.allclose(curve(xs), ys, atol=1e-15)
-
-
 def test_pchip_with_exact_derivatives():
     xs = np.linspace(0, 2, 21)
     ys = 3 * xs - xs ** 2 / 2  # cubic Hermite is exact on quadratics
     curve = PchipCurve(xs, ys, dys=3 - xs)
     fine = np.linspace(0, 2, 501)
     assert np.allclose(curve(fine), 3 * fine - fine ** 2 / 2, atol=1e-13)
-
-
-def test_pchip_no_overshoot_on_step():
-    xs = np.array([0.0, 1.0, 1.1, 2.0])
-    ys = np.array([0.0, 0.0, 1.0, 1.0])
-    curve = PchipCurve(xs, ys)
-    fine = np.linspace(0, 2, 2001)
-    vals = curve(fine)
-    assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
-
-
-def test_pchip_slopes_flat_regions():
-    xs = np.array([0.0, 1.0, 2.0, 3.0])
-    ys = np.array([1.0, 1.0, 1.0, 1.0])
-    assert np.allclose(pchip_slopes(xs, ys), 0.0)

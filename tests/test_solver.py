@@ -13,6 +13,7 @@ from dynbc.cli import preset_path
 from dynbc.errors import ConfigError, PreconditionFailed
 from dynbc.expr import parse
 from dynbc.problem import DirichletBC, DynamicBC, ProblemSpec
+from dynbc import solver
 from dynbc.solver import (
     BlowUpDetected, Completed, SemiDiscretization, SolverConfig, StepFailure,
     semidiscretize, solve,
@@ -85,6 +86,54 @@ def test_semidiscretize_quadratic_exact():
 def test_semidiscretize_rejects_tiny_grid():
     with pytest.raises(ConfigError):
         semidiscretize(steady_problem(), nx=4)
+
+
+def test_rhs_jacobian_matches_difference_quotients():
+    """Split sources, a dynamic and a pinned end: each column of the
+    banded Jacobian (corners included) against a central difference of rhs."""
+    prob = ProblemSpec(ell=1.0, T=1.0, a=parse("1 + z^2/4"), f=parse("sin(p)"),
+                       f1=parse("-z^3"), u0=parse("cos(x)"),
+                       bc_minus=DynamicBC(parse("1 + p^2/8"), parse("z"), g1=parse("-z^3")),
+                       bc_plus=DirichletBC(parse("cos(1)*exp(-t)")))
+    disc = semidiscretize(prob, nx=9)
+    u = np.cos(disc.nodes) + 0.1 * disc.nodes
+    lower, diag, upper, corner_right, corner_left = disc.rhs_jacobian(0.2, u)
+    dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    dense[0, 2] += corner_right
+    dense[-1, -3] += corner_left
+    eps = 1e-6
+    for j in range(u.size):
+        e = np.zeros(u.size)
+        e[j] = eps
+        column = (disc.rhs(0.2, u + e) - disc.rhs(0.2, u - e)) / (2 * eps)
+        assert np.allclose(dense[:, j], column, rtol=1e-6, atol=1e-5)
+
+
+def test_attempt_evaluates_each_start_slope_once(monkeypatch):
+    """The full step and the first half step share rhs(t, u); the second
+    half step evaluates its start slope once more."""
+    prob = ProblemSpec.from_json(preset_path("burgers").read_text())
+    disc = semidiscretize(prob, nx=33)
+    cfg = SolverConfig(nx=33)
+    t, dt = 0.1, 0.05
+    u = disc.initial_state()
+    mid, _ = solver._attempt(disc, t, u, dt / 2, cfg.theta, cfg)
+    calls = []
+    rhs = SemiDiscretization.rhs
+
+    def recording_rhs(self, tk, uk):
+        calls.append((tk, uk.copy()))
+        return rhs(self, tk, uk)
+
+    monkeypatch.setattr(SemiDiscretization, "rhs", recording_rhs)
+    solver._attempt(disc, t, u, dt, cfg.theta, cfg)
+
+    def count(tk, uk):
+        return sum(tc == tk and np.array_equal(uc, uk) for tc, uc in calls)
+
+    assert count(t, u) == 1
+    # the first half step's residual at its converged iterate, then the slope
+    assert count(t + dt / 2, mid) == 2
 
 
 def test_config_validation():
