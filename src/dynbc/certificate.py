@@ -8,10 +8,17 @@ top slope q1 solves
     integral_{q0}^{q1} rho / psi(rho) d rho = 2 M,
 
 and the barrier h is the concave arc with h(0) = 0, h'(0) = q1 and
-h'' = -psi(h'), integrated until h' falls to q0; the stopping abscissa
-kappa0 equals integral_{q0}^{q1} d rho / psi(rho) and h(kappa0) = 2M.
-The barrier majorizes the spatial modulus of continuity of any solution
-within budget, and |u_x| <= h'(0) = q1 is the resulting gradient bound.
+h'' = -psi(h'), down to h' = q0.  Along the arc, at slope q = h',
+
+    xi(q) = integral_q^{q1} d rho / psi(rho),   h(q) = integral_q^{q1} rho / psi(rho) d rho,
+
+so the stopping abscissa is kappa0 = xi(q0) and h(kappa0) = 2M.  The
+barrier majorizes the spatial modulus of continuity of any solution within
+budget, and |u_x| <= h'(0) = q1 is the resulting gradient bound.
+
+q1, the barrier table and the sup budget's integral of 1/Phi all come from
+one slope-space quadrature: five-point Gauss-Legendre sums over cells,
+accumulated, with the kernel called on arrays of nodes.
 
 Hypothesis checks are dense-sampling falsifiers over the stated boxes:
 they report signed worst margins (violation iff margin > 0) with witness
@@ -27,7 +34,7 @@ import numpy as np
 
 from .errors import ConditionViolated, PreconditionFailed
 from .expr import Expr, compile_expr, diff, evaluate, free_variables, parse, to_str
-from .numerics import PchipCurve, adaptive_simpson, brent, golden_section, tail_probe
+from .numerics import PchipCurve, golden_section, tail_probe
 from .problem import DirichletBC, DynamicBC, ProblemSpec
 
 __all__ = [
@@ -39,8 +46,6 @@ __all__ = [
 # q0 >= K is accepted up to this relative slack; the Lipschitz estimator's
 # safety factor (1e-6) must not reject exact-equality setups like K = q0
 K_SLACK = 1e-5
-
-QUAD_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +81,11 @@ class PsiSpec:
     def fn(self):
         f = compile_expr(self.expr)
         return lambda rho: float(f(p=float(rho)))
+
+    def kernel(self):
+        """psi on an array of slopes."""
+        f = compile_expr(self.expr)
+        return lambda rho: np.broadcast_to(f(p=rho), rho.shape)
 
     @property
     def text(self) -> str:
@@ -174,124 +184,162 @@ class SupBoundCertificate:
 
 
 # ---------------------------------------------------------------------------
+# slope-space quadrature
+
+# nodes on [-1, 1] and weights of the five-point Gauss-Legendre rule, the
+# value of every cell, then of the five-point Gauss-Lobatto rule, which
+# samples the ends and checks it
+_G1, _G2 = (math.sqrt(5.0 + sign * 2.0 * math.sqrt(10.0 / 7.0)) / 3.0 for sign in (-1.0, 1.0))
+_W1, _W2 = ((322.0 + sign * 13.0 * math.sqrt(70.0)) / 900.0 for sign in (1.0, -1.0))
+_L1 = math.sqrt(3.0 / 7.0)
+_NODES = np.array([-_G2, -_G1, 0.0, _G1, _G2, -1.0, -_L1, _L1, 1.0])
+_WEIGHTS = np.array([[_W2, _W1, 128.0 / 225.0, _W1, _W2, 0.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 32.0 / 45.0, 0.0, 0.0, 0.1, 49.0 / 90.0, 49.0 / 90.0, 0.1]]).T
+
+# relative agreement of the two rules that accepts a cell in _cells
+CELL_TOL = 1e-14
+
+# geometric cells per doubling of the integration variable in find_q1 and sup_bound
+CELLS_PER_DOUBLING = 8
+
+# equal parts a bracket splits into per step of the search in _reach
+SECTIONS = 64
+_SPLIT = np.arange(SECTIONS + 1) / SECTIONS
+
+# cells per call of _cells: bounds the temporaries of a table
+CHUNK = 512
+
+# rows of the barrier table: a uniform and a geometric slope grid, interleaved
+BARRIER_ROWS = 8193
+
+
+def _cells(fn, lo, hi, room=None) -> np.ndarray:
+    """Integrals of fn over the cells [lo, hi] by the five-point
+    Gauss-Legendre rule.  A cell where the Gauss-Lobatto rule disagrees by
+    more than CELL_TOL, relative, is halved, and so on: a kink in the
+    integrand costs a few levels in the cell that holds it, also next to the
+    cell's ends, which only Lobatto samples.  Halving stops at adjacent
+    floats, and when more cells disagree than the call started with (noise
+    in fn that halving cannot resolve), so each level is at most twice the
+    size of the first.
+
+    fn is called once per level, on the array of every node, and may return
+    a stack of integrands along leading axes.
+    """
+    room = lo.size if room is None else room
+    half = 0.5 * (hi - lo)
+    mid = lo + half
+    rules = half[:, None] * (fn(mid[:, None] + half[:, None] * _NODES) @ _WEIGHTS)
+    out, check = rules[..., 0], rules[..., 1]
+    redo = np.any((np.abs(out - check) > CELL_TOL * np.abs(out)).reshape(-1, lo.size), axis=0)
+    redo &= (lo < mid) & (mid < hi)
+    k = int(np.count_nonzero(redo))
+    if 0 < k <= room:
+        sub = _cells(fn, np.concatenate([lo[redo], mid[redo]]),
+                     np.concatenate([mid[redo], hi[redo]]), room)
+        out[..., redo] = sub[..., :k] + sub[..., k:]
+    return out
+
+
+def _gauss_sums(fn, lo, hi) -> np.ndarray:
+    """Integrals of fn over the cells [lo[i], hi[i]] (see ``_cells``),
+    accumulated: entry 0 is 0 and entry i + 1 adds cell i."""
+    cells = np.concatenate([_cells(fn, lo[i:i + CHUNK], hi[i:i + CHUNK])
+                            for i in range(0, lo.size, CHUNK)], axis=-1)
+    return np.concatenate([np.zeros(cells.shape[:-1] + (1,)), np.cumsum(cells, axis=-1)],
+                          axis=-1)
+
+
+def _reach(fn, edges: np.ndarray, sums: np.ndarray, target: float) -> float:
+    """The point where the integral of fn from edges[0] reaches target, given
+    its sums at the edges.  The search starts in the first cell whose sum
+    passes target (the last cell when none does) and splits the bracket into
+    SECTIONS equal parts per round, down to adjacent floats."""
+    k = int(np.argmax(sums >= target)) or edges.size - 1
+    lo, hi, s_lo, s_hi = edges[k - 1], edges[k], sums[k - 1], sums[k]
+    while True:
+        xs = lo + (hi - lo) * _SPLIT
+        xs[-1] = hi
+        s = s_lo + _gauss_sums(fn, xs[:-1], xs[1:])
+        j = int(np.argmax(s >= target)) or SECTIONS
+        if xs[j] - xs[j - 1] >= hi - lo:
+            break
+        lo, hi, s_lo, s_hi = xs[j - 1], xs[j], s[j - 1], s[j]
+    return float(hi if s_hi - target <= target - s_lo else lo)
+
+
+def _doubling_edges(lo: float, hi: float) -> np.ndarray:
+    """Geometric edges from lo to at least hi, CELLS_PER_DOUBLING cells to
+    each doubling."""
+    count = CELLS_PER_DOUBLING * max(1, math.ceil(math.log2(hi / lo)))
+    return lo * 2.0 ** (np.arange(count + 1) / CELLS_PER_DOUBLING)
+
+
+# ---------------------------------------------------------------------------
 # slope budget
 
 def find_q1(psi: PsiSpec, q0: float, M: float) -> float:
     """Top slope q1 > q0 with integral_{q0}^{q1} rho/psi = 2M.
 
-    Raises ConditionViolated when the improper integral converges to a
-    value <= 2M, i.e. the budget cannot be met by any finite q1.
+    The tail probe bounds q1; the integral is then summed over geometric
+    cells from q0 to one doubling past the probe's last limit, and q1 is
+    found inside the cell where the sum passes 2M by repeated sectioning.
+
+    Raises ConditionViolated when the probe does not find the integral
+    passing 2M: it converges to a value <= 2M, so no finite q1 meets the
+    budget, or it stays below 2M up to the probe's last limit.
     """
     if not (q0 > 0):
         raise PreconditionFailed(f"q0 must be positive, got {q0}")
     if not (M > 0):
         raise PreconditionFailed(f"M must be positive, got {M}")
     fn = psi.fn()
-    integrand = lambda r: r / fn(r)
     target = 2.0 * M
 
-    probe = tail_probe(integrand, q0, stop_above=target)
-    if probe.converged and probe.value <= target:
+    probe = tail_probe(lambda r: r / fn(r), q0, stop_above=target)
+    if not probe.value > target:
+        reach = "converges to" if probe.converged else f"up to {probe.upper:.6g} reaches"
         raise ConditionViolated(
-            f"integral of rho/psi over [{q0}, inf) converges to ~{probe.value:.6g}"
+            f"integral of rho/psi over [{q0}, inf) {reach} ~{probe.value:.6g}"
             f" <= 2M = {target:.6g}; no finite q1 exists")
 
-    def budget(q: float) -> float:
-        return adaptive_simpson(integrand, q0, q, tol=QUAD_TOL) - target
+    kernel = psi.kernel()
 
-    # bracket: walk doubling window widths until the budget turns positive
-    hi = max(1.0, q0) * 2.0
-    lo = q0
-    while budget(hi) < 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e30:  # cannot happen after a passing probe; defensive
-            raise ConditionViolated("budget not reached while expanding bracket")
-    q1 = brent(budget, lo, hi, xtol=1e-15, ftol=1e-11 * (1.0 + target))
-    return float(q1)
+    def integrand(rho):
+        return rho / kernel(rho)
+
+    edges = _doubling_edges(q0, 2.0 * probe.upper)
+    return _reach(integrand, edges, _gauss_sums(integrand, edges[:-1], edges[1:]), target)
 
 
 # ---------------------------------------------------------------------------
 # barrier arc
 
 def build_barrier(psi: PsiSpec, q0: float, M: float, K: float) -> BarrierCertificate:
-    """Integrate h'' = -psi(h'), h(0) = 0, h'(0) = q1 until h' reaches q0.
+    """The barrier arc h'' = -psi(h'), h(0) = 0, h'(0) = q1, down to h' = q0,
+    tabulated by its slope q = h'.
 
-    Classical RK4 on (h, h') with steps sized so h' moves by about
-    1e-4 * (q1 - q0) per step; the h' = q0 stop is localized by bisection
-    on the cubic dense output of the final step.
+    On a descending slope grid from q1 to q0, xi(q) = integral_q^{q1} d rho
+    / psi and h(q) = integral_q^{q1} rho / psi d rho are Gauss-Legendre sums
+    cell by cell, and h'(xi(q)) = q.  The grid interleaves BARRIER_ROWS
+    slopes: uniform ones, and geometric ones halfway between the points of a
+    geometric grid, which resolve the low slopes when q1/q0 is large.
     """
     if K > max(q0, q0 * (1.0 + K_SLACK)):  # the slack must not tighten a negative q0
         raise PreconditionFailed(f"K = {K} exceeds q0 = {q0}; barrier needs q0 >= K")
     q1 = find_q1(psi, q0, M)
-    fn = psi.fn()
+    kernel = psi.kernel()
 
-    dq = 1e-4 * (q1 - q0)
-    xi_rows = [0.0]
-    h_rows = [0.0]
-    hp_rows = [q1]
-    xi, h, hp = 0.0, 0.0, q1
+    def integrands(rho):  # d xi / d rho and d h / d rho, up to sign
+        inv = 1.0 / kernel(rho)
+        return np.stack([inv, rho * inv])
 
-    def rhs(y):
-        return (y[1], -fn(y[1]))
-
-    steps = 0
-    while hp > q0:
-        steps += 1
-        if steps > 2_000_000:  # defensive; ~2e4 steps is typical
-            raise PreconditionFailed("barrier integration did not terminate")
-        # slope moves ~delta per step: the absolute resolution bound, refined
-        # relatively so extreme q1/q0 ratios stay accurate near the small end
-        delta = min(dq, 1e-3 * max(hp, q0))
-        step = delta / fn(hp)
-        y0 = (h, hp)
-        k1 = rhs(y0)
-        k2 = rhs((h + 0.5 * step * k1[0], hp + 0.5 * step * k1[1]))
-        k3 = rhs((h + 0.5 * step * k2[0], hp + 0.5 * step * k2[1]))
-        k4 = rhs((h + step * k3[0], hp + step * k3[1]))
-        h_new = h + step / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        hp_new = hp + step / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if hp_new <= q0:
-            # localize h' = q0 on the Hermite dense output of this step
-            d0, d1 = -fn(hp), -fn(hp_new)
-
-            def hp_dense(s: float) -> float:
-                tt = s / step
-                h00 = (1 + 2 * tt) * (1 - tt) ** 2
-                h10 = tt * (1 - tt) ** 2
-                h01 = tt * tt * (3 - 2 * tt)
-                h11 = tt * tt * (tt - 1)
-                return h00 * hp + h10 * step * d0 + h01 * hp_new + h11 * step * d1
-
-            s_lo, s_hi = 0.0, step
-            for _ in range(80):
-                s_mid = 0.5 * (s_lo + s_hi)
-                if hp_dense(s_mid) > q0:
-                    s_lo = s_mid
-                else:
-                    s_hi = s_mid
-            s_star = 0.5 * (s_lo + s_hi)
-            tt = s_star / step
-            h00 = (1 + 2 * tt) * (1 - tt) ** 2
-            h10 = tt * (1 - tt) ** 2
-            h01 = tt * tt * (3 - 2 * tt)
-            h11 = tt * tt * (tt - 1)
-            h_star = h00 * h + h10 * step * hp + h01 * h_new + h11 * step * hp_new
-            xi_rows.append(xi + s_star)
-            h_rows.append(h_star)
-            hp_rows.append(q0)
-            xi, h, hp = xi + s_star, h_star, q0
-            break
-        xi += step
-        h, hp = h_new, hp_new
-        xi_rows.append(xi)
-        h_rows.append(h)
-        hp_rows.append(hp)
-
-    return BarrierCertificate(
-        q0=q0, q1=q1, kappa0=xi, M=M, K=K,
-        xi=np.asarray(xi_rows), h=np.asarray(h_rows), hp=np.asarray(hp_rows),
-        psi_text=psi.text)
+    n = (BARRIER_ROWS + 1) // 2
+    q = np.unique(np.concatenate([np.linspace(q0, q1, n),
+                                  np.geomspace(q0, q1, 2 * n - 1)[1::2]]))[::-1]
+    xi, h = _gauss_sums(integrands, q[1:], q[:-1])
+    return BarrierCertificate(q0=q0, q1=q1, kappa0=float(xi[-1]), M=M, K=K,
+                              xi=xi, h=h, hp=q, psi_text=psi.text)
 
 
 def _lipschitz_witness(u0: Expr, ell: float, samples: int) -> tuple[float, float]:
@@ -696,6 +744,10 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
 
     with beta = B / ((lambda - 1) Phi(0)).  The infimum is scanned on the
     grid lambda = 1 + 10^k, k = -6..6, then refined by golden section.
+
+    G is tabulated on [0, 2^-10] and geometric cells up to 2^80; G^{-1} is
+    searched inside the cell where the table passes its argument, and is
+    inf past the table.
     """
     bad = free_variables(Phi) - {"z"} - {"p"} - {"x"} - {"t"}
     if bad:
@@ -725,22 +777,25 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
 
     phi0 = Phi_at(0.0)
 
+    def inv_phi(r):
+        return 1.0 / np.broadcast_to(phi_fn(t=r, x=r, z=r, p=r), r.shape)
+
+    # G tabulated on [0, 2^-10] and geometric cells up to 2^80
+    edges = np.concatenate([[0.0], _doubling_edges(2.0 ** -10, 2.0 ** 80)])
+    sums = _gauss_sums(inv_phi, edges[:-1], edges[1:])
+
     def G(y: float) -> float:
         if y <= 0.0:
             return 0.0
-        return adaptive_simpson(lambda r: 1.0 / Phi_at(r), 0.0, y, tol=QUAD_TOL)
+        k = int(np.searchsorted(edges, y, side="right")) - 1
+        return float(sums[k] + _gauss_sums(inv_phi, edges[k:k + 1], np.array([y]))[-1])
 
     def G_inv(c: float) -> float:
         if c <= 0.0:
             return 0.0
-        hi = 1.0
-        for _ in range(80):
-            if G(hi) >= c:
-                break
-            hi *= 2.0
-        else:
+        if c > sums[-1]:
             return math.inf
-        return brent(lambda y: G(y) - c, 0.0, hi, xtol=1e-14, ftol=1e-13 * (1 + c))
+        return _reach(inv_phi, edges, sums, c)
 
     Gu0 = G(u0_sup)
 

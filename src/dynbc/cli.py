@@ -12,9 +12,9 @@ at 17 significant digits, so identical inputs produce byte-identical files.
 Sweeps evaluate their points serially: the work is pure Python holding the
 interpreter lock, so ``--jobs`` is accepted and has no effect.
 
-Exit codes: 0 success / all conditions satisfied; 1 input or artifact error;
-2 condition violations or negative verification slacks; 3 gradient blow-up
-detected by solve; 4 step failure.
+Exit codes: 0 success / all conditions satisfied; 1 input or artifact error,
+command-line usage errors included; 2 condition violations or negative
+verification slacks; 3 gradient blow-up detected by solve; 4 step failure.
 """
 
 from __future__ import annotations
@@ -538,8 +538,17 @@ def cmd_sweep(manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, the input-error code, not argparse's 2, which
+    the CLI reserves for violated conditions."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dynbc",
         description="certify / solve / verify workflows for 1-d quasilinear "
                     "parabolic problems with dynamical boundary conditions")

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: quadrature, root finding, tail probes, linear algebra.
+"""Shared numerical kernels: quadrature, tail probes, minimization, linear algebra.
 
 Everything here is deterministic and dependency-free beyond numpy; the
 heavier modules (certificate, solver, verify) build on these kernels.
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DynbcError
 
 __all__ = [
-    "adaptive_simpson", "brent", "tail_probe", "TailProbe",
+    "adaptive_simpson", "tail_probe", "TailProbe",
     "golden_section", "thomas", "PchipCurve",
 ]
 
@@ -60,60 +60,6 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     # the /15 keeps the achieved error near tol even though acceptance tests 15*tol
     scaled = max(tol, tol * abs(whole)) / 15.0
     return sign * _adaptive(f, a, fa, b, fb, m, fm, whole, scaled, max_depth)
-
-
-# ---------------------------------------------------------------------------
-# root finding
-
-def brent(f: Callable[[float], float], a: float, b: float,
-          xtol: float = 1e-14, ftol: float = 0.0, max_iter: int = 200) -> float:
-    """Root of f in the sign-change interval [a, b] (Brent's method)."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise DynbcError(f"brent: no sign change on [{a}, {b}]")
-    c, fc = a, fa
-    d = e = b - a
-    eps = np.finfo(float).eps
-    for _ in range(max_iter):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * eps * abs(b) + xtol
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0 or abs(fb) <= ftol:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p_ = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p_ = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p_ > 0.0:
-                q = -q
-            else:
-                p_ = -p_
-            s, e = e, d
-            if 2.0 * p_ < 3.0 * m * q - abs(tol * q) and p_ < abs(0.5 * s * q):
-                d = p_ / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else (tol if m > 0 else -tol)
-        fb = f(b)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-    return b
 
 
 # ---------------------------------------------------------------------------

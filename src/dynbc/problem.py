@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import ConfigError
-from .expr import Expr, free_variables, parse, to_str
+from .expr import Expr, free_variables, parse
 
 __all__ = ["DynamicBC", "DirichletBC", "BoundaryCondition", "ProblemSpec"]
 
@@ -109,18 +109,3 @@ class ProblemSpec:
     @classmethod
     def from_json(cls, text: str) -> "ProblemSpec":
         return cls.from_dict(json.loads(text))
-
-    def to_dict(self) -> dict:
-        def bc(b: BoundaryCondition) -> dict:
-            if isinstance(b, DynamicBC):
-                out = {"kind": "dynamic", "b": to_str(b.b), "g": to_str(b.g)}
-                if b.g1 is not None:
-                    out["g1"] = to_str(b.g1)
-                return out
-            return {"kind": "dirichlet", "value": to_str(b.value)}
-
-        out = {"ell": self.ell, "T": self.T, "a": to_str(self.a), "f": to_str(self.f),
-               "u0": to_str(self.u0), "bc_minus": bc(self.bc_minus), "bc_plus": bc(self.bc_plus)}
-        if self.f1 is not None:
-            out["f1"] = to_str(self.f1)
-        return out

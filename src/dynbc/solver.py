@@ -14,9 +14,11 @@ system; Jacobian entries come from the exact derivatives, assembled into a
 tridiagonal-plus-two-corners matrix.  A corner is eliminated against its
 adjacent row before the Thomas sweep when the multiplier is at most 1;
 otherwise the stage system is solved densely.  Step size adapts on a
-step-doubling error estimate (the full step and the first half step share
-the start slope rhs(t, u)); Newton failure first retries the step fully
-implicitly (theta = 1), then shrinks dt.
+step-doubling error estimate; Newton failure first retries the step fully
+implicitly (theta = 1), then shrinks dt.  The slope rhs(t, u) of each
+stored state is evaluated once: it starts every attempt from that state
+(the full step and the first half step alike) and is the state's row of
+u_t.
 
 Every run ends in exactly one of three states: Completed at T, BlowUpDetected
 once max |u_x| crosses the cutoff, or StepFailure when dt hits its floor.
@@ -389,12 +391,11 @@ def _theta_step(disc: SemiDiscretization, t: float, u: np.ndarray, f0: np.ndarra
     raise _NewtonFailure(f"no convergence, |R| = {nrm:.3e}")
 
 
-def _attempt(disc, t, u, dt, theta, cfg):
+def _attempt(disc, t, u, f0, dt, theta, cfg):
     """Step-doubled pair: full step and two half steps (the accepted value).
 
-    The full step and the first half step share the start slope rhs(t, u).
+    The full step and the first half step share the start slope f0 = rhs(t, u).
     """
-    f0 = disc.rhs(t, u)
     big = _theta_step(disc, t, u, f0, dt, theta, cfg)
     half = _theta_step(disc, t, u, f0, dt / 2, theta, cfg)
     t_mid = t + dt / 2
@@ -459,8 +460,12 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
 
     t = 0.0
     u = disc.initial_state()
+    # each stored state's slope rhs(t, u): the start slope of every attempt
+    # from it, and its row of u_t
+    f0 = disc.rhs(t, u)
     times = [0.0]
     states = [u.copy()]
+    slopes = [f0]
     accepted = 0
     rejected = 0
     newton_failures = 0
@@ -483,7 +488,7 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
         # the configured theta, then the fully implicit fallback, before any dt reduction
         for theta_used in dict.fromkeys((cfg.theta, 1.0)):
             try:
-                big, half = _attempt(disc, t, u, dt, theta_used, cfg)
+                big, half = _attempt(disc, t, u, f0, dt, theta_used, cfg)
                 break
             except _NewtonFailure:
                 if theta_used == cfg.theta:
@@ -513,9 +518,11 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
             break
         u = half
         t += dt
+        f0 = disc.rhs(t, u)
         accepted += 1
         times.append(t)
         states.append(u.copy())
+        slopes.append(f0)
 
         grad = float(np.max(np.abs(disc.gradient(u))))
         if grad > cfg.gradient_cutoff:
@@ -529,7 +536,7 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
     tarr = np.asarray(times)
     vals = np.vstack(states)
     ux = np.vstack([disc.gradient(row) for row in states])
-    ut = np.vstack([disc.rhs(tk, row) for tk, row in zip(times, states)])
+    ut = np.vstack(slopes)
     grid = GridFunction(tarr, disc.nodes, vals)
     return Solution(
         grid=grid,

@@ -49,6 +49,23 @@ def test_missing_spec_file(tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("argv", [["certify"], ["certify", "--spec", "p.json", "--nx", "abc"],
+                                  ["solve", "--spec", "p.json", "--bogus"], []])
+def test_usage_errors_exit_1(argv, capsys):
+    # exit 2 is reserved for violated conditions
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--help"])
+    assert exc.value.code == 0
+    assert "--spec" in capsys.readouterr().out
+
+
 def test_invalid_json_spec(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

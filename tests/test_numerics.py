@@ -1,4 +1,4 @@
-"""Quadrature / root-finding / probe / linear-algebra kernel tests."""
+"""Quadrature / probe / minimization / linear-algebra kernel tests."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dynbc.numerics import (
-    PchipCurve, adaptive_simpson, brent, golden_section, tail_probe, thomas,
+    PchipCurve, adaptive_simpson, golden_section, tail_probe, thomas,
 )
 
 
@@ -24,16 +24,6 @@ def test_simpson_transcendental():
 def test_simpson_orientation_and_empty():
     assert adaptive_simpson(lambda r: r, 1, 0) == pytest.approx(-0.5, abs=1e-13)
     assert adaptive_simpson(lambda r: r, 2, 2) == 0.0
-
-
-def test_brent_root():
-    r = brent(lambda q: q * q - 2.0, 0.0, 2.0)
-    assert r == pytest.approx(math.sqrt(2), abs=1e-13)
-
-
-def test_brent_requires_sign_change():
-    with pytest.raises(Exception):
-        brent(lambda q: q * q + 1.0, 0.0, 1.0)
 
 
 def test_tail_probe_convergent():

@@ -3,6 +3,7 @@ solutions for order verification, status trichotomy, blow-up detection."""
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -110,14 +111,15 @@ def test_rhs_jacobian_matches_difference_quotients():
 
 
 def test_attempt_evaluates_each_start_slope_once(monkeypatch):
-    """The full step and the first half step share rhs(t, u); the second
-    half step evaluates its start slope once more."""
+    """The full step and the first half step share the slope passed in; the
+    second half step evaluates its start slope once more."""
     prob = ProblemSpec.from_json(preset_path("burgers").read_text())
     disc = semidiscretize(prob, nx=33)
     cfg = SolverConfig(nx=33)
     t, dt = 0.1, 0.05
     u = disc.initial_state()
-    mid, _ = solver._attempt(disc, t, u, dt / 2, cfg.theta, cfg)
+    f0 = disc.rhs(t, u)
+    mid, _ = solver._attempt(disc, t, u, f0, dt / 2, cfg.theta, cfg)
     calls = []
     rhs = SemiDiscretization.rhs
 
@@ -126,14 +128,55 @@ def test_attempt_evaluates_each_start_slope_once(monkeypatch):
         return rhs(self, tk, uk)
 
     monkeypatch.setattr(SemiDiscretization, "rhs", recording_rhs)
-    solver._attempt(disc, t, u, dt, cfg.theta, cfg)
+    solver._attempt(disc, t, u, f0, dt, cfg.theta, cfg)
 
     def count(tk, uk):
         return sum(tc == tk and np.array_equal(uc, uk) for tc, uc in calls)
 
-    assert count(t, u) == 1
+    assert count(t, u) == 0
     # the first half step's residual at its converged iterate, then the slope
     assert count(t + dt / 2, mid) == 2
+
+
+def test_solve_evaluates_each_stored_slope_once(monkeypatch):
+    """On a run where Newton fails at both thetas and steps are rejected,
+    rhs(t_k, u_k) is evaluated exactly once at every stored state outside
+    the Newton iterations, and that value is the state's row of u_t.
+
+    Calls from inside ``_theta_step`` are Newton residuals.  The second half
+    step's residual at its converged iterate is an rhs call at (t_k, u_k)
+    too, whenever (t + dt/2) + dt/2 rounds to t + dt, so it is not counted.
+    """
+    raw = json.loads(preset_path("burgers").read_text())
+    prob = ProblemSpec.from_dict(raw)
+    cfg = SolverConfig(nx=65, dt0=0.05, newton_max_iter=2)
+    calls = []
+    newton = [0]
+    rhs = SemiDiscretization.rhs
+    theta_step = solver._theta_step
+
+    def recording_rhs(self, tk, uk):
+        out = rhs(self, tk, uk)
+        if not newton[0]:
+            calls.append((tk, uk.copy(), out.copy()))
+        return out
+
+    def marked_theta_step(*args):
+        newton[0] += 1
+        try:
+            return theta_step(*args)
+        finally:
+            newton[0] -= 1
+
+    monkeypatch.setattr(SemiDiscretization, "rhs", recording_rhs)
+    monkeypatch.setattr(solver, "_theta_step", marked_theta_step)
+    sol = solve(prob, cfg)
+    assert sol.step_log["newton_failures"] > 0 and sol.step_log["rejected"] > 0
+    for k, tk in enumerate(sol.grid.times):
+        uk = sol.grid.values[k]
+        hits = [out for tc, uc, out in calls if tc == tk and np.array_equal(uc, uk)]
+        assert len(hits) == 1, (k, tk, len(hits))
+        assert np.array_equal(hits[0], sol.ut.values[k])
 
 
 def test_config_validation():
