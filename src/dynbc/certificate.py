@@ -186,9 +186,9 @@ class SupBoundCertificate:
 # ---------------------------------------------------------------------------
 # slope-space quadrature
 
-# nodes on [-1, 1] and weights of the five-point Gauss-Legendre rule, the
-# value of every cell, then of the five-point Gauss-Lobatto rule, which
-# samples the ends and checks it
+# nodes on [-1, 1] and weights of the five-point Gauss-Legendre rule, which
+# gives every cell its value, then of the five-point Gauss-Lobatto rule,
+# which samples the cell's ends and checks it
 _G1, _G2 = (math.sqrt(5.0 + sign * 2.0 * math.sqrt(10.0 / 7.0)) / 3.0 for sign in (-1.0, 1.0))
 _W1, _W2 = ((322.0 + sign * 13.0 * math.sqrt(70.0)) / 900.0 for sign in (1.0, -1.0))
 _L1 = math.sqrt(3.0 / 7.0)
@@ -196,21 +196,12 @@ _NODES = np.array([-_G2, -_G1, 0.0, _G1, _G2, -1.0, -_L1, _L1, 1.0])
 _WEIGHTS = np.array([[_W2, _W1, 128.0 / 225.0, _W1, _W2, 0.0, 0.0, 0.0, 0.0],
                      [0.0, 0.0, 32.0 / 45.0, 0.0, 0.0, 0.1, 49.0 / 90.0, 49.0 / 90.0, 0.1]]).T
 
-# relative agreement of the two rules that accepts a cell in _cells
-CELL_TOL = 1e-14
-
-# geometric cells per doubling of the integration variable in find_q1 and sup_bound
-CELLS_PER_DOUBLING = 8
-
-# equal parts a bracket splits into per step of the search in _reach
-SECTIONS = 64
+CELL_TOL = 1e-14        # relative agreement of the two rules that accepts a cell
+CHUNK = 512             # cells per call of _cells: bounds the temporaries of a table
+CELLS_PER_DOUBLING = 8  # geometric cells per doubling in find_q1 and sup_bound
+SECTIONS = 64           # equal parts per round of the search in _reach
 _SPLIT = np.arange(SECTIONS + 1) / SECTIONS
-
-# cells per call of _cells: bounds the temporaries of a table
-CHUNK = 512
-
-# rows of the barrier table: a uniform and a geometric slope grid, interleaved
-BARRIER_ROWS = 8193
+BARRIER_ROWS = 8193     # rows of the barrier table: uniform and geometric slopes
 
 
 def _cells(fn, lo, hi, room=None) -> np.ndarray:
