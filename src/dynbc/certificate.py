@@ -771,7 +771,6 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
     def inv_phi(r):
         return 1.0 / np.broadcast_to(phi_fn(t=r, x=r, z=r, p=r), r.shape)
 
-    # G tabulated on [0, 2^-10] and geometric cells up to 2^80
     edges = np.concatenate([[0.0], _doubling_edges(2.0 ** -10, 2.0 ** 80)])
     sums = _gauss_sums(inv_phi, edges[:-1], edges[1:])
 
