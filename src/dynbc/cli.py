@@ -44,7 +44,7 @@ from .problem import ProblemSpec
 from .solver import (
     BlowUpDetected, Completed, Solution, SolverConfig, StepFailure, solve,
 )
-from .verify import blowup_inequality, bounds_check, doubling_check
+from .verify import band_table, blowup_inequality, bounds_check, doubling_check
 
 __all__ = ["RunManifest", "cmd_certify", "cmd_solve", "cmd_verify", "cmd_sweep",
            "main", "preset_path", "json_dumps"]
@@ -292,13 +292,19 @@ def _status_from_dict(d: dict):
 
 
 def write_solution(sol: Solution, out_dir: Path) -> None:
-    """Write ``solution.csv``, streamed one time slice at a time.
+    """Write ``solution.csv``, streamed one time slice at a time, and
+    ``solution.npy``, the same table as float64 numbers.
 
     One ``t,x,u,ux,ut`` row per node and stored time, every float at 17
     significant digits (``%.17g``, which prints ``nan``, ``inf`` and ``-0``
     as Python does).  The x cells are formatted once into a row template;
     each slice adds its t cell and fills the u, ux and ut cells with one
     ``%`` format, and is written before the next slice is built.
+
+    ``solution.npy`` holds the CSV's rows in the same order, shape
+    (times * nodes, 5), and equals the CSV's numbers read back bit for bit:
+    17 digits round-trip every float, and NaN is stored as the one NaN that
+    ``nan`` reads back as.
     """
     rows = [",%.17g,%%.17g,%%.17g,%%.17g\n" % x for x in sol.grid.nodes.tolist()]
     with open(out_dir / "solution.csv", "w", encoding="utf-8") as fh:
@@ -308,20 +314,29 @@ def write_solution(sol: Solution, out_dir: Path) -> None:
             t_cell = "%.17g" % t
             template = t_cell + t_cell.join(rows)
             fh.write(template % tuple(np.column_stack((u, ux, ut)).ravel().tolist()))
+    table = np.empty(sol.grid.values.shape + (5,))
+    for k, col in enumerate((sol.grid.times[:, None], sol.grid.nodes, sol.grid.values,
+                             sol.ux.values, sol.ut.values)):
+        table[..., k] = col
+    table[np.isnan(table)] = np.nan
+    np.save(out_dir / "solution.npy", table.reshape(-1, 5))
 
 
 def read_solution(out_dir: Path) -> Solution:
-    csv_path = out_dir / "solution.csv"
+    """The solution of a run directory, from ``solution.npy`` and
+    ``summary.json`` (``solution.csv`` is not read)."""
+    npy_path = out_dir / "solution.npy"
     summary_path = out_dir / "summary.json"
-    if not csv_path.is_file() or not summary_path.is_file():
+    if not npy_path.is_file() or not summary_path.is_file():
         raise ConfigError(f"missing solution artifacts in {out_dir}")
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
+    data = np.load(npy_path)
+    if data.ndim != 2 or data.shape[1] != 5:
+        raise ConfigError(f"solution.npy has shape {data.shape}, not (rows, 5)")
     times, inverse = np.unique(data[:, 0], return_inverse=True)
     nodes = np.unique(data[:, 1])
     nt, nx = times.size, nodes.size
     if data.shape[0] != nt * nx:
-        raise ConfigError("solution.csv is not a full rectangular grid")
+        raise ConfigError("solution.npy is not a full rectangular grid")
     jidx = np.searchsorted(nodes, data[:, 1])
     cols = {}
     for k, name in ((2, "u"), (3, "ux"), (4, "ut")):
@@ -423,12 +438,14 @@ def cmd_verify(manifest: RunManifest) -> int:
         print("verify: solution ended in step failure; nothing to verify", file=sys.stderr)
         return 1
 
+    # one in-band pair table serves both scans
+    table = band_table(sol.grid.nodes, cert)
     try:
-        doubling = doubling_check(sol, cert)
+        doubling = doubling_check(sol, cert, table=table)
     except CertificateMismatch as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 1
-    report = bounds_check(sol, cert, sup_cert=supc, doubling=doubling)
+    report = bounds_check(sol, cert, sup_cert=supc, doubling=doubling, table=table)
 
     tol_env = os.environ.get("DYNBC_TOL")
     tolerance = float(tol_env) if tol_env is not None else report.tolerance

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DynbcError
 
 __all__ = [
-    "adaptive_simpson", "tail_probe", "TailProbe",
+    "adaptive_simpson", "tail_probe", "TailProbe", "MAX_EVALS",
     "golden_section", "thomas", "PchipCurve",
 ]
 
@@ -22,11 +22,25 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # adaptive Simpson quadrature
 
+# integrand evaluations one quadrature may make; a tail probe's windows share
+# one such budget.  The shipped presets need at most about 70,000.
+MAX_EVALS = 1 << 20
+
+
+def _spend(budget: list[int], n: int) -> None:
+    budget[0] -= n
+    if budget[0] < 0:
+        raise DynbcError(
+            f"quadrature stopped at its cap of {MAX_EVALS} integrand evaluations: "
+            "the integrand is too rough, or too noisy in floating point, to converge")
+
+
 def _simpson(f, a, fa, b, fb, m, fm) -> float:
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth) -> float:
+def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth, budget) -> float:
+    _spend(budget, 2)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm = f(lm)
@@ -36,19 +50,24 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth) -> float:
     err = left + right - whole
     if depth <= 0 or abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
-    return (_adaptive(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
-            + _adaptive(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
+    return (_adaptive(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1, budget)
+            + _adaptive(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1, budget))
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-12, max_depth: int = 48) -> float:
+                     tol: float = 1e-12, max_depth: int = 48,
+                     budget: list[int] | None = None) -> float:
     """Adaptive Simpson integral of f over [a, b] with Richardson correction.
 
     tol acts as an absolute tolerance and, through the recursive halving,
-    as an effective relative one for well-scaled integrands.
+    as an effective relative one for well-scaled integrands.  At most
+    MAX_EVALS evaluations of f are made, else DynbcError is raised;
+    `budget`, a one-item list of the evaluations left, lets calls share it.
     """
     if a == b:
         return 0.0
+    budget = [MAX_EVALS] if budget is None else budget
+    _spend(budget, 3)
     sign = 1.0
     if b < a:
         a, b = b, a
@@ -59,7 +78,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     whole = _simpson(f, a, fa, b, fb, m, fm)
     # the /15 keeps the achieved error near tol even though acceptance tests 15*tol
     scaled = max(tol, tol * abs(whole)) / 15.0
-    return sign * _adaptive(f, a, fa, b, fb, m, fm, whole, scaled, max_depth)
+    return sign * _adaptive(f, a, fa, b, fb, m, fm, whole, scaled, max_depth, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +117,17 @@ def tail_probe(f: Callable[[float], float], a: float,
     increment of a doubling window drops below rel_tol relative to the
     accumulated value.  With stop_above set, probing ends early once the
     accumulated integral exceeds that target (the caller only needed to
-    know the integral gets that far).
+    know the integral gets that far).  All windows together make at most
+    MAX_EVALS evaluations of f (see `adaptive_simpson`).
     """
+    budget = [MAX_EVALS]
     upper = max(1.0, abs(a)) * 2.0
-    total = adaptive_simpson(f, a, upper)
+    total = adaptive_simpson(f, a, upper, budget=budget)
     for _ in range(max_doublings):
         if stop_above is not None and total > stop_above:
             return TailProbe(False, total, upper, crossed_target=True)
         nxt = upper * 2.0
-        inc = adaptive_simpson(f, upper, nxt)
+        inc = adaptive_simpson(f, upper, nxt, budget=budget)
         total += inc
         upper = nxt
         if abs(inc) <= rel_tol * (1.0 + abs(total)):
@@ -190,15 +211,40 @@ class PchipCurve:
         self.ms = np.asarray(dys, dtype=float)
 
     def __call__(self, q):
+        # the Hermite basis in place, with (1 - s)^2 and s^2 formed once:
+        # each operation has the operands, in the order, of the plain formula
+        #   h00 y0 + h10 m0 + h01 y1 + h11 m1,  h00 = (1 + 2s)(1 - s)^2,
+        #   h10 = s (1 - s)^2,  h01 = s^2 (3 - 2s),  h11 = s^2 (s - 1),
+        # so the values are bit-identical to it with far fewer temporaries
         q = np.asarray(q, dtype=float)
-        idx = np.clip(np.searchsorted(self.xs, q, side="right") - 1, 0, self.xs.size - 2)
+        shape, q = q.shape, q.ravel()
+        idx = np.searchsorted(self.xs, q, side="right") - 1
+        np.clip(idx, 0, self.xs.size - 2, out=idx)
         x0 = self.xs[idx]
-        h = self.xs[idx + 1] - x0
-        s = (q - x0) / h
-        y0, y1 = self.ys[idx], self.ys[idx + 1]
-        m0, m1 = self.ms[idx] * h, self.ms[idx + 1] * h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * y0 + h10 * m0 + h01 * y1 + h11 * m1
+        h = self.xs[idx + 1]
+        h -= x0
+        s = np.subtract(q, x0, out=x0)
+        s /= h
+        a = np.subtract(1.0, s)
+        a *= a                              # (1 - s)^2
+        r = np.multiply(2.0, s)
+        np.add(1.0, r, out=r)
+        r *= a
+        r *= self.ys[idx]                   # h00 y0
+        np.multiply(s, a, out=a)
+        m = self.ms[idx]
+        m *= h
+        a *= m                              # h10 m0
+        r += a
+        np.multiply(s, s, out=a)            # s^2
+        np.multiply(2.0, s, out=m)
+        np.subtract(3.0, m, out=m)
+        np.multiply(a, m, out=m)
+        m *= self.ys[idx + 1]               # h01 y1
+        r += m
+        s -= 1.0
+        np.multiply(a, s, out=s)
+        np.multiply(self.ms[idx + 1], h, out=m)
+        s *= m                              # h11 m1
+        r += s
+        return r.reshape(shape)[()]

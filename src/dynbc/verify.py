@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .solver import BlowUpDetected, Completed, Solution
 __all__ = [
     "DoublingResult", "VerificationReport", "BlowupCheck",
     "doubling_check", "bounds_check", "blowup_inequality",
-    "MAX_TIME_SLICES",
+    "BandTable", "band_table", "MAX_TIME_SLICES",
 ]
 
 MAX_TIME_SLICES = 128
@@ -111,23 +112,40 @@ def _pair_mask(nodes: np.ndarray, kappa0: float):
     return jj, kk, dm[jj, kk]
 
 
-def _scan(sol: Solution, cert: BarrierCertificate, tidx: np.ndarray,
+class BandTable(NamedTuple):
+    """The in-band pairs (j, k), 0 < x_j - x_k <= kappa0, sorted by their
+    barrier value h(x_j - x_k), ties in row-major pair order: node indices,
+    h, and each pair's row-major rank."""
+    jj: np.ndarray
+    kk: np.ndarray
+    h: np.ndarray
+    rank: np.ndarray
+
+
+def band_table(nodes: np.ndarray, cert: BarrierCertificate) -> BandTable:
+    """The table both pair scans read; build it once per grid and pass it
+    to `doubling_check` and `bounds_check`."""
+    jj, kk, offsets = _pair_mask(nodes, cert.kappa0)
+    h = cert.h_curve()(offsets)
+    del offsets
+    rank = np.argsort(h, kind="stable")
+    # one sorted copy at a time, each replacing its unsorted array
+    jj = jj[rank]
+    kk = kk[rank]
+    h = h[rank]
+    return BandTable(jj, kk, h, rank)
+
+
+def _scan(sol: Solution, table: BandTable, tidx: np.ndarray,
           damped: bool) -> list[tuple[float, dict]] | None:
     """Extremes over the in-band pairs on the slices ``tidx``, in time order,
     each with its witness: max w~ and max w~1 when ``damped``, otherwise the
     min modulus slack; None when kappa0 leaves no pair.  Each slice
     evaluates only the pairs its oscillation bound leaves in reach of the
     running best (see the module docstring)."""
-    jj, kk, offsets = _pair_mask(sol.grid.nodes, cert.kappa0)
+    jj, kk, h, rank = table
     if jj.size == 0:
         return None
-    h = cert.h_curve()(offsets)
-    # sorted by h, each pair with its row-major rank; one table at a time
-    rank = np.argsort(h, kind="stable")
-    del offsets
-    jj = jj[rank]
-    kk = kk[rank]
-    h = h[rank]
     h_seq = memoryview(h)   # Python floats for bisect, without a copy
     times = sol.grid.times
     best = [-math.inf, -math.inf] if damped else [math.inf]
@@ -160,11 +178,13 @@ def _scan(sol: Solution, cert: BarrierCertificate, tidx: np.ndarray,
 
 
 def doubling_check(sol: Solution, cert: BarrierCertificate,
-                   max_time_slices: int = MAX_TIME_SLICES) -> DoublingResult:
+                   max_time_slices: int = MAX_TIME_SLICES,
+                   table: BandTable | None = None) -> DoublingResult:
     """Scan the doubled domain for positive comparison values.
 
     Requires a completed run and a certificate that covers it
     (M >= sup|u|); otherwise the comparison has no claim to check.
+    `table` is `band_table(sol.grid.nodes, cert)`, built here when not given.
     """
     if not isinstance(sol.status, Completed):
         raise PreconditionFailed("doubling_check needs a completed solution")
@@ -175,7 +195,9 @@ def doubling_check(sol: Solution, cert: BarrierCertificate,
 
     nodes = sol.grid.nodes
     times = sol.grid.times
-    scan = _scan(sol, cert, _time_subsample(times, max_time_slices), damped=True)
+    if table is None:
+        table = band_table(nodes, cert)
+    scan = _scan(sol, table, _time_subsample(times, max_time_slices), damped=True)
     if scan is None:
         # kappa0 below the grid spacing: only the diagonal remains, where
         # the comparison value is exactly 0
@@ -187,13 +209,15 @@ def doubling_check(sol: Solution, cert: BarrierCertificate,
 
 def bounds_check(sol: Solution, cert: BarrierCertificate,
                  sup_cert: SupBoundCertificate | None = None,
-                 doubling: DoublingResult | None = None) -> VerificationReport:
+                 doubling: DoublingResult | None = None,
+                 table: BandTable | None = None) -> VerificationReport:
     """Assemble the slack report; negative slacks are findings, not errors.
 
     The comparison maxima are filled from `doubling` when given, computed
     when the certificate covers the solution, and left None otherwise.
     sup_slack compares against the amplified budget (M_proof);
-    sup_slack_paper against the bare-infimum variant (M_paper).
+    sup_slack_paper against the bare-infimum variant (M_paper).  `table` is
+    `band_table(sol.grid.nodes, cert)`, built here when not given.
     """
     if not isinstance(sol.status, Completed):
         raise PreconditionFailed("bounds_check needs a completed solution")
@@ -210,7 +234,9 @@ def bounds_check(sol: Solution, cert: BarrierCertificate,
 
     # every stored slice enters the modulus scan (the slice cap applies
     # only to the doubled scan); the wide guard is for pathological runs
-    scan = _scan(sol, cert, _time_subsample(times, cap=32_768), damped=False)
+    if table is None:
+        table = band_table(nodes, cert)
+    scan = _scan(sol, table, _time_subsample(times, cap=32_768), damped=False)
     if scan is not None:
         ((modulus_slack, wit),) = scan
         if wit:     # none when every slice's slack has a NaN
@@ -227,7 +253,7 @@ def bounds_check(sol: Solution, cert: BarrierCertificate,
 
     max_w = max_w1 = None
     if doubling is None and sup_u <= cert.M * (1.0 + 1e-9) + 1e-12:
-        doubling = doubling_check(sol, cert)
+        doubling = doubling_check(sol, cert, table=table)
     if doubling is not None:
         max_w = doubling.max_w_tilde
         max_w1 = doubling.max_w1_tilde

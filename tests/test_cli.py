@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import dynbc.certificate as certificate
+import dynbc.numerics as numerics
+import dynbc.verify as verify
 from dynbc.certificate import PsiSpec, check_hypotheses
 from dynbc.cli import (
     RunManifest, cmd_certify, cmd_solve, cmd_sweep, cmd_verify, default_tol, json_dumps,
@@ -140,10 +142,37 @@ def test_solution_roundtrip_exact(tmp_path):
     out2 = tmp_path / "run2"
     out2.mkdir()
     write_solution(sol, out2)
+    for name in ("solution.csv", "solution.npy"):
+        assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
     shutil.copy(out / "summary.json", out2 / "summary.json")
     sol2 = read_solution(out2)
     assert np.array_equal(sol.grid.values, sol2.grid.values)
     assert np.array_equal(sol.grid.times, sol2.grid.times)
+
+
+def test_verify_needs_the_binary_solution(tmp_path, capsys):
+    spec = _write_spec(tmp_path, STEADY)
+    out = tmp_path / "run"
+    assert main(["certify", "--spec", str(spec), "--out", str(out)]) == 0
+    assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
+    (out / "solution.npy").unlink()
+    capsys.readouterr()
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
+    assert "missing solution artifacts" in capsys.readouterr().err
+    assert not (out / "verification.json").exists()
+
+
+def test_verify_builds_one_pair_table(tmp_path, monkeypatch):
+    calls = []
+    pair_mask = verify._pair_mask
+    monkeypatch.setattr(verify, "_pair_mask", lambda *a: calls.append(a) or pair_mask(*a))
+    spec = _write_spec(tmp_path, STEADY)
+    out = tmp_path / "run"
+    assert main(["certify", "--spec", str(spec), "--out", str(out)]) == 0
+    assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert pair_mask(*calls[0])[0].size > 0     # both scans had pairs to read
 
 
 def test_verify_chain_exit_codes(tmp_path):
@@ -287,6 +316,27 @@ def test_certify_finds_q1_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_certify_stops_a_noisy_quadrature_within_its_evaluation_cap(tmp_path, monkeypatch, capsys):
+    # Phi = 2 in exact arithmetic; in floating point it is noise around 2
+    # for large z, and the depth-48 Simpson recursion never met its tolerance
+    evals = [0]
+    simpson = numerics.adaptive_simpson
+
+    def counted(f, *args, **kwargs):
+        def g(r):
+            evals[0] += 1
+            return f(r)
+        return simpson(g, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "adaptive_simpson", counted)
+    doc = json.loads(preset_path("cubic_damping").read_text())
+    doc["sup_bound"]["Phi"] = "(1+z)^2 - z^2 - 2*z + 1"
+    spec = _write_spec(tmp_path, doc)
+    assert main(["certify", "--spec", str(spec), "--out", str(tmp_path / "run")]) in (1, 2)
+    assert 0 < evals[0] <= numerics.MAX_EVALS
+    assert "integrand evaluations" in capsys.readouterr().err
+
+
 def test_sweep_empty_axes(tmp_path):
     doc = dict(STEADY)
     doc["sweep"] = {"psi": [], "q0": [], "M": []}
@@ -319,7 +369,7 @@ def test_reports_are_byte_identical(tmp_path):
         assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
         assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 0
     for name in ("certificate.json", "h_table.csv", "summary.json",
-                 "solution.csv", "verification.json"):
+                 "solution.csv", "solution.npy", "verification.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 

@@ -25,6 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dynbc.cli import RunManifest, cmd_certify, cmd_solve, cmd_verify, preset_path
@@ -32,7 +33,7 @@ from dynbc.cli import RunManifest, cmd_certify, cmd_solve, cmd_verify, preset_pa
 PRESETS = ("steady", "manufactured", "burgers", "blowup_270",
            "weakened_nagumo", "cubic_damping")
 REPORTS = ("certificate.json", "h_table.csv", "summary.json", "solution.csv",
-           "verification.json")
+           "verification.json", "solution.npy")
 GRIDS = {
     "burgers_nx257": ("burgers", {"u0": "0.47*cos(pi*x/2)^3", "solver": {"nx": 257}}),
     "burgers_newton_retry": ("burgers", {"solver": {"nx": 65, "dt0": 0.05,
@@ -74,6 +75,26 @@ def test_preset_reports_match_golden_digests(name, tmp_path, monkeypatch):
     monkeypatch.delenv("DYNBC_TOL", raising=False)
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     assert run_chain(name, tmp_path / name) == want
+
+
+@pytest.mark.parametrize("name", PRESETS + tuple(GRIDS))
+def test_verify_reads_the_numbers_of_the_csv(name, tmp_path, monkeypatch):
+    # solution.npy is solution.csv parsed back, bit for bit, and verify
+    # writes the same report from a solution.npy rebuilt from the CSV
+    monkeypatch.delenv("DYNBC_TOL", raising=False)
+    out = tmp_path / name
+    code = run_chain(name, out)["exit"][2]
+    saved = np.load(out / "solution.npy")
+    parsed = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert saved.shape == parsed.shape and saved.dtype == parsed.dtype == np.float64
+    assert np.array_equal(saved.view(np.uint64), parsed.view(np.uint64))
+
+    report = (out / "verification.json").read_bytes()
+    (out / "solution.npy").unlink()
+    np.save(out / "solution.npy", parsed)
+    spec = problem_file(name, out)
+    assert cmd_verify(RunManifest(spec_path=spec, command="verify", out_dir=out)) == code
+    assert (out / "verification.json").read_bytes() == report
 
 
 if __name__ == "__main__":

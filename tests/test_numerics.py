@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynbc.errors import DynbcError
 from dynbc.numerics import (
-    PchipCurve, adaptive_simpson, golden_section, tail_probe, thomas,
+    MAX_EVALS, PchipCurve, adaptive_simpson, golden_section, tail_probe, thomas,
 )
 
 
@@ -24,6 +27,16 @@ def test_simpson_transcendental():
 def test_simpson_orientation_and_empty():
     assert adaptive_simpson(lambda r: r, 1, 0) == pytest.approx(-0.5, abs=1e-13)
     assert adaptive_simpson(lambda r: r, 2, 2) == 0.0
+
+
+def test_simpson_budget_counts_every_evaluation():
+    calls = []
+    budget = [MAX_EVALS]
+    value = adaptive_simpson(lambda r: calls.append(r) or math.exp(r), 0.0, 1.0, budget=budget)
+    assert budget == [MAX_EVALS - len(calls)]
+    assert adaptive_simpson(math.exp, 0.0, 1.0, budget=[len(calls)]) == value
+    with pytest.raises(DynbcError, match="integrand evaluations"):
+        adaptive_simpson(math.exp, 0.0, 1.0, budget=[len(calls) - 1])
 
 
 def test_tail_probe_convergent():
@@ -75,3 +88,46 @@ def test_pchip_with_exact_derivatives():
     curve = PchipCurve(xs, ys, dys=3 - xs)
     fine = np.linspace(0, 2, 501)
     assert np.allclose(curve(fine), 3 * fine - fine ** 2 / 2, atol=1e-13)
+
+
+def plain_hermite(curve, q):
+    """``PchipCurve.__call__`` as one expression per basis function, from
+    before it worked in place; the reference for bit-identity."""
+    q = np.asarray(q, dtype=float)
+    idx = np.clip(np.searchsorted(curve.xs, q, side="right") - 1, 0, curve.xs.size - 2)
+    x0 = curve.xs[idx]
+    h = curve.xs[idx + 1] - x0
+    s = (q - x0) / h
+    y0, y1 = curve.ys[idx], curve.ys[idx + 1]
+    m0, m1 = curve.ms[idx] * h, curve.ms[idx + 1] * h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * y0 + h10 * m0 + h01 * y1 + h11 * m1
+
+
+_coord = st.floats(-100.0, 100.0, allow_subnormal=True)
+_value = st.floats(-1e6, 1e6, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(_coord, min_size=2, max_size=12, unique=True).map(sorted), data=st.data())
+def test_pchip_in_place_equals_the_plain_formula(xs, data):
+    n = len(xs)
+    ys = data.draw(st.lists(_value, min_size=n, max_size=n))
+    dys = data.draw(st.lists(_value, min_size=n, max_size=n))
+    curve = PchipCurve(np.array(xs), np.array(ys), dys=np.array(dys))
+    # inside, at and off the table, and both zeros
+    queries = data.draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=True), max_size=20))
+    q = np.array(queries + xs + [0.0, -0.0, xs[0] - 1.0, xs[-1] + 1.0])
+    with np.errstate(all="ignore"):
+        got, want = curve(q), plain_hermite(curve, q)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for scalar in (q[0], -0.0):
+            one = curve(scalar)
+            assert np.ndim(one) == 0
+            assert np.array_equal(np.float64(one).view(np.uint64),
+                                  np.float64(plain_hermite(curve, scalar)).view(np.uint64))
+        pairs = q[:q.size // 2 * 2].reshape(-1, 2)
+        assert np.array_equal(curve(pairs).view(np.uint64), got[:pairs.size].reshape(-1, 2).view(np.uint64))

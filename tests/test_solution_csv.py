@@ -1,4 +1,5 @@
-"""solution.csv: the streamed writer's bytes and the write/read round trip."""
+"""solution.csv and solution.npy: the streamed writer's bytes, the binary
+table against the CSV parsed back, and the write/read round trip."""
 
 from __future__ import annotations
 
@@ -25,6 +26,16 @@ def per_cell_rendering(sol: Solution) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_csv(out: Path) -> np.ndarray:
+    """solution.csv read back as numbers, one row per line."""
+    return np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1, ndmin=2)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
 def _solution(times, nodes, u, ux, ut) -> Solution:
     return Solution(grid=GridFunction(times, nodes, u), ux=GridFunction(times, nodes, ux),
                     ut=GridFunction(times, nodes, ut), status=Completed())
@@ -47,6 +58,8 @@ def test_writer_bytes_match_per_cell_rendering(tmp_path):
     assert [line.split(",")[3] for line in lines[4:7]] == ["nan", "inf", "-inf"]
     assert lines[7].split(",")[4] == "nan"
     assert lines[9].split(",")[1] == "1.0000000000000001e+300"
+    # the binary table is the CSV's numbers, the -nan written as nan included
+    assert same_bits(np.load(tmp_path / "solution.npy"), parse_csv(tmp_path))
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -64,7 +77,14 @@ def test_write_read_round_trip(times, nodes, data):
         (out / "summary.json").write_text('{"status": {"kind": "completed"}}')
         write_solution(sol, out)
         assert (out / "solution.csv").read_text(encoding="utf-8") == per_cell_rendering(sol)
+        parsed = parse_csv(out)
+        assert same_bits(np.load(out / "solution.npy"), parsed)
         back = read_solution(out)
+    # the CSV parsed back holds the grids in time-major row order
+    nt, nx = len(times), len(nodes)
+    for k, want in enumerate((np.repeat(times, nx), np.tile(nodes, nt), u.ravel(),
+                              ux.ravel(), ut.ravel())):
+        assert same_bits(parsed[:, k], np.asarray(want, dtype=float))
     for got, want in ((back.grid, sol.grid), (back.ux, sol.ux), (back.ut, sol.ut)):
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.nodes, want.nodes)
