@@ -9,6 +9,8 @@ The problem file is JSON with expression strings (see docs/formats.md); the
 optional blocks "certificate", "sup_bound", "solver" and "sweep" carry the
 workflow parameters.  Reports are written with fixed field order and floats
 at 17 significant digits, so identical inputs produce byte-identical files.
+solve writes the solution twice: ``solution.csv`` to read, and
+``solution.npy``, the same numbers as one float64 array, which verify reads.
 Sweeps evaluate their points serially: the work is pure Python holding the
 interpreter lock, so ``--jobs`` is accepted and has no effect.
 
@@ -292,8 +294,8 @@ def _status_from_dict(d: dict):
 
 
 def write_solution(sol: Solution, out_dir: Path) -> None:
-    """Write ``solution.csv``, streamed one time slice at a time, and
-    ``solution.npy``, the same table as float64 numbers.
+    """Write ``solution.csv`` and ``solution.npy``, streamed one time slice
+    at a time.
 
     One ``t,x,u,ux,ut`` row per node and stored time, every float at 17
     significant digits (``%.17g``, which prints ``nan``, ``inf`` and ``-0``
@@ -301,25 +303,28 @@ def write_solution(sol: Solution, out_dir: Path) -> None:
     each slice adds its t cell and fills the u, ux and ut cells with one
     ``%`` format, and is written before the next slice is built.
 
-    ``solution.npy`` holds the CSV's rows in the same order, shape
-    (times * nodes, 5), and equals the CSV's numbers read back bit for bit:
-    17 digits round-trip every float, and NaN is stored as the one NaN that
-    ``nan`` reads back as.
+    ``solution.npy`` holds the same rows as one float64 array of shape
+    (times * nodes, 5), the bytes ``np.save`` writes, and equals the CSV's
+    numbers read back bit for bit: 17 digits round-trip every float, and
+    NaN is stored as the one NaN that ``nan`` reads back as.  Writing it a
+    slice at a time keeps the whole table out of memory.
     """
-    rows = [",%.17g,%%.17g,%%.17g,%%.17g\n" % x for x in sol.grid.nodes.tolist()]
-    with open(out_dir / "solution.csv", "w", encoding="utf-8") as fh:
+    nodes = sol.grid.nodes
+    rows = [",%.17g,%%.17g,%%.17g,%%.17g\n" % x for x in nodes.tolist()]
+    header = {"descr": np.dtype(float).str, "fortran_order": False,
+              "shape": (sol.grid.values.size, 5)}
+    with open(out_dir / "solution.csv", "w", encoding="utf-8") as fh, \
+            open(out_dir / "solution.npy", "wb") as fb:
         fh.write("t,x,u,ux,ut\n")
+        np.lib.format.write_array_header_1_0(fb, header)
         for t, u, ux, ut in zip(sol.grid.times.tolist(), sol.grid.values,
                                 sol.ux.values, sol.ut.values):
+            block = np.column_stack((np.full(nodes.size, t), nodes, u, ux, ut))
+            block[np.isnan(block)] = np.nan
             t_cell = "%.17g" % t
             template = t_cell + t_cell.join(rows)
-            fh.write(template % tuple(np.column_stack((u, ux, ut)).ravel().tolist()))
-    table = np.empty(sol.grid.values.shape + (5,))
-    for k, col in enumerate((sol.grid.times[:, None], sol.grid.nodes, sol.grid.values,
-                             sol.ux.values, sol.ut.values)):
-        table[..., k] = col
-    table[np.isnan(table)] = np.nan
-    np.save(out_dir / "solution.npy", table.reshape(-1, 5))
+            fh.write(template % tuple(block[:, 2:].ravel().tolist()))
+            fb.write(block.tobytes())
 
 
 def read_solution(out_dir: Path) -> Solution:
