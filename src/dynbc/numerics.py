@@ -27,12 +27,10 @@ __all__ = [
 MAX_EVALS = 1 << 20
 
 
-def _spend(budget: list[int], n: int) -> None:
-    budget[0] -= n
-    if budget[0] < 0:
-        raise DynbcError(
-            f"quadrature stopped at its cap of {MAX_EVALS} integrand evaluations: "
-            "the integrand is too rough, or too noisy in floating point, to converge")
+def _over_budget() -> DynbcError:
+    return DynbcError(
+        f"quadrature stopped at its cap of {MAX_EVALS} integrand evaluations: "
+        "the integrand is too rough, or too noisy in floating point, to converge")
 
 
 def _simpson(f, a, fa, b, fb, m, fm) -> float:
@@ -40,7 +38,6 @@ def _simpson(f, a, fa, b, fb, m, fm) -> float:
 
 
 def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth, budget) -> float:
-    _spend(budget, 2)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm = f(lm)
@@ -50,6 +47,10 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth, budget) -> float:
     err = left + right - whole
     if depth <= 0 or abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
+    # the halves evaluate f twice each; paid here, so leaves pay nothing
+    budget[0] -= 4
+    if budget[0] < 0:
+        raise _over_budget()
     return (_adaptive(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1, budget)
             + _adaptive(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1, budget))
 
@@ -67,7 +68,9 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     if a == b:
         return 0.0
     budget = [MAX_EVALS] if budget is None else budget
-    _spend(budget, 3)
+    budget[0] -= 5      # a, b, m and the first halving's two points
+    if budget[0] < 0:
+        raise _over_budget()
     sign = 1.0
     if b < a:
         a, b = b, a
