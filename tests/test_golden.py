@@ -9,7 +9,9 @@ at nx = 257 and amplitude 0.47 is a grid where the verify scans' oscillation
 bound skips most pairs.  ``burgers_newton_retry`` caps Newton at two
 iterations from a large first step, so both the configured theta and the
 theta = 1 retry fail and dt shrinks; ``burgers_implicit_fixed`` runs the
-fully implicit scheme at a fixed step.
+fully implicit scheme at a fixed step.  For every problem ``solution.npy``
+must also equal ``solution.csv`` parsed back, and verify must write the
+same report from a ``solution.npy`` rebuilt from the CSV.
 
 Record the digests again, from the root of a checkout, with
 
@@ -79,8 +81,6 @@ def test_preset_reports_match_golden_digests(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", PRESETS + tuple(GRIDS))
 def test_verify_reads_the_numbers_of_the_csv(name, tmp_path, monkeypatch):
-    # solution.npy is solution.csv parsed back, bit for bit, and verify
-    # writes the same report from a solution.npy rebuilt from the CSV
     monkeypatch.delenv("DYNBC_TOL", raising=False)
     out = tmp_path / name
     code = run_chain(name, out)["exit"][2]
