@@ -18,7 +18,9 @@ budget, and |u_x| <= h'(0) = q1 is the resulting gradient bound.
 
 q1, the barrier table and the sup budget's integral of 1/Phi all come from
 one slope-space quadrature: five-point Gauss-Legendre sums over cells,
-accumulated, with the kernel called on arrays of nodes.
+accumulated, with the kernel called on arrays of nodes.  Whether the budget
+integral and the integral of 1/Phi converge is read off the same sums, at
+their doubling ends, by the tail probe's rule; no probe runs before them.
 
 Hypothesis checks are dense-sampling falsifiers over the stated boxes:
 they report signed worst margins (violation iff margin > 0) with witness
@@ -202,6 +204,11 @@ CELLS_PER_DOUBLING = 8  # geometric cells per doubling in find_q1 and sup_bound
 SECTIONS = 64           # equal parts per round of the search in _reach
 _SPLIT = np.arange(SECTIONS + 1) / SECTIONS
 BARRIER_ROWS = 8193     # rows of the barrier table: uniform and geometric slopes
+# the tail probe's rule: an integral over [a, inf), read at the window ends
+# max(1, a) 2^j, has converged at the first window past [a, 2 max(1, a)]
+# that adds at most TAIL_TOL (1 + |sum|); it is left open at j = TAIL_DOUBLINGS
+TAIL_TOL = 1e-14
+TAIL_DOUBLINGS = 61
 
 
 def _cells(fn, lo, hi, room=None) -> np.ndarray:
@@ -266,41 +273,71 @@ def _doubling_edges(lo: float, hi: float) -> np.ndarray:
     return lo * 2.0 ** (np.arange(count + 1) / CELLS_PER_DOUBLING)
 
 
+def _settled(sums: np.ndarray) -> int:
+    """The tail probe's convergence rule on the integral at the ends of its
+    windows, sums[0] at the end of the first: the index of the first window
+    that adds at most TAIL_TOL (1 + |sum|), or 0 when none does."""
+    hit = np.abs(np.diff(sums)) <= TAIL_TOL * (1.0 + np.abs(sums[1:]))
+    return int(np.argmax(hit)) + 1 if hit.any() else 0
+
+
 # ---------------------------------------------------------------------------
 # slope budget
 
+@np.errstate(all="ignore")  # cells past the decision may overflow the gauge
 def find_q1(psi: PsiSpec, q0: float, M: float) -> float:
     """Top slope q1 > q0 with integral_{q0}^{q1} rho/psi = 2M.
 
-    The tail probe bounds q1; the integral is then summed over geometric
-    cells from q0 to one doubling past the probe's last limit, and q1 is
-    found inside the cell where the sum passes 2M by repeated sectioning.
+    The integral is summed over geometric cells from q0, CHUNK cells at a
+    time, and read at the ends of the tail probe's windows, max(1, q0) 2^j
+    for j = 1..61.  No probe runs: these sums decide by its rule whether q1
+    exists.  When the sum passes 2M at a window's end, the cells are summed
+    again from q0 to one doubling past it, as after the probe, and q1 is
+    found inside the cell where that sum passes 2M by repeated sectioning.
 
-    Raises ConditionViolated when the probe does not find the integral
-    passing 2M: it converges to a value <= 2M, so no finite q1 meets the
-    budget, or it stays below 2M up to the probe's last limit.
+    Raises ConditionViolated when the sum stays <= 2M: up to the first
+    window past [q0, 2 max(1, q0)] that adds at most 1e-14 (1 + |sum|), so
+    the integral converges to a value <= 2M and no finite q1 meets the
+    budget; or up to max(1, q0) 2^61, the probe's last limit.
     """
     if not (q0 > 0):
         raise PreconditionFailed(f"q0 must be positive, got {q0}")
     if not (M > 0):
         raise PreconditionFailed(f"M must be positive, got {M}")
-    fn = psi.fn()
     target = 2.0 * M
-
-    probe = tail_probe(lambda r: r / fn(r), q0, stop_above=target)
-    if not probe.value > target:
-        reach = "converges to" if probe.converged else f"up to {probe.upper:.6g} reaches"
-        raise ConditionViolated(
-            f"integral of rho/psi over [{q0}, inf) {reach} ~{probe.value:.6g}"
-            f" <= 2M = {target:.6g}; no finite q1 exists")
-
     kernel = psi.kernel()
 
     def integrand(rho):
         return rho / kernel(rho)
 
-    edges = _doubling_edges(q0, 2.0 * probe.upper)
-    return _reach(integrand, edges, _gauss_sums(integrand, edges[:-1], edges[1:]), target)
+    # the cells from q0 to the probe's first limit 2 low, then from there
+    # CELLS_PER_DOUBLING to each of its windows, up to its last limit
+    low = max(1.0, q0)
+    head = _doubling_edges(q0, 2.0 * low)
+    head[-1] = 2.0 * low
+    edges = np.concatenate([head, _doubling_edges(2.0 * low, low * 2.0 ** TAIL_DOUBLINGS)[1:]])
+    lo, hi = edges[:-1], edges[1:]
+    sums = np.zeros(1)
+    for i in range(0, lo.size, CHUNK):
+        cells = _cells(integrand, lo[i:i + CHUNK], hi[i:i + CHUNK])
+        sums = np.concatenate([sums, sums[-1] + np.cumsum(cells)])
+        at = sums[head.size - 1::CELLS_PER_DOUBLING]  # the integral at the windows' ends
+        settled = _settled(at)
+        passed = np.flatnonzero(at > target)
+        if passed.size and (not settled or passed[0] <= settled):
+            # sum again in the probe's range: _cells halves as far as the
+            # size of its call allows, so this call gives the probe's q1
+            upper = low * 2.0 ** (passed[0] + 1)  # where the probe stopped
+            edges = _doubling_edges(q0, 2.0 * upper)
+            return _reach(integrand, edges, _gauss_sums(integrand, edges[:-1], edges[1:]), target)
+        if settled:
+            reach, value = "converges to", at[settled]
+            break
+    else:
+        reach, value = f"up to {edges[-1]:.6g} reaches", at[-1]
+    raise ConditionViolated(
+        f"integral of rho/psi over [{q0}, inf) {reach} ~{value:.6g}"
+        f" <= 2M = {target:.6g}; no finite q1 exists")
 
 
 # ---------------------------------------------------------------------------
@@ -739,14 +776,16 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
     G is tabulated on [0, 2^-10] and geometric cells up to 2^80; G^{-1} is
     searched inside the cell where the table passes its argument, and is
     inf past the table.
+
+    Raises ConditionViolated when the table's sums at 2, 4, ..., 2^61 show
+    the integral of 1/Phi converging by the tail probe's rule (a doubling
+    past [0, 2] adds at most 1e-14 (1 + |sum|)); no probe runs before the
+    table.
     """
     bad = free_variables(Phi) - {"z"} - {"p"} - {"x"} - {"t"}
     if bad:
         raise PreconditionFailed(f"Phi gauge has unknown variables {sorted(bad)}")
     phi_fn = compile_expr(Phi)
-
-    def Phi_at(r: float) -> float:
-        return float(phi_fn(t=r, x=r, z=r, p=r))
 
     rs = np.linspace(0.0, 1e3, 2001)
     with np.errstate(all="ignore"):
@@ -760,19 +799,22 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
     if u0_sup < 0:
         raise PreconditionFailed(f"u0_sup must be non-negative, got {u0_sup}")
 
-    probe = tail_probe(lambda r: 1.0 / Phi_at(r), 0.0)
-    if probe.converged:
-        raise ConditionViolated(
-            f"integral of 1/Phi over [0, inf) converges (~{probe.value:.6g}); "
-            "the sup budget construction requires divergence")
-
-    phi0 = Phi_at(0.0)
-
     def inv_phi(r):
         return 1.0 / np.broadcast_to(phi_fn(t=r, x=r, z=r, p=r), r.shape)
 
     edges = np.concatenate([[0.0], _doubling_edges(2.0 ** -10, 2.0 ** 80)])
     sums = _gauss_sums(inv_phi, edges[:-1], edges[1:])
+    # the tail probe's windows from 0 end at 2, 4, ..., 2^61, every
+    # CELLS_PER_DOUBLING-th edge from edges[first] = 2^-10 2^11 = 2
+    first = 1 + 11 * CELLS_PER_DOUBLING
+    ends = sums[first:first + TAIL_DOUBLINGS * CELLS_PER_DOUBLING:CELLS_PER_DOUBLING]
+    settled = _settled(ends)
+    if settled:
+        raise ConditionViolated(
+            f"integral of 1/Phi over [0, inf) converges (~{ends[settled]:.6g}); "
+            "the sup budget construction requires divergence")
+
+    phi0 = float(phi_fn(t=0.0, x=0.0, z=0.0, p=0.0))
 
     def G(y: float) -> float:
         if y <= 0.0:

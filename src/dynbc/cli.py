@@ -251,9 +251,7 @@ def cmd_certify(manifest: RunManifest) -> int:
     }
     _write(manifest.out_dir / "certificate.json", json_dumps(doc))
     if cert is not None:
-        lines = ["xi,h,hp"]
-        lines += [_csv_row((a, b, c)) for a, b, c in zip(cert.xi, cert.h, cert.hp)]
-        _write(manifest.out_dir / "h_table.csv", "\n".join(lines))
+        write_h_table(cert, manifest.out_dir)
     if manifest.report_format == "csv":
         lines = ["name,satisfied,worst_violation"]
         lines += [_csv_row((e.name, e.satisfied, e.worst_violation)) for e in report.entries]
@@ -266,6 +264,15 @@ def cmd_certify(manifest: RunManifest) -> int:
             print(f"certify: {barrier_error}", file=sys.stderr)
         return 2
     return 0
+
+
+def write_h_table(cert: BarrierCertificate, out_dir: Path) -> None:
+    """Write ``h_table.csv``: an ``xi,h,hp`` header and one row per table
+    row, every float at 17 significant digits, filled into one row template
+    with one ``%`` format (the cells ``_csv_row`` writes)."""
+    template = "xi,h,hp" + "\n%.17g,%.17g,%.17g" * cert.xi.size
+    cells = np.column_stack((cert.xi, cert.h, cert.hp)).ravel().tolist()
+    _write(out_dir / "h_table.csv", template % tuple(cells))
 
 
 def _u0_sup(problem: ProblemSpec) -> float:
@@ -337,24 +344,30 @@ def read_solution(out_dir: Path) -> Solution:
     data = np.load(npy_path)
     if data.ndim != 2 or data.shape[1] != 5:
         raise ConfigError(f"solution.npy has shape {data.shape}, not (rows, 5)")
-    times, inverse = np.unique(data[:, 0], return_inverse=True)
-    nodes = np.unique(data[:, 1])
-    nt, nx = times.size, nodes.size
-    if data.shape[0] != nt * nx:
-        raise ConfigError("solution.npy is not a full rectangular grid")
-    jidx = np.searchsorted(nodes, data[:, 1])
-    cols = {}
-    for k, name in ((2, "u"), (3, "ux"), (4, "ut")):
-        grid = np.empty((nt, nx))
-        grid[inverse, jidx] = data[:, k]
-        cols[name] = grid
+    slices = _time_slices(data)
+    times, nodes = slices[:, 0, 0].copy(), slices[0, :, 1].copy()
+    u, ux, ut = (np.ascontiguousarray(slices[:, :, k]) for k in (2, 3, 4))
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
     status = _status_from_dict(summary["status"])
     return Solution(
-        grid=GridFunction(times, nodes, cols["u"]),
-        ux=GridFunction(times, nodes, cols["ux"]),
-        ut=GridFunction(times, nodes, cols["ut"]),
+        grid=GridFunction(times, nodes, u), ux=GridFunction(times, nodes, ux),
+        ut=GridFunction(times, nodes, ut),
         status=status, step_log=dict(summary.get("step_log", {})))
+
+
+def _time_slices(data: np.ndarray) -> np.ndarray:
+    """The rows of ``solution.npy`` as an array (times, nodes, 5).  The rows
+    must be time-major: each slice the rows of one t, t strictly increasing,
+    and every slice repeating the first slice's strictly increasing x."""
+    rows = data.shape[0]
+    nx = (int(np.argmax(data[:, 0] != data[0, 0])) or rows) if rows else 1
+    if rows % nx == 0:
+        slices = data.reshape(-1, nx, 5)
+        t, x = slices[:, :1, 0], slices[:1, :, 1]
+        if (rows and np.all(slices[:, :, 0] == t) and np.all(slices[:, :, 1] == x)
+                and np.all(np.diff(t[:, 0]) > 0) and np.all(np.diff(x[0]) > 0)):
+            return slices
+    raise ConfigError("solution.npy is not a full rectangular grid")
 
 
 def cmd_solve(manifest: RunManifest) -> int:

@@ -1,0 +1,125 @@
+"""find_q1 and sup_bound decide from their Gauss sums what the scalar tail
+probe used to decide before them.
+
+``probe_find_q1`` is a frozen copy of the earlier ``find_q1``: an
+adaptive-Simpson ``tail_probe`` bounds q1, then the Gauss cells are summed
+from q0 to one doubling past the probe's last limit.  ``probe_sup_bound`` is
+the earlier ``sup_bound``: the same probe of 1/Phi, then the unchanged table
+and infimum.  The current functions must return the same numbers bit for
+bit, or raise the same exception with the same message.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dynbc import certificate
+from dynbc.certificate import (
+    PsiSpec, _doubling_edges, _gauss_sums, _reach, build_barrier, find_q1, sup_bound,
+)
+from dynbc.errors import ConditionViolated, PreconditionFailed
+from dynbc.expr import compile_expr, parse
+from dynbc.numerics import tail_probe
+
+
+def probe_find_q1(psi: PsiSpec, q0: float, M: float) -> float:
+    if not (q0 > 0):
+        raise PreconditionFailed(f"q0 must be positive, got {q0}")
+    if not (M > 0):
+        raise PreconditionFailed(f"M must be positive, got {M}")
+    fn = psi.fn()
+    target = 2.0 * M
+
+    probe = tail_probe(lambda r: r / fn(r), q0, stop_above=target)
+    if not probe.value > target:
+        reach = "converges to" if probe.converged else f"up to {probe.upper:.6g} reaches"
+        raise ConditionViolated(
+            f"integral of rho/psi over [{q0}, inf) {reach} ~{probe.value:.6g}"
+            f" <= 2M = {target:.6g}; no finite q1 exists")
+
+    kernel = psi.kernel()
+
+    def integrand(rho):
+        return rho / kernel(rho)
+
+    edges = _doubling_edges(q0, 2.0 * probe.upper)
+    return _reach(integrand, edges, _gauss_sums(integrand, edges[:-1], edges[1:]), target)
+
+
+def probe_sup_bound(Phi, B, u0_sup, T):
+    phi_fn = compile_expr(Phi)
+    probe = tail_probe(lambda r: 1.0 / float(phi_fn(t=r, x=r, z=r, p=r)), 0.0)
+    if probe.converged:
+        raise ConditionViolated(
+            f"integral of 1/Phi over [0, inf) converges (~{probe.value:.6g}); "
+            "the sup budget construction requires divergence")
+    return sup_bound(Phi, B, u0_sup, T)
+
+
+def outcome(fn, *args):
+    """('value', result) or (exception type, message)."""
+    try:
+        return "value", fn(*args)
+    except ConditionViolated as exc:
+        return type(exc), str(exc)
+
+
+def bits(x: float) -> int:
+    return int(np.array(x, dtype=np.float64).view(np.uint64))
+
+
+@st.composite
+def gauges(draw):
+    kind = draw(st.sampled_from(["1", "1+p", "1+p^2", "(1+p^2)^1.5", "kinked", "power"]))
+    if kind == "kinked":
+        return f"1+abs(p-{draw(st.floats(0.0, 10.0))!r})"
+    if kind == "power":
+        return f"(1+p^2)^{draw(st.floats(0.9, 1.6))!r}"
+    return kind
+
+
+@settings(deadline=None, max_examples=150)
+@given(gauges(), st.floats(-9.0, 1.0), st.floats(-2.0, 1.0))
+def test_find_q1_decides_as_the_probe_did(text, log_q0, log_M):
+    psi = PsiSpec.from_text(text)
+    q0, M = 10.0 ** log_q0, 10.0 ** log_M
+    old, new = outcome(probe_find_q1, psi, q0, M), outcome(find_q1, psi, q0, M)
+    if old[0] == "value" and new[0] == "value":
+        assert bits(new[1]) == bits(old[1])
+    else:
+        assert new == old
+
+
+@pytest.mark.parametrize("text, q0, M", [
+    ("(1+p^2)^1.5", 1e-9, 1.0),       # converges to 1 < 2M
+    ("(1+p^2)^1.05", 1e-9, 9.0),      # still open at the probe's last limit 2^61
+    ("(1+p^2)^1.05", 3.0, 9.0),       # the same with q0 >= 1, limit 3 2^61
+    ("(1+p^2)^1.05", 1e-9, 4.0),      # passes 2M late
+    ("1", 1e-9, 1e-2),                # a tiny q0 must not look converged at once
+])
+def test_find_q1_decides_as_the_probe_did_at_the_edges(text, q0, M):
+    psi = PsiSpec.from_text(text)
+    old, new = outcome(probe_find_q1, psi, q0, M), outcome(find_q1, psi, q0, M)
+    if old[0] == "value":
+        assert new[0] == "value" and bits(new[1]) == bits(old[1])
+    else:
+        assert new == old
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.sampled_from(["1", "1+z", "2+z", "(1+z)^2", "1+z^2"]),
+       st.floats(-2.0, 1.0), st.floats(0.0, 2.0), st.floats(0.1, 2.0))
+def test_sup_bound_decides_as_the_probe_did(text, log_B, u0_sup, T):
+    Phi, B = parse(text), 10.0 ** log_B
+    assert outcome(sup_bound, Phi, B, u0_sup, T) == outcome(probe_sup_bound, Phi, B, u0_sup, T)
+
+
+def test_build_barrier_runs_no_tail_probe(monkeypatch):
+    calls = []
+    probe = certificate.tail_probe
+    monkeypatch.setattr(certificate, "tail_probe", lambda *a, **k: calls.append(a) or probe(*a, **k))
+    build_barrier(PsiSpec.from_text("1+p^2"), q0=1.0, M=1.0, K=0.5)
+    sup_bound(parse("1+z"), B=1.0, u0_sup=0.5, T=1.0)
+    assert calls == []

@@ -12,10 +12,10 @@ import pytest
 import dynbc.certificate as certificate
 import dynbc.numerics as numerics
 import dynbc.verify as verify
-from dynbc.certificate import PsiSpec, check_hypotheses
+from dynbc.certificate import BarrierCertificate, PsiSpec, check_hypotheses
 from dynbc.cli import (
-    RunManifest, cmd_certify, cmd_solve, cmd_sweep, cmd_verify, default_tol, json_dumps,
-    main, preset_path, read_solution,
+    RunManifest, _csv_row, cmd_certify, cmd_solve, cmd_sweep, cmd_verify, default_tol,
+    json_dumps, main, preset_path, read_solution, write_h_table,
 )
 from dynbc.problem import ProblemSpec
 
@@ -160,6 +160,34 @@ def test_verify_needs_the_binary_solution(tmp_path, capsys):
     assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
     assert "missing solution artifacts" in capsys.readouterr().err
     assert not (out / "verification.json").exists()
+
+
+@pytest.mark.parametrize("order", ["shuffled", "node-major"])
+def test_verify_needs_time_major_rows(tmp_path, capsys, order):
+    spec = _write_spec(tmp_path, STEADY)
+    out = tmp_path / "run"
+    assert main(["certify", "--spec", str(spec), "--out", str(out)]) == 0
+    assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
+    data = np.load(out / "solution.npy")
+    if order == "shuffled":
+        data = data[np.random.default_rng(5).permutation(data.shape[0])]
+    else:
+        nx = STEADY["solver"]["nx"]
+        data = data.reshape(-1, nx, 5).transpose(1, 0, 2).reshape(-1, 5)
+    np.save(out / "solution.npy", data)
+    capsys.readouterr()
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
+    assert "not a full rectangular grid" in capsys.readouterr().err
+    assert not (out / "verification.json").exists()
+
+
+def test_h_table_rows_are_the_csv_row_cells(tmp_path):
+    col = np.array([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf, 0.1, -2.5e-7])
+    cert = BarrierCertificate(q0=1.0, q1=2.0, kappa0=1.0, M=1.0, K=0.5,
+                              xi=col, h=col[::-1].copy(), hp=np.roll(col, 3), psi_text="1")
+    write_h_table(cert, tmp_path)
+    rows = ["xi,h,hp"] + [_csv_row(r) for r in zip(cert.xi, cert.h, cert.hp)]
+    assert (tmp_path / "h_table.csv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
 
 
 def test_verify_builds_one_pair_table(tmp_path, monkeypatch):

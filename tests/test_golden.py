@@ -10,8 +10,9 @@ bound skips most pairs.  ``burgers_newton_retry`` caps Newton at two
 iterations from a large first step, so both the configured theta and the
 theta = 1 retry fail and dt shrinks; ``burgers_implicit_fixed`` runs the
 fully implicit scheme at a fixed step.  For every problem ``solution.npy``
-must also equal ``solution.csv`` parsed back, and verify must write the
-same report from a ``solution.npy`` rebuilt from the CSV.
+must also equal ``solution.csv`` parsed back, ``read_solution`` must build
+the grids that sorting and scattering its rows builds, and verify must
+write the same report from a ``solution.npy`` rebuilt from the CSV.
 
 Record the digests again, from the root of a checkout, with
 
@@ -30,7 +31,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynbc.cli import RunManifest, cmd_certify, cmd_solve, cmd_verify, preset_path
+from dynbc.cli import (
+    RunManifest, cmd_certify, cmd_solve, cmd_verify, preset_path, read_solution,
+)
 
 PRESETS = ("steady", "manufactured", "burgers", "blowup_270",
            "weakened_nagumo", "cubic_damping")
@@ -72,6 +75,18 @@ def run_chain(name: str, out: Path) -> dict:
     return {"exit": codes, "sha256": digests}
 
 
+def scattered_grids(data: np.ndarray) -> list[np.ndarray]:
+    """t, x and the u, ux, ut grids of solution.npy rows in any order: the
+    sorted distinct t and x, and every row scattered to its (t, x) cell."""
+    times, inverse = np.unique(data[:, 0], return_inverse=True)
+    nodes = np.unique(data[:, 1])
+    jidx = np.searchsorted(nodes, data[:, 1])
+    grids = [np.empty((times.size, nodes.size)) for _ in range(3)]
+    for k, grid in enumerate(grids, start=2):
+        grid[inverse, jidx] = data[:, k]
+    return [times, nodes, *grids]
+
+
 @pytest.mark.parametrize("name", PRESETS + tuple(GRIDS))
 def test_preset_reports_match_golden_digests(name, tmp_path, monkeypatch):
     monkeypatch.delenv("DYNBC_TOL", raising=False)
@@ -88,6 +103,10 @@ def test_verify_reads_the_numbers_of_the_csv(name, tmp_path, monkeypatch):
     parsed = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1, ndmin=2)
     assert saved.shape == parsed.shape and saved.dtype == parsed.dtype == np.float64
     assert np.array_equal(saved.view(np.uint64), parsed.view(np.uint64))
+    sol = read_solution(out)
+    read = [sol.grid.times, sol.grid.nodes, sol.grid.values, sol.ux.values, sol.ut.values]
+    for got, want in zip(read, scattered_grids(saved), strict=True):
+        assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     report = (out / "verification.json").read_bytes()
     (out / "solution.npy").unlink()
