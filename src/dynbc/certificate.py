@@ -20,7 +20,7 @@ q1, the barrier table and the sup budget's integral of 1/Phi all come from
 one slope-space quadrature: five-point Gauss-Legendre sums over cells,
 accumulated, with the kernel called on arrays of nodes.  Whether the budget
 integral and the integral of 1/Phi converge is read off the same sums, at
-their doubling ends, by the tail probe's rule; no probe runs before them.
+the tail probe's window ends, by its rule; no probe runs before them.
 
 Hypothesis checks are dense-sampling falsifiers over the stated boxes:
 they report signed worst margins (violation iff margin > 0) with witness
@@ -778,7 +778,7 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
     inf past the table.
 
     Raises ConditionViolated when the table's sums at 2, 4, ..., 2^61 show
-    the integral of 1/Phi converging by the tail probe's rule (a doubling
+    the integral of 1/Phi converging by the tail probe's rule (a window
     past [0, 2] adds at most 1e-14 (1 + |sum|)); no probe runs before the
     table.
     """

@@ -350,7 +350,8 @@ def read_solution(out_dir: Path) -> Solution:
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
     status = _status_from_dict(summary["status"])
     return Solution(
-        grid=GridFunction(times, nodes, u), ux=GridFunction(times, nodes, ux),
+        grid=GridFunction(times, nodes, u),
+        ux=GridFunction(times, nodes, ux),
         ut=GridFunction(times, nodes, ut),
         status=status, step_log=dict(summary.get("step_log", {})))
 
@@ -360,11 +361,11 @@ def _time_slices(data: np.ndarray) -> np.ndarray:
     must be time-major: each slice the rows of one t, t strictly increasing,
     and every slice repeating the first slice's strictly increasing x."""
     rows = data.shape[0]
-    nx = (int(np.argmax(data[:, 0] != data[0, 0])) or rows) if rows else 1
-    if rows % nx == 0:
+    nx = (int(np.argmax(data[:, 0] != data[0, 0])) or rows) if rows else 0
+    if nx and rows % nx == 0:
         slices = data.reshape(-1, nx, 5)
         t, x = slices[:, :1, 0], slices[:1, :, 1]
-        if (rows and np.all(slices[:, :, 0] == t) and np.all(slices[:, :, 1] == x)
+        if (np.all(slices[:, :, 0] == t) and np.all(slices[:, :, 1] == x)
                 and np.all(np.diff(t[:, 0]) > 0) and np.all(np.diff(x[0]) > 0)):
             return slices
     raise ConfigError("solution.npy is not a full rectangular grid")

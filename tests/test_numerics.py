@@ -100,8 +100,10 @@ def plain_hermite(curve, q):
     s = (q - x0) / h
     y0, y1 = curve.ys[idx], curve.ys[idx + 1]
     m0, m1 = curve.ms[idx] * h, curve.ms[idx + 1] * h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
+    # (1 - s)^2 as a product: numpy squares an array as x * x but a float64
+    # scalar through pow, which can round the other way in the last bit
+    h00 = (1 + 2 * s) * ((1 - s) * (1 - s))
+    h10 = s * ((1 - s) * (1 - s))
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
     return h00 * y0 + h10 * m0 + h01 * y1 + h11 * m1
