@@ -18,9 +18,11 @@ budget, and |u_x| <= h'(0) = q1 is the resulting gradient bound.
 
 q1, the barrier table and the sup budget's integral of 1/Phi all come from
 one slope-space quadrature: five-point Gauss-Legendre sums over cells,
-accumulated, with the kernel called on arrays of nodes.  Whether the budget
-integral and the integral of 1/Phi converge is read off the same sums, at
-the tail probe's window ends, by its rule; no probe runs before them.
+accumulated, with the kernel called on arrays of nodes.  Every integral over
+[a, inf) is decided by one reading of such sums, ``tail_integral``: the
+budget integral of find_q1 and of conditions (9) and (266), the integral of
+1/Phi of sup_bound and of condition (phi), and the one blowup_inequality
+halves.  So no two of them can disagree.
 
 Hypothesis checks are dense-sampling falsifiers over the stated boxes:
 they report signed worst margins (violation iff margin > 0) with witness
@@ -31,18 +33,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConditionViolated, PreconditionFailed
 from .expr import Expr, compile_expr, diff, evaluate, free_variables, parse, to_str
-from .numerics import PchipCurve, golden_section, tail_probe
+from .numerics import PchipCurve, golden_section
 from .problem import DirichletBC, DynamicBC, ProblemSpec
 
 __all__ = [
     "PsiSpec", "BarrierCertificate", "ConditionCheck", "ConditionReport",
-    "SupBoundCertificate", "find_q1", "build_barrier", "estimate_lipschitz",
-    "check_compatibility", "check_hypotheses", "sup_bound",
+    "SupBoundCertificate", "TailIntegral", "tail_integral", "find_q1", "build_barrier",
+    "estimate_lipschitz", "check_compatibility", "check_hypotheses", "sup_bound",
 ]
 
 # q0 >= K is accepted up to this relative slack; the Lipschitz estimator's
@@ -88,6 +91,11 @@ class PsiSpec:
         """psi on an array of slopes."""
         f = compile_expr(self.expr)
         return lambda rho: np.broadcast_to(f(p=rho), rho.shape)
+
+    def budget_integrand(self):
+        """rho / psi(rho) on an array of slopes, the slope budget's integrand."""
+        kernel = self.kernel()
+        return lambda rho: rho / kernel(rho)
 
     @property
     def text(self) -> str:
@@ -200,13 +208,13 @@ _WEIGHTS = np.array([[_W2, _W1, 128.0 / 225.0, _W1, _W2, 0.0, 0.0, 0.0, 0.0],
 
 CELL_TOL = 1e-14        # relative agreement of the two rules that accepts a cell
 CHUNK = 512             # cells per call of _cells: bounds the temporaries of a table
-CELLS_PER_DOUBLING = 8  # geometric cells per doubling in find_q1 and sup_bound
+CELLS_PER_DOUBLING = 8  # geometric cells per doubling in tail integrals and sup_bound
 SECTIONS = 64           # equal parts per round of the search in _reach
 _SPLIT = np.arange(SECTIONS + 1) / SECTIONS
 BARRIER_ROWS = 8193     # rows of the barrier table: uniform and geometric slopes
-# the tail probe's rule: an integral over [a, inf), read at the window ends
-# max(1, a) 2^j, has converged at the first window past [a, 2 max(1, a)]
-# that adds at most TAIL_TOL (1 + |sum|); it is left open at j = TAIL_DOUBLINGS
+# an integral over [a, inf), read at the window ends max(1, a) 2^j, has
+# converged at the first window past [a, 2 max(1, a)] that adds at most
+# TAIL_TOL (1 + |sum|); it is left open at j = TAIL_DOUBLINGS
 TAIL_TOL = 1e-14
 TAIL_DOUBLINGS = 61
 
@@ -274,69 +282,102 @@ def _doubling_edges(lo: float, hi: float) -> np.ndarray:
 
 
 def _settled(sums: np.ndarray) -> int:
-    """The tail probe's convergence rule on the integral at the ends of its
-    windows, sums[0] at the end of the first: the index of the first window
-    that adds at most TAIL_TOL (1 + |sum|), or 0 when none does."""
+    """The convergence rule on the integral at the window ends, sums[0] at
+    the end of the first: the index of the first window that adds at most
+    TAIL_TOL (1 + |sum|), or 0 when none does."""
     hit = np.abs(np.diff(sums)) <= TAIL_TOL * (1.0 + np.abs(sums[1:]))
     return int(np.argmax(hit)) + 1 if hit.any() else 0
+
+
+class TailIntegral(NamedTuple):
+    """An integral over [a, inf) as read at the window end ``upper`` where
+    it was decided: ``crossed_target``, ``convergent`` or ``divergent``."""
+
+    value: float
+    upper: float
+    classified: str
+
+    def witness(self) -> dict:
+        return {"integral_estimate": self.value, "upper_limit": self.upper,
+                "classified": self.classified}
+
+
+@np.errstate(all="ignore")  # cells past the decision may overflow the integrand
+def tail_integral(fn, a: float, stop_above: float = math.inf) -> TailIntegral:
+    """The integral of fn over [a, inf), a >= 0, read at the window ends
+    max(1, a) 2^j for j = 1..TAIL_DOUBLINGS.
+
+    fn is summed over geometric cells, CHUNK cells per ``_cells`` call: from
+    a to 2 max(1, a) in equal ratios, CELLS_PER_DOUBLING cells or more to a
+    doubling (for a = 0 the first cell is [0, 2^-10]), then
+    CELLS_PER_DOUBLING to each window.  After each call the sums decide, and
+    summing stops: ``crossed_target`` at the first window end past
+    stop_above, unless the integral converged (see ``_settled``) before it;
+    ``convergent`` at the window that settled it; ``divergent`` at the last
+    window end when neither happened.
+    """
+    low = max(1.0, a)
+    last = low * 2.0 ** TAIL_DOUBLINGS
+    ratio = 2.0 * low / a if a else 1.0
+    if not (math.isfinite(last) and math.isfinite(ratio)):
+        raise PreconditionFailed(
+            f"integral over [{a}, inf): its cells from {a} to {last} overflow a float")
+    if a == 0.0:
+        head = np.concatenate([[0.0], _doubling_edges(2.0 ** -10, 2.0)])
+    else:
+        n = CELLS_PER_DOUBLING * max(1, math.ceil(math.log2(ratio)))
+        head = a * ratio ** (np.arange(n + 1) / n)
+        head[-1] = 2.0 * low
+    edges = np.concatenate([head, _doubling_edges(2.0 * low, last)[1:]])
+    lo, hi = edges[:-1], edges[1:]
+    sums = np.zeros(1)
+    for i in range(0, lo.size, CHUNK):
+        cells = _cells(fn, lo[i:i + CHUNK], hi[i:i + CHUNK])
+        sums = np.concatenate([sums, sums[-1] + np.cumsum(cells)])
+        at = sums[head.size - 1::CELLS_PER_DOUBLING]  # the integral at the window ends
+        settled = _settled(at)
+        passed = np.flatnonzero(at > stop_above)
+        if passed.size and (not settled or passed[0] <= settled):
+            return TailIntegral(float(at[passed[0]]), low * 2.0 ** (passed[0] + 1),
+                                "crossed_target")
+        if settled:
+            return TailIntegral(float(at[settled]), low * 2.0 ** (settled + 1), "convergent")
+    return TailIntegral(float(at[-1]), last, "divergent")
 
 
 # ---------------------------------------------------------------------------
 # slope budget
 
-@np.errstate(all="ignore")  # cells past the decision may overflow the gauge
+@np.errstate(all="ignore")  # cells past q1 may overflow the gauge
 def find_q1(psi: PsiSpec, q0: float, M: float) -> float:
     """Top slope q1 > q0 with integral_{q0}^{q1} rho/psi = 2M.
 
-    The integral is summed over geometric cells from q0, CHUNK cells at a
-    time, and read at the ends of the tail probe's windows, max(1, q0) 2^j
-    for j = 1..61.  No probe runs: these sums decide by its rule whether q1
-    exists.  When the sum passes 2M at a window's end, the cells are summed
-    again from q0 to one doubling past it, as after the probe, and q1 is
-    found inside the cell where that sum passes 2M by repeated sectioning.
+    ``tail_integral`` decides whether q1 exists.  When the integral passes
+    2M at a window end, the cells are summed again from q0 to one doubling
+    past it, and q1 is found inside the cell where that sum passes 2M by
+    repeated sectioning.
 
-    Raises ConditionViolated when the sum stays <= 2M: up to the first
-    window past [q0, 2 max(1, q0)] that adds at most 1e-14 (1 + |sum|), so
-    the integral converges to a value <= 2M and no finite q1 meets the
-    budget; or up to max(1, q0) 2^61, the probe's last limit.
+    Raises ConditionViolated when the integral stays <= 2M: it converges to
+    a value <= 2M, so no finite q1 meets the budget, or it is still short
+    at max(1, q0) 2^61, the last window end.
     """
     if not (q0 > 0):
         raise PreconditionFailed(f"q0 must be positive, got {q0}")
     if not (M > 0):
         raise PreconditionFailed(f"M must be positive, got {M}")
     target = 2.0 * M
-    kernel = psi.kernel()
-
-    def integrand(rho):
-        return rho / kernel(rho)
-
-    # the cells from q0 to the probe's first limit 2 low, then from there
-    # CELLS_PER_DOUBLING to each of its windows, up to its last limit
-    low = max(1.0, q0)
-    head = _doubling_edges(q0, 2.0 * low)
-    head[-1] = 2.0 * low
-    edges = np.concatenate([head, _doubling_edges(2.0 * low, low * 2.0 ** TAIL_DOUBLINGS)[1:]])
-    lo, hi = edges[:-1], edges[1:]
-    sums = np.zeros(1)
-    for i in range(0, lo.size, CHUNK):
-        cells = _cells(integrand, lo[i:i + CHUNK], hi[i:i + CHUNK])
-        sums = np.concatenate([sums, sums[-1] + np.cumsum(cells)])
-        at = sums[head.size - 1::CELLS_PER_DOUBLING]  # the integral at the windows' ends
-        settled = _settled(at)
-        passed = np.flatnonzero(at > target)
-        if passed.size and (not settled or passed[0] <= settled):
-            # sum again in the probe's range: _cells halves as far as the
-            # size of its call allows, so this call gives the probe's q1
-            upper = low * 2.0 ** (passed[0] + 1)  # where the probe stopped
-            edges = _doubling_edges(q0, 2.0 * upper)
-            return _reach(integrand, edges, _gauss_sums(integrand, edges[:-1], edges[1:]), target)
-        if settled:
-            reach, value = "converges to", at[settled]
-            break
-    else:
-        reach, value = f"up to {edges[-1]:.6g} reaches", at[-1]
+    integrand = psi.budget_integrand()
+    tail = tail_integral(integrand, q0, stop_above=target)
+    if tail.classified == "crossed_target":
+        # sum again, from q0 to one doubling past the deciding window end, in
+        # one call: _cells halves as far as the size of its call allows, and
+        # this call is the one every recorded q1 comes from
+        edges = _doubling_edges(q0, 2.0 * tail.upper)
+        return _reach(integrand, edges, _gauss_sums(integrand, edges[:-1], edges[1:]), target)
+    reach = ("converges to" if tail.classified == "convergent"
+             else f"up to {tail.upper:.6g} reaches")
     raise ConditionViolated(
-        f"integral of rho/psi over [{q0}, inf) {reach} ~{value:.6g}"
+        f"integral of rho/psi over [{q0}, inf) {reach} ~{tail.value:.6g}"
         f" <= 2M = {target:.6g}; no finite q1 exists")
 
 
@@ -436,14 +477,11 @@ def _box_worst(values: np.ndarray, shape: tuple, axes: dict) -> tuple[float, dic
     return float(arr[idx]), witness
 
 
-def _probe_entry(name: str, integrand, lower: float, want_divergent: bool = True) -> ConditionCheck:
-    probe = tail_probe(integrand, lower)
-    satisfied = (not probe.converged) if want_divergent else probe.converged
-    return ConditionCheck(
-        name=name, satisfied=satisfied,
-        worst_violation=-1.0 if satisfied else 1.0,
-        witness={"integral_estimate": probe.value, "upper_limit": probe.upper,
-                 "classified": probe.classification})
+def _divergence_entry(name: str, integrand, lower: float) -> ConditionCheck:
+    tail = tail_integral(integrand, lower)
+    satisfied = tail.classified != "convergent"
+    return ConditionCheck(name=name, satisfied=satisfied,
+                          worst_violation=-1.0 if satisfied else 1.0, witness=tail.witness())
 
 
 def _cummax2(a: np.ndarray, axis0_forward: bool, axis1_forward: bool) -> np.ndarray:
@@ -471,7 +509,7 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     (pmax defaults to 4 q1 when the slope budget closes, else 100).
     Checks over ordered tuples run at full n_samples resolution through
     running-extremum reductions.  Divergence conditions report +-1 sentinel
-    margins with the probe data as witness.
+    margins with the ``tail_integral`` reading as witness.
     """
     if pmax is None:
         try:
@@ -499,14 +537,13 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     worst, wit = _box_worst(margin6, shape4, {"t": ts, "x": xs, "z": zs, "p": ps})
     entries.append(ConditionCheck("(6)", worst <= 0.0, worst, wit))
 
-    # (9): integral_{q0}^inf rho/psi > 2M
-    fn_scalar = psi.fn()
-    probe = tail_probe(lambda r: r / fn_scalar(r), q0, stop_above=2.0 * M)
-    margin9 = 2.0 * M - probe.value
-    entries.append(ConditionCheck(
-        "(9)", not (probe.converged and margin9 >= 0.0), margin9 if probe.converged else -abs(margin9),
-        {"integral_estimate": probe.value, "upper_limit": probe.upper,
-         "classified": probe.classification}))
+    # (9): integral_{q0}^inf rho/psi > 2M, read as find_q1 reads it
+    rho_over_psi = psi.budget_integrand()
+    tail = tail_integral(rho_over_psi, max(q0, 0.0), stop_above=2.0 * M)
+    margin9 = 2.0 * M - tail.value
+    converged = tail.classified == "convergent"
+    entries.append(ConditionCheck("(9)", not (converged and margin9 >= 0.0),
+                                  margin9 if converged else -abs(margin9), tail.witness()))
 
     # (9bNEU): boundary fluxes dominate the boundary sources at slopes >= q0
     bneu = _boundary_sign_margins(problem, ts, zs, pos)
@@ -543,11 +580,10 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     if phi is not None and B is not None:
         entries.append(_condition_209b(problem, phi, B, ts, xs, ps,
                                        zmax if zmax is not None else max(10.0, 4.0 * M)))
-        phi_fn = compile_expr(phi)
-        entries.append(_probe_entry("(phi)", lambda r: 1.0 / float(phi_fn(z=r, p=r, x=r, t=r)), 0.0))
+        entries.append(_divergence_entry("(phi)", _inverse_gauge(compile_expr(phi)), 0.0))
 
     # (266): strengthened budget, integral of rho/psi diverges
-    entries.append(_probe_entry("(266)", lambda r: r / fn_scalar(r), max(q0, 0.0)))
+    entries.append(_divergence_entry("(266)", rho_over_psi, max(q0, 0.0)))
 
     return ConditionReport(entries)
 
@@ -759,6 +795,11 @@ def _condition_209b(problem: ProblemSpec, phi: Expr, B: float, ts, xs, ps, zmax:
 # ---------------------------------------------------------------------------
 # sup-norm budget
 
+def _inverse_gauge(phi_fn):
+    """r -> 1/Phi(r) on an array, from Phi compiled, every variable set to r."""
+    return lambda r: 1.0 / np.broadcast_to(phi_fn(t=r, x=r, z=r, p=r), r.shape)
+
+
 def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertificate:
     """Budget M for sup|u| from the gauge Phi and offset B of the
     zero-gradient growth condition.
@@ -777,10 +818,8 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
     searched inside the cell where the table passes its argument, and is
     inf past the table.
 
-    Raises ConditionViolated when the table's sums at 2, 4, ..., 2^61 show
-    the integral of 1/Phi converging by the tail probe's rule (a window
-    past [0, 2] adds at most 1e-14 (1 + |sum|)); no probe runs before the
-    table.
+    Raises ConditionViolated when ``tail_integral`` reads the integral of
+    1/Phi over [0, inf) as convergent, as condition (phi) does.
     """
     bad = free_variables(Phi) - {"z"} - {"p"} - {"x"} - {"t"}
     if bad:
@@ -799,20 +838,15 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
     if u0_sup < 0:
         raise PreconditionFailed(f"u0_sup must be non-negative, got {u0_sup}")
 
-    def inv_phi(r):
-        return 1.0 / np.broadcast_to(phi_fn(t=r, x=r, z=r, p=r), r.shape)
+    inv_phi = _inverse_gauge(phi_fn)
+    tail = tail_integral(inv_phi, 0.0)
+    if tail.classified == "convergent":
+        raise ConditionViolated(
+            f"integral of 1/Phi over [0, inf) converges (~{tail.value:.6g}); "
+            "the sup budget construction requires divergence")
 
     edges = np.concatenate([[0.0], _doubling_edges(2.0 ** -10, 2.0 ** 80)])
     sums = _gauss_sums(inv_phi, edges[:-1], edges[1:])
-    # the tail probe's windows from 0 end at 2, 4, ..., 2^61, every
-    # CELLS_PER_DOUBLING-th edge from edges[first] = 2^-10 2^11 = 2
-    first = 1 + 11 * CELLS_PER_DOUBLING
-    ends = sums[first:first + TAIL_DOUBLINGS * CELLS_PER_DOUBLING:CELLS_PER_DOUBLING]
-    settled = _settled(ends)
-    if settled:
-        raise ConditionViolated(
-            f"integral of 1/Phi over [0, inf) converges (~{ends[settled]:.6g}); "
-            "the sup budget construction requires divergence")
 
     phi0 = float(phi_fn(t=0.0, x=0.0, z=0.0, p=0.0))
 

@@ -76,7 +76,7 @@ def _fold_unary(op: str, arg: Expr) -> Expr:
     if isinstance(arg, Const):
         try:
             return Const(_apply_unary(op, arg.value))
-        except DomainError:
+        except (DomainError, OverflowError):  # an overflow is left to evaluation
             pass
     return Unary(op, arg)
 
@@ -85,7 +85,7 @@ def _fold_binary(op: str, left: Expr, right: Expr) -> Expr:
     if isinstance(left, Const) and isinstance(right, Const):
         try:
             return Const(_apply_binary(op, left.value, right.value))
-        except DomainError:
+        except (DomainError, OverflowError):
             pass
     return Binary(op, left, right)
 

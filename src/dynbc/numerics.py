@@ -1,7 +1,9 @@
-"""Shared numerical kernels: quadrature, tail probes, minimization, linear algebra.
+"""Shared numerical kernels: quadrature, minimization, linear algebra.
 
 Everything here is deterministic and dependency-free beyond numpy; the
 heavier modules (certificate, solver, verify) build on these kernels.
+The package's own integrals are Gauss sums in ``certificate``;
+``adaptive_simpson`` is the scalar quadrature the tests check them against.
 """
 
 from __future__ import annotations
@@ -14,30 +16,18 @@ import numpy as np
 from .errors import DynbcError
 
 __all__ = [
-    "adaptive_simpson", "tail_probe", "TailProbe", "MAX_EVALS",
-    "golden_section", "thomas", "PchipCurve",
+    "adaptive_simpson", "golden_section", "thomas", "PchipCurve",
 ]
 
 
 # ---------------------------------------------------------------------------
 # adaptive Simpson quadrature
 
-# integrand evaluations one quadrature may make; a tail probe's windows share
-# one such budget.  The shipped presets need at most about 70,000.
-MAX_EVALS = 1 << 20
-
-
-def _over_budget() -> DynbcError:
-    return DynbcError(
-        f"quadrature stopped at its cap of {MAX_EVALS} integrand evaluations: "
-        "the integrand is too rough, or too noisy in floating point, to converge")
-
-
 def _simpson(f, a, fa, b, fb, m, fm) -> float:
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth, budget) -> float:
+def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth) -> float:
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm = f(lm)
@@ -47,30 +37,19 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth, budget) -> float:
     err = left + right - whole
     if depth <= 0 or abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
-    # the halves evaluate f twice each; paid here, so leaves pay nothing
-    budget[0] -= 4
-    if budget[0] < 0:
-        raise _over_budget()
-    return (_adaptive(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1, budget)
-            + _adaptive(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1, budget))
+    return (_adaptive(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
+            + _adaptive(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-12, max_depth: int = 48,
-                     budget: list[int] | None = None) -> float:
+                     tol: float = 1e-12, max_depth: int = 48) -> float:
     """Adaptive Simpson integral of f over [a, b] with Richardson correction.
 
     tol acts as an absolute tolerance and, through the recursive halving,
-    as an effective relative one for well-scaled integrands.  At most
-    MAX_EVALS evaluations of f are made, else DynbcError is raised;
-    `budget`, a one-item list of the evaluations left, lets calls share it.
+    as an effective relative one for well-scaled integrands.
     """
     if a == b:
         return 0.0
-    budget = [MAX_EVALS] if budget is None else budget
-    budget[0] -= 5      # a, b, m and the first halving's two points
-    if budget[0] < 0:
-        raise _over_budget()
     sign = 1.0
     if b < a:
         a, b = b, a
@@ -81,61 +60,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     whole = _simpson(f, a, fa, b, fb, m, fm)
     # the /15 keeps the achieved error near tol even though acceptance tests 15*tol
     scaled = max(tol, tol * abs(whole)) / 15.0
-    return sign * _adaptive(f, a, fa, b, fb, m, fm, whole, scaled, max_depth, budget)
-
-
-# ---------------------------------------------------------------------------
-# improper-integral tail probe
-
-class TailProbe:
-    """Classification of an integral over [a, infinity).
-
-    converged      -- True when successive doubling windows stopped contributing
-    value          -- accumulated integral up to the last probed limit
-    upper          -- last probed upper limit
-    crossed_target -- probing ended early because the accumulated integral
-                      passed the caller's stop_above threshold (unclassified)
-    """
-
-    def __init__(self, converged: bool, value: float, upper: float,
-                 crossed_target: bool = False):
-        self.converged = converged
-        self.value = value
-        self.upper = upper
-        self.crossed_target = crossed_target
-
-    @property
-    def classification(self) -> str:
-        if self.crossed_target:
-            return "crossed_target"
-        return "convergent" if self.converged else "divergent"
-
-
-def tail_probe(f: Callable[[float], float], a: float,
-               rel_tol: float = 1e-14, max_doublings: int = 60,
-               stop_above: float | None = None) -> TailProbe:
-    """Probe whether the improper integral of f over [a, inf) converges.
-
-    Upper limits double from max(1, a); convergence is declared when the
-    increment of a doubling window drops below rel_tol relative to the
-    accumulated value.  With stop_above set, probing ends early once the
-    accumulated integral exceeds that target (the caller only needed to
-    know the integral gets that far).  All windows together make at most
-    MAX_EVALS evaluations of f (see `adaptive_simpson`).
-    """
-    budget = [MAX_EVALS]
-    upper = max(1.0, abs(a)) * 2.0
-    total = adaptive_simpson(f, a, upper, budget=budget)
-    for _ in range(max_doublings):
-        if stop_above is not None and total > stop_above:
-            return TailProbe(False, total, upper, crossed_target=True)
-        nxt = upper * 2.0
-        inc = adaptive_simpson(f, upper, nxt, budget=budget)
-        total += inc
-        upper = nxt
-        if abs(inc) <= rel_tol * (1.0 + abs(total)):
-            return TailProbe(True, total, upper)
-    return TailProbe(False, total, upper)
+    return sign * _adaptive(f, a, fa, b, fb, m, fm, whole, scaled, max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certificate import BarrierCertificate, PsiSpec, SupBoundCertificate
+from .certificate import BarrierCertificate, PsiSpec, SupBoundCertificate, tail_integral
 from .errors import CertificateMismatch, DivergentIntegral, PreconditionFailed
-from .numerics import tail_probe
 from .solver import BlowUpDetected, Completed, Solution
 
 __all__ = [
@@ -277,12 +276,11 @@ def blowup_inequality(sol: Solution, psi: PsiSpec, tol: float = 1e-9) -> BlowupC
     """
     if not isinstance(sol.status, BlowUpDetected):
         raise PreconditionFailed("blowup_inequality needs a blow-up run")
-    fn = psi.fn()
-    probe = tail_probe(lambda r: r / fn(r), 0.0)
-    if not probe.converged:
+    tail = tail_integral(psi.budget_integrand(), 0.0)
+    if tail.classified != "convergent":
         raise DivergentIntegral(
             "budget integral of rho/psi diverges: gradient blow-up of a bounded "
             "solution is inconsistent with the mixed-boundary gradient bound")
-    lhs = 0.5 * probe.value
+    lhs = 0.5 * tail.value
     rhs = sol.sup_u
     return BlowupCheck(lhs=lhs, rhs=rhs, consistent=bool(lhs <= rhs + tol))

@@ -1,27 +1,82 @@
 """find_q1 and sup_bound decide from their Gauss sums what the scalar tail
-probe used to decide before them.
+probe used to decide before them, and condition (9) reads the budget
+integral as find_q1 does.
 
-``probe_find_q1`` is a frozen copy of the earlier ``find_q1``: an
-adaptive-Simpson ``tail_probe`` bounds q1, then the Gauss cells are summed
-from q0 to one doubling past the probe's last limit.  ``probe_sup_bound`` is
-the earlier ``sup_bound``: the same probe of 1/Phi, then the unchanged table
-and infimum.  The current functions must return the same numbers bit for
-bit, or raise the same exception with the same message.
+``tail_probe`` is a frozen copy of the scalar adaptive-Simpson probe the
+package used to run; its cap on integrand evaluations, which could only end
+a call, is left out.  ``probe_find_q1`` is a frozen copy of the earlier
+``find_q1``: the probe bounds q1, then the Gauss cells are summed from q0 to
+one doubling past the probe's last limit.  ``probe_sup_bound`` is the
+earlier ``sup_bound``: the same probe of 1/Phi, then the unchanged table and
+infimum.  The current functions must return the same numbers bit for bit,
+or raise the same exception with the same message.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynbc import certificate
+from dynbc import certificate, numerics
 from dynbc.certificate import (
-    PsiSpec, _doubling_edges, _gauss_sums, _reach, build_barrier, find_q1, sup_bound,
+    PsiSpec, _doubling_edges, _gauss_sums, _reach, build_barrier, check_hypotheses, find_q1,
+    sup_bound,
 )
 from dynbc.errors import ConditionViolated, PreconditionFailed
 from dynbc.expr import compile_expr, parse
-from dynbc.numerics import tail_probe
+from dynbc.numerics import adaptive_simpson
+from dynbc.problem import DynamicBC, ProblemSpec
+
+
+class TailProbe:
+    """Classification of an integral over [a, infinity).
+
+    converged      -- True when successive doubling windows stopped contributing
+    value          -- accumulated integral up to the last probed limit
+    upper          -- last probed upper limit
+    crossed_target -- probing ended early because the accumulated integral
+                      passed the caller's stop_above threshold (unclassified)
+    """
+
+    def __init__(self, converged: bool, value: float, upper: float,
+                 crossed_target: bool = False):
+        self.converged = converged
+        self.value = value
+        self.upper = upper
+        self.crossed_target = crossed_target
+
+    @property
+    def classification(self) -> str:
+        if self.crossed_target:
+            return "crossed_target"
+        return "convergent" if self.converged else "divergent"
+
+
+def tail_probe(f, a: float, rel_tol: float = 1e-14, max_doublings: int = 60,
+               stop_above: float | None = None) -> TailProbe:
+    """Probe whether the improper integral of f over [a, inf) converges.
+
+    Upper limits double from max(1, a); convergence is declared when the
+    increment of a doubling window drops below rel_tol relative to the
+    accumulated value.  With stop_above set, probing ends early once the
+    accumulated integral exceeds that target (the caller only needed to
+    know the integral gets that far).
+    """
+    upper = max(1.0, abs(a)) * 2.0
+    total = adaptive_simpson(f, a, upper)
+    for _ in range(max_doublings):
+        if stop_above is not None and total > stop_above:
+            return TailProbe(False, total, upper, crossed_target=True)
+        nxt = upper * 2.0
+        inc = adaptive_simpson(f, upper, nxt)
+        total += inc
+        upper = nxt
+        if abs(inc) <= rel_tol * (1.0 + abs(total)):
+            return TailProbe(True, total, upper)
+    return TailProbe(False, total, upper)
 
 
 def probe_find_q1(psi: PsiSpec, q0: float, M: float) -> float:
@@ -70,6 +125,29 @@ def bits(x: float) -> int:
     return int(np.array(x, dtype=np.float64).view(np.uint64))
 
 
+PROBLEM = ProblemSpec(ell=1.0, T=1.0, a=parse("1"), f=parse("0"), u0=parse("0"),
+                      bc_minus=DynamicBC(parse("1"), parse("0")),
+                      bc_plus=DynamicBC(parse("1"), parse("0")))
+
+
+def condition_9(psi: PsiSpec, q0: float, M: float):
+    """The (9) entry of check_hypotheses on a small problem."""
+    return check_hypotheses(PROBLEM, M=M, q0=q0, psi=psi, pmax=1.0, n_samples=3).entry("(9)")
+
+
+def assert_9_agrees(psi: PsiSpec, q0: float, M: float, found) -> None:
+    """(9) reads crossed_target iff find_q1 returns q1, convergent iff it
+    raises "converges to", divergent iff it raises "up to ... reaches"."""
+    classified = condition_9(psi, q0, M).witness["classified"]
+    if found[0] == "value":
+        assert classified == "crossed_target"
+    elif "converges to" in found[1]:
+        assert classified == "convergent"
+    else:
+        assert "up to " in found[1] and " reaches " in found[1]
+        assert classified == "divergent"
+
+
 @st.composite
 def gauges(draw):
     kind = draw(st.sampled_from(["1", "1+p", "1+p^2", "(1+p^2)^1.5", "kinked", "power"]))
@@ -90,6 +168,7 @@ def test_find_q1_decides_as_the_probe_did(text, log_q0, log_M):
         assert bits(new[1]) == bits(old[1])
     else:
         assert new == old
+    assert_9_agrees(psi, q0, M, new)
 
 
 @pytest.mark.parametrize("text, q0, M", [
@@ -106,6 +185,7 @@ def test_find_q1_decides_as_the_probe_did_at_the_edges(text, q0, M):
         assert new[0] == "value" and bits(new[1]) == bits(old[1])
     else:
         assert new == old
+    assert_9_agrees(psi, q0, M, new)
 
 
 @settings(deadline=None, max_examples=12)
@@ -117,9 +197,23 @@ def test_sup_bound_decides_as_the_probe_did(text, log_B, u0_sup, T):
 
 
 def test_build_barrier_runs_no_tail_probe(monkeypatch):
-    calls = []
-    probe = certificate.tail_probe
-    monkeypatch.setattr(certificate, "tail_probe", lambda *a, **k: calls.append(a) or probe(*a, **k))
+    # no scalar probe is left; find_q1 and sup_bound read one tail integral each
+    assert not hasattr(numerics, "tail_probe")
+    starts = []
+    tail = certificate.tail_integral
+    monkeypatch.setattr(certificate, "tail_integral",
+                        lambda fn, a, **k: starts.append(a) or tail(fn, a, **k))
     build_barrier(PsiSpec.from_text("1+p^2"), q0=1.0, M=1.0, K=0.5)
     sup_bound(parse("1+z"), B=1.0, u0_sup=0.5, T=1.0)
-    assert calls == []
+    assert starts == [1.0, 0.0]
+
+
+def test_an_oscillating_gauge_at_a_large_q0_meets_condition_9():
+    # the scalar probe stopped here at its cap of 2^20 integrand evaluations
+    # while find_q1 returned q1; the two now read one quadrature
+    psi, q0, M = PsiSpec.from_text("2+sin(p)"), 2393.0, 10.0
+    q1 = find_q1(psi, q0, M)
+    assert q1 > q0
+    entry = condition_9(psi, q0, M)
+    assert entry.satisfied and entry.witness["classified"] == "crossed_target"
+    assert adaptive_simpson(lambda r: r / (2.0 + math.sin(r)), q0, q1) == pytest.approx(2.0 * M)

@@ -86,6 +86,15 @@ def test_eval_domain_errors():
     assert err is not None and err.node == Unary("log", Var("z"))
 
 
+def test_folding_leaves_an_overflow_to_evaluation():
+    # math.exp and float ** raise OverflowError; the compiled exp gives inf
+    e = parse("exp((3^2)^3)")
+    assert e == Unary("exp", Const(729.0))
+    with np.errstate(all="ignore"):
+        assert compile_expr(e)() == math.inf
+    assert parse("10^400") == Binary("^", Const(10.0), Const(400.0))
+
+
 def test_diff_linearity_of_constant_times_p():
     b0 = parse("3.5")
     e = Binary("*", b0, Var("p"))

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynbc.errors import DynbcError
-from dynbc.numerics import (
-    MAX_EVALS, PchipCurve, adaptive_simpson, golden_section, tail_probe, thomas,
-)
+from dynbc import certificate
+from dynbc.certificate import tail_integral
+from dynbc.numerics import PchipCurve, adaptive_simpson, golden_section, thomas
 
 
 def test_simpson_polynomial_exact():
@@ -29,33 +28,45 @@ def test_simpson_orientation_and_empty():
     assert adaptive_simpson(lambda r: r, 2, 2) == 0.0
 
 
-def test_simpson_budget_counts_every_evaluation():
-    calls = []
-    budget = [MAX_EVALS]
-    value = adaptive_simpson(lambda r: calls.append(r) or math.exp(r), 0.0, 1.0, budget=budget)
-    assert budget == [MAX_EVALS - len(calls)]
-    assert adaptive_simpson(math.exp, 0.0, 1.0, budget=[len(calls)]) == value
-    with pytest.raises(DynbcError, match="integrand evaluations"):
-        adaptive_simpson(math.exp, 0.0, 1.0, budget=[len(calls) - 1])
-
+# the tail probe: certificate.tail_integral, which reads Gauss sums at
+# doubling window ends and is checked here on closed forms
 
 def test_tail_probe_convergent():
     # integral of rho*(1+rho^2)^(-3/2) over [0, inf) equals 1
-    probe = tail_probe(lambda r: r * (1 + r * r) ** -1.5, 0.0)
-    assert probe.converged
-    assert probe.value == pytest.approx(1.0, abs=1e-9)
+    tail = tail_integral(lambda r: r * (1 + r * r) ** -1.5, 0.0)
+    assert tail.classified == "convergent"
+    assert tail.value == pytest.approx(1.0, abs=1e-13)
 
 
 def test_tail_probe_divergent():
     # integrand rho/(1+rho) has a divergent tail
-    probe = tail_probe(lambda r: r / (1 + r), 0.0)
-    assert not probe.converged
+    tail = tail_integral(lambda r: r / (1 + r), 0.0)
+    assert tail.classified == "divergent"
+    assert tail.upper == 2.0 ** 61
 
 
 def test_tail_probe_stop_above():
-    probe = tail_probe(lambda r: r, 1.0, stop_above=10.0)
-    assert not probe.converged
-    assert probe.value > 10.0
+    # integral of rho over [1, 2^j] is (4^j - 1) / 2: first past 10 at 2^3
+    tail = tail_integral(lambda r: r, 1.0, stop_above=10.0)
+    assert tail.classified == "crossed_target"
+    assert tail.upper == 8.0
+    assert tail.value == pytest.approx(31.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("q0", [10.0 ** (k / 4.0) for k in range(-36, 13, 3)] + [0.1, 0.3, 3.0])
+def test_tail_cells_increase_to_the_first_window_end(q0, monkeypatch):
+    # rho (1+rho^2)^(-3/2) from q0 integrates to 1/sqrt(1+q0^2)
+    seen = []
+    cells = certificate._cells
+    monkeypatch.setattr(certificate, "_cells", lambda fn, lo, hi, room=None: (
+        room is None and seen.append((lo, hi))) or cells(fn, lo, hi, room))  # calls, not halvings
+    tail = tail_integral(lambda r: r * (1 + r * r) ** -1.5, q0)
+    lo = np.concatenate([c[0] for c in seen])
+    hi = np.concatenate([c[1] for c in seen])
+    assert lo[0] == q0 and np.all(lo < hi) and np.array_equal(lo[1:], hi[:-1])
+    assert 2.0 * max(1.0, q0) in hi
+    assert tail.classified == "convergent"
+    assert tail.value == pytest.approx(1.0 / math.sqrt(1.0 + q0 * q0), rel=1e-13)
 
 
 def test_golden_section():
