@@ -24,9 +24,11 @@ budget integral of find_q1 and of conditions (9) and (266), the integral of
 1/Phi of sup_bound and of condition (phi), and the one blowup_inequality
 halves.  So no two of them can disagree.
 
-Hypothesis checks are dense-sampling falsifiers over the stated boxes:
-they report signed worst margins (violation iff margin > 0) with witness
-points, not proofs.
+Hypothesis checks are dense-sampling falsifiers over the stated boxes, not
+proofs.  They report signed worst margins (satisfied iff margin <= 0): a
+sampled condition reports the first largest margin in sampling order, with
+that sample as witness, and a NaN margin violates it, the first NaN sample
+its witness.
 """
 
 from __future__ import annotations
@@ -444,37 +446,72 @@ def check_compatibility(problem: ProblemSpec) -> dict:
     u0x = diff(problem.u0, "x")
     u0xx = diff(u0x, "x")
 
-    def residual(x_end: float, bc, sign: float) -> float:
-        z = evaluate(problem.u0, x=x_end)
-        p = evaluate(u0x, x=x_end)
-        if isinstance(bc, DirichletBC):
-            return abs(z - evaluate(bc.value, t=0.0))
-        rhs = (evaluate(problem.a, t=0.0, x=x_end, z=z, p=p) * evaluate(u0xx, x=x_end)
-               + evaluate(problem.f, t=0.0, x=x_end, z=z, p=p))
+    def residual(end) -> float:
+        z = evaluate(problem.u0, x=end.x)
+        p = evaluate(u0x, x=end.x)
+        if isinstance(end.bc, DirichletBC):
+            return abs(z - evaluate(end.bc.value, t=0.0))
+        kw = dict(t=0.0, x=end.x, z=z, p=p)
+        rhs = evaluate(problem.a, **kw) * evaluate(u0xx, x=end.x) + evaluate(problem.f, **kw)
         if problem.f1 is not None:
-            rhs += evaluate(problem.f1, t=0.0, x=x_end, z=z, p=p)
-        lhs = sign * evaluate(bc.b, t=0.0, x=x_end, z=z, p=p) * p \
-            + evaluate(bc.g, t=0.0, x=x_end, z=z, p=p)
-        if bc.g1 is not None:
-            lhs += evaluate(bc.g1, t=0.0, x=x_end, z=z, p=p)
+            rhs += evaluate(problem.f1, **kw)
+        lhs = -end.outward * evaluate(end.bc.b, **kw) * p + evaluate(end.bc.g, **kw)
+        if end.bc.g1 is not None:
+            lhs += evaluate(end.bc.g1, **kw)
         return abs(lhs - rhs)
 
-    return {
-        "residual_plus": residual(problem.ell, problem.bc_plus, -1.0),
-        "residual_minus": residual(-problem.ell, problem.bc_minus, +1.0),
-    }
+    plus, minus = problem.ends
+    return {"residual_plus": residual(plus), "residual_minus": residual(minus)}
 
 
 # ---------------------------------------------------------------------------
 # dense-sampling hypothesis checks
+#
+# Each sampled condition yields (margin, witness) candidates in sampling
+# order, and ``_worst`` keeps the first largest, a NaN margin counting as
+# larger than any number.
 
-def _box_worst(values: np.ndarray, shape: tuple, axes: dict) -> tuple[float, dict]:
-    """Max of a margin array over a box, with the argmax sample point."""
+def _worst(name: str, candidates) -> ConditionCheck | None:
+    """The entry of a sampled condition from its (margin, witness)
+    candidates: the first largest margin, NaN first; None when there are no
+    candidates.  A NaN margin is not <= 0, so it violates the condition."""
+    best = max(candidates, key=lambda c: (math.isnan(c[0]), c[0]), default=None)
+    return None if best is None else ConditionCheck(name, best[0] <= 0.0, *best)
+
+
+def _box_worst(values, axes: dict, **fixed) -> tuple[float, dict]:
+    """The first largest sample of a margin array over the box ``axes``, NaN
+    first as np.argmax has it, and its witness: ``fixed``, then the sample
+    point."""
+    shape = tuple(grid.size for grid in axes.values())
     arr = np.broadcast_to(np.asarray(values, dtype=float), shape)
-    flat = np.argmax(arr)
-    idx = np.unravel_index(flat, shape)
-    witness = {name: float(grid[i]) for (name, grid), i in zip(axes.items(), idx)}
-    return float(arr[idx]), witness
+    idx = np.unravel_index(np.argmax(arr), shape)
+    return float(arr[idx]), {**fixed, **{name: float(grid[i])
+                                         for (name, grid), i in zip(axes.items(), idx)}}
+
+
+def _running_worst(dom: np.ndarray, offset: np.ndarray, forward: tuple[bool, bool]):
+    """The worst margin offset + R, where R at each point is the largest dom
+    over the samples that dominate it: along each of the last two axes, the
+    samples up to the point when ``forward`` says so, from it on otherwise.
+
+    Returns the worst margin (the first largest, NaN first), its index, and
+    the index in the last two axes of the first largest dom sample that
+    gives R there.
+    """
+    run = dom
+    for axis, fwd in zip((-2, -1), forward):
+        if fwd:
+            run = np.maximum.accumulate(run, axis=axis)
+        else:
+            run = np.flip(np.maximum.accumulate(np.flip(run, axis), axis=axis), axis)
+    margin = run + offset
+    idx = np.unravel_index(np.argmax(margin), margin.shape)
+    *lead, j, k = idx
+    box = [slice(0, i + 1) if fwd else slice(i, None) for i, fwd in zip((j, k), forward)]
+    sub = dom[(*lead, *box)]
+    dj, dk = np.unravel_index(np.argmax(sub), sub.shape)
+    return float(margin[idx]), idx, (box[0].start + dj, box[1].start + dk)
 
 
 def _divergence_entry(name: str, integrand, lower: float) -> ConditionCheck:
@@ -482,19 +519,6 @@ def _divergence_entry(name: str, integrand, lower: float) -> ConditionCheck:
     satisfied = tail.classified != "convergent"
     return ConditionCheck(name=name, satisfied=satisfied,
                           worst_violation=-1.0 if satisfied else 1.0, witness=tail.witness())
-
-
-def _cummax2(a: np.ndarray, axis0_forward: bool, axis1_forward: bool) -> np.ndarray:
-    out = a
-    out = np.maximum.accumulate(out, axis=0) if axis0_forward else \
-        np.maximum.accumulate(out[::-1, :], axis=0)[::-1, :]
-    out = np.maximum.accumulate(out, axis=1) if axis1_forward else \
-        np.maximum.accumulate(out[:, ::-1], axis=1)[:, ::-1]
-    return out
-
-
-def _cummin2(a: np.ndarray, axis0_forward: bool, axis1_forward: bool) -> np.ndarray:
-    return -_cummax2(-a, axis0_forward, axis1_forward)
 
 
 @np.errstate(all="ignore")
@@ -506,10 +530,13 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
 
     Margins are signed: satisfied iff worst_violation <= 0.  Boxes follow
     the stated quantifiers, clipped to [-M, M] in z and [-pmax, pmax] in p
-    (pmax defaults to 4 q1 when the slope budget closes, else 100).
-    Checks over ordered tuples run at full n_samples resolution through
-    running-extremum reductions.  Divergence conditions report +-1 sentinel
-    margins with the ``tail_integral`` reading as witness.
+    (pmax defaults to 4 q1 when the slope budget closes, else 100).  A
+    sampled condition reports its first largest margin in sampling order,
+    with that sample as witness; a NaN margin violates the condition, and
+    the first NaN sample is its witness.  Checks over ordered tuples run at
+    full n_samples resolution through running-extremum reductions.
+    Divergence conditions report +-1 sentinel margins with the
+    ``tail_integral`` reading as witness.
     """
     if pmax is None:
         try:
@@ -525,17 +552,15 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     pos = np.linspace(q0, pmax, n)
 
     a_fn, f_fn, psi_fn = compile_expr(problem.a), compile_expr(problem.f), compile_expr(psi.expr)
-    entries: list[ConditionCheck] = []
+    entries: list[ConditionCheck | None] = []
 
     # (6): |f| <= a psi(|p|) on [0,T] x [-ell,ell] x [-M,M] x [-pmax,pmax]
-    shape4 = (n, n, n, ps.size)
     tt = ts[:, None, None, None]
     xx = xs[None, :, None, None]
     zz = zs[None, None, :, None]
     pp = ps[None, None, None, :]
     margin6 = np.abs(f_fn(t=tt, x=xx, z=zz, p=pp)) - a_fn(t=tt, x=xx, z=zz, p=pp) * psi_fn(p=np.abs(pp))
-    worst, wit = _box_worst(margin6, shape4, {"t": ts, "x": xs, "z": zs, "p": ps})
-    entries.append(ConditionCheck("(6)", worst <= 0.0, worst, wit))
+    entries.append(_worst("(6)", [_box_worst(margin6, {"t": ts, "x": xs, "z": zs, "p": ps})]))
 
     # (9): integral_{q0}^inf rho/psi > 2M, read as find_q1 reads it
     rho_over_psi = psi.budget_integrand()
@@ -546,10 +571,7 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
                                   margin9 if converged else -abs(margin9), tail.witness()))
 
     # (9bNEU): boundary fluxes dominate the boundary sources at slopes >= q0
-    bneu = _boundary_sign_margins(problem, ts, zs, pos)
-    if bneu is not None:
-        worst, wit = bneu
-        entries.append(ConditionCheck("(9bNEU)", worst <= 0.0, worst, wit))
+    entries.append(_worst("(9bNEU)", _boundary_sign_margins(problem, ts, zs, pos)))
 
     # (10): sampled Lipschitz constant of u0 fits under q0
     K_est, x_k = _lipschitz_witness(problem.u0, ell, 10_000)
@@ -560,12 +582,8 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     # (upc): a > 0 everywhere; at dynamic ends d_p(b) p + b -/+ d_p(g) > 0
     # (margin 0.0 from exact degeneracy still counts as satisfied per the
     # signed-margin convention; strict positivity failures show up > 0)
-    worst = None
-    for part, margin, axes in _upc_margins(problem, ts, xs, zs, ps):
-        w, isample = _box_worst(margin, tuple(g.size for g in axes.values()), axes)
-        if worst is None or w > worst:
-            worst, wit = w, {"part": part, **isample}
-    entries.append(ConditionCheck("(upc)", worst <= 0.0, worst, wit))
+    entries.append(_worst("(upc)", (_box_worst(margin, axes, part=part)
+                                    for part, margin, axes in _upc_margins(problem, ts, xs, zs, ps))))
 
     # (66): zero-time balance between interior and boundary laws
     res = check_compatibility(problem)
@@ -578,45 +596,30 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
 
     # sup-bound growth conditions when a gauge is supplied
     if phi is not None and B is not None:
-        entries.append(_condition_209b(problem, phi, B, ts, xs, ps,
-                                       zmax if zmax is not None else max(10.0, 4.0 * M)))
+        entries.append(_worst("(209b)", _gauge_margins(
+            problem, phi, B, ts, xs, ps, zmax if zmax is not None else max(10.0, 4.0 * M))))
         entries.append(_divergence_entry("(phi)", _inverse_gauge(compile_expr(phi)), 0.0))
 
     # (266): strengthened budget, integral of rho/psi diverges
     entries.append(_divergence_entry("(266)", rho_over_psi, max(q0, 0.0)))
 
-    return ConditionReport(entries)
+    return ConditionReport([e for e in entries if e is not None])
 
 
 def _boundary_sign_margins(problem: ProblemSpec, ts, zs, pos):
-    """Worst margin of the four sign variants of the boundary domination
-    condition over dynamic ends; None when no end is dynamic."""
-    worst = -math.inf
-    wit: dict = {}
-    shape = (ts.size, zs.size, pos.size)
+    """(9bNEU) candidates, one per dynamic end and sign s of the slope:
+    outward s g(t, end, z, s p) - b(t, end, z, s p) p at slopes p >= q0."""
     tt = ts[:, None, None]
     zz = zs[None, :, None]
     qq = pos[None, None, :]
-    found = False
-    for x_end, bc, outward in ((problem.ell, problem.bc_plus, +1.0),
-                               (-problem.ell, problem.bc_minus, -1.0)):
-        if not isinstance(bc, DynamicBC):
+    for end in problem.ends:
+        if not isinstance(end.bc, DynamicBC):
             continue
-        found = True
-        b_fn, g_fn = compile_expr(bc.b), compile_expr(bc.g)
+        b_fn, g_fn = compile_expr(end.bc.b), compile_expr(end.bc.g)
         for s in (+1.0, -1.0):
-            # at +ell: s*g(t,ell,z,s p) <= b(t,ell,z,s p) p
-            # at -ell: -s*g(t,-ell,z,s p) <= b(t,-ell,z,s p) p
-            gv = g_fn(t=tt, x=x_end, z=zz, p=s * qq)
-            bv = b_fn(t=tt, x=x_end, z=zz, p=s * qq)
-            margin = (outward * s) * gv - bv * qq
-            w, isample = _box_worst(margin, shape, {"t": ts, "z": zs, "p": pos})
-            if w > worst:
-                worst = w
-                wit = {"end": "+ell" if outward > 0 else "-ell", "sign": s, **isample}
-    if not found:
-        return None
-    return worst, wit
+            kw = dict(t=tt, x=end.x, z=zz, p=s * qq)
+            margin = (end.outward * s) * g_fn(**kw) - b_fn(**kw) * qq
+            yield _box_worst(margin, {"t": ts, "z": zs, "p": pos}, end=end.label, sign=s)
 
 
 def _upc_margins(problem: ProblemSpec, ts, xs, zs, ps):
@@ -628,168 +631,106 @@ def _upc_margins(problem: ProblemSpec, ts, xs, zs, ps):
     t3 = ts[:, None, None]
     z3 = zs[None, :, None]
     p3 = ps[None, None, :]
-    for x_end, bc, sign in ((problem.ell, problem.bc_plus, -1.0),
-                            (-problem.ell, problem.bc_minus, +1.0)):
-        if not isinstance(bc, DynamicBC):
+    for end in problem.ends:
+        if not isinstance(end.bc, DynamicBC):
             continue
-        kw = dict(t=t3, x=x_end, z=z3, p=p3)
-        flux = (compile_expr(diff(bc.b, "p"))(**kw) * p3 + compile_expr(bc.b)(**kw)
-                + sign * compile_expr(diff(bc.g, "p"))(**kw))
-        yield "boundary at " + ("+ell" if sign < 0 else "-ell"), -flux, {"t": ts, "z": zs, "p": ps}
+        kw = dict(t=t3, x=end.x, z=z3, p=p3)
+        flux = (compile_expr(diff(end.bc.b, "p"))(**kw) * p3 + compile_expr(end.bc.b)(**kw)
+                - end.outward * compile_expr(diff(end.bc.g, "p"))(**kw))
+        yield "boundary at " + end.label, -flux, {"t": ts, "z": zs, "p": ps}
 
 
-def _split_rhs_entries(problem: ProblemSpec, ts, xs, zs, pos, n) -> list[ConditionCheck]:
+def _split_rhs_entries(problem: ProblemSpec, ts, xs, zs, pos, n):
     """Ordered-tuple monotonicity conditions for the split right-hand side.
 
     Each worst case over (x <= y, z1 <= z2) or (z1 <= z2, p1 <= p2) pairs is
-    found exactly on the sample grid with running-extremum tables, so the
-    full n-per-axis resolution is kept without materializing pair products.
+    found exactly on the sample grid by ``_running_worst``, vectorised over
+    one more sampled axis (p for (225), t for (226) and (227)), so the full
+    n-per-axis resolution is kept and no array is larger than n^3.
     """
     zero = parse("0")
-    f1 = problem.f1 if problem.f1 is not None else zero
-    f1_fn = compile_expr(f1)
-    entries = []
+    f1_fn = compile_expr(problem.f1 if problem.f1 is not None else zero)
+    tt = ts[:, None, None, None]
 
-    # (225): f1(t, y, z1, +-p) >= f1(t, x, z2, +-p) for x <= y, z1 <= z2, p >= 0
-    p_nonneg = np.linspace(0.0, pos[-1], n)
-    worst, wit = -math.inf, {}
-    for s in (+1.0, -1.0):
-        vals = f1_fn(t=ts[:, None, None, None], x=xs[None, :, None, None],
-                     z=zs[None, None, :, None], p=s * p_nonneg[None, None, None, :])
-        vals = np.broadcast_to(vals, (ts.size, xs.size, zs.size, p_nonneg.size))
-        for it in range(ts.size):
-            for ip in range(p_nonneg.size):
-                A = vals[it, :, :, ip]  # A[i, j] = f1(x_i, z_j)
-                P = _cummax2(A, axis0_forward=True, axis1_forward=False)
-                viol = P - A  # at (k, j1): best f1(x<=y_k, z2>=z1_j1) minus f1(y_k, z1_j1)
-                k, j1 = np.unravel_index(np.argmax(viol), viol.shape)
-                w = float(viol[k, j1])
-                if w > worst:
-                    sub = A[:k + 1, j1:]
-                    i, j2o = np.unravel_index(np.argmax(sub), sub.shape)
-                    worst = w
-                    wit = {"t": float(ts[it]), "p": float(s * p_nonneg[ip]),
-                           "x": float(xs[i]), "y": float(xs[k]),
-                           "z1": float(zs[j1]), "z2": float(zs[j1 + j2o])}
-    entries.append(ConditionCheck("(225)", worst <= 0.0, worst, wit))
+    def f1_at(it, p):  # f1 at t = ts[it] on the (x, z, p) grid
+        vals = f1_fn(t=tt[it], x=xs[:, None, None], z=zs[None, :, None], p=p[None, None, :])
+        return np.broadcast_to(vals, (xs.size, zs.size, p.size))
 
-    # (226)/(227) couple f1 with the boundary additions g1
-    ent226 = _condition_226(problem, f1_fn, ts, xs, zs, pos)
-    if ent226 is not None:
-        entries.append(ent226)
-    ent227 = _condition_227(problem, f1_fn, ts, xs, zs, pos)
-    if ent227 is not None:
-        entries.append(ent227)
-    return entries
+    def g1_at(end, p):  # g1 at the end on the (t, z, p) grid
+        vals = compile_expr(end.bc.g1 if end.bc.g1 is not None else zero)(
+            t=ts[:, None, None], x=end.x, z=zs[None, :, None], p=p[None, None, :])
+        return np.broadcast_to(vals, (ts.size, zs.size, p.size))
 
+    def over_x(p, reduce):  # f1 reduced over x, on the (t, z, p) grid
+        return np.stack([reduce(f1_at(it, p), axis=0) for it in range(ts.size)])
 
-def _bc_g1_fn(bc) -> "callable | None":
-    if not isinstance(bc, DynamicBC):
-        return None
-    return compile_expr(bc.g1 if bc.g1 is not None else parse("0"))
+    def order_225():
+        # f1(t, y, z1, +-p) >= f1(t, x, z2, +-p) for x <= y, z1 <= z2, p >= 0
+        p_nonneg = np.linspace(0.0, pos[-1], n)
+        for s in (+1.0, -1.0):
+            p = s * p_nonneg
+            for it in range(ts.size):
+                vals = np.moveaxis(f1_at(it, p), -1, 0)  # (p, x, z)
+                # at (ip, k, j1): best f1(x <= y_k, z2 >= z1_j1) minus f1(y_k, z1_j1)
+                worst, (ip, k, j1), (i, j2) = _running_worst(vals, -vals, (True, False))
+                yield worst, {"t": float(ts[it]), "p": float(p[ip]),
+                              "x": float(xs[i]), "y": float(xs[k]),
+                              "z1": float(zs[j1]), "z2": float(zs[j2])}
 
+    plus = problem.ends[0]
 
-def _condition_226(problem, f1_fn, ts, xs, zs, pos):
-    """f1(t, x, z1, +-p1) >= g1(t, +ell, z2, +-p2) for z1 <= z2, q0 <= p1 <= p2."""
-    g1_fn = _bc_g1_fn(problem.bc_plus)
-    if g1_fn is None:
-        return None
-    worst, wit = -math.inf, {}
-    for s in (+1.0, -1.0):
-        fvals = f1_fn(t=ts[:, None, None, None], x=xs[None, :, None, None],
-                      z=zs[None, None, :, None], p=s * pos[None, None, None, :])
-        fvals = np.broadcast_to(fvals, (ts.size, xs.size, zs.size, pos.size))
-        fmin = fvals.min(axis=1)  # over x -> (t, z1, p1)
-        gvals = g1_fn(t=ts[:, None, None], x=problem.ell,
-                      z=zs[None, :, None], p=s * pos[None, None, :])
-        gvals = np.broadcast_to(gvals, (ts.size, zs.size, pos.size))
-        for it in range(ts.size):
-            Q = _cummin2(fmin[it], axis0_forward=True, axis1_forward=True)
-            viol = gvals[it] - Q  # at (j2, m2): g1(z2, p2) - min f1(z1<=z2, p1<=p2)
-            j2, m2 = np.unravel_index(np.argmax(viol), viol.shape)
-            w = float(viol[j2, m2])
-            if w > worst:
-                sub = fmin[it][:j2 + 1, :m2 + 1]
-                j1, m1 = np.unravel_index(np.argmin(sub), sub.shape)
-                ix = int(np.argmin(fvals[it, :, j1, m1]))
-                worst = w
-                wit = {"t": float(ts[it]), "sign": s, "x": float(xs[ix]),
-                       "z1": float(zs[j1]), "z2": float(zs[j2]),
-                       "p1": float(s * pos[m1]), "p2": float(s * pos[m2])}
-    return ConditionCheck("(226)", worst <= 0.0, worst, wit)
+    def order_226():
+        # f1(t, x, z1, +-p1) >= g1(t, +ell, z2, +-p2) for z1 <= z2, q0 <= p1 <= p2
+        for s in (+1.0, -1.0):
+            p = s * pos
+            # at (it, j2, m2): g1(z2, p2) minus min f1 over x, z1 <= z2, p1 <= p2
+            worst, (it, j2, m2), (j1, m1) = _running_worst(-over_x(p, np.min), g1_at(plus, p),
+                                                           (True, True))
+            ix = int(np.argmin(f1_at(it, p)[:, j1, m1]))
+            yield worst, {"t": float(ts[it]), "sign": s, "x": float(xs[ix]),
+                          "z1": float(zs[j1]), "z2": float(zs[j2]),
+                          "p1": float(p[m1]), "p2": float(p[m2])}
+
+    def order_227():
+        # g1(t, +ell, z1, -p1) >= f1(t, x, z2, -p2) and
+        # g1(t, -ell, z1, p1) >= f1(t, x, z2, p2), for z1 <= z2, q0 <= p2 <= p1
+        for end in problem.ends:
+            if not isinstance(end.bc, DynamicBC):
+                continue
+            p = -end.outward * pos
+            # at (it, j1, m1): max f1 over x, z2 >= z1, p2 <= p1, minus g1(z1, p1)
+            worst, (it, j1, m1), (j2, m2) = _running_worst(over_x(p, np.max), -g1_at(end, p),
+                                                           (False, True))
+            ix = int(np.argmax(f1_at(it, p)[:, j2, m2]))
+            yield worst, {"t": float(ts[it]), "end": end.label, "x": float(xs[ix]),
+                          "z1": float(zs[j1]), "z2": float(zs[j2]),
+                          "p1": float(p[m1]), "p2": float(p[m2])}
+
+    return [_worst("(225)", order_225()),
+            _worst("(226)", order_226()) if isinstance(plus.bc, DynamicBC) else None,
+            _worst("(227)", order_227())]
 
 
-def _condition_227(problem, f1_fn, ts, xs, zs, pos):
-    """g1(t, +ell, z1, -p1) >= f1(t, x, z2, -p2) and
-    g1(t, -ell, z1, p1) >= f1(t, x, z2, p2), for z1 <= z2, q0 <= p2 <= p1."""
-    checks = []
-    gp = _bc_g1_fn(problem.bc_plus)
-    if gp is not None:
-        checks.append((problem.ell, gp, -1.0))
-    gm = _bc_g1_fn(problem.bc_minus)
-    if gm is not None:
-        checks.append((-problem.ell, gm, +1.0))
-    if not checks:
-        return None
-    worst, wit = -math.inf, {}
-    for x_end, g1_fn, s in checks:
-        fvals = f1_fn(t=ts[:, None, None, None], x=xs[None, :, None, None],
-                      z=zs[None, None, :, None], p=s * pos[None, None, None, :])
-        fvals = np.broadcast_to(fvals, (ts.size, xs.size, zs.size, pos.size))
-        fmax = fvals.max(axis=1)  # (t, z2, p2)
-        gvals = g1_fn(t=ts[:, None, None], x=x_end,
-                      z=zs[None, :, None], p=s * pos[None, None, :])
-        gvals = np.broadcast_to(gvals, (ts.size, zs.size, pos.size))
-        for it in range(ts.size):
-            # at (j1, m1): max f1 over z2 >= z1, p2 <= p1, minus g1(z1, p1)
-            R = _cummax2(fmax[it], axis0_forward=False, axis1_forward=True)
-            viol = R - gvals[it]
-            j1, m1 = np.unravel_index(np.argmax(viol), viol.shape)
-            w = float(viol[j1, m1])
-            if w > worst:
-                sub = fmax[it][j1:, :m1 + 1]
-                j2o, m2 = np.unravel_index(np.argmax(sub), sub.shape)
-                ix = int(np.argmax(fvals[it, :, j1 + j2o, m2]))
-                worst = w
-                wit = {"t": float(ts[it]), "end": "+ell" if s < 0 else "-ell",
-                       "x": float(xs[ix]), "z1": float(zs[j1]), "z2": float(zs[j1 + j2o]),
-                       "p1": float(s * pos[m1]), "p2": float(s * pos[m2])}
-    return ConditionCheck("(227)", worst <= 0.0, worst, wit)
-
-
-def _condition_209b(problem: ProblemSpec, phi: Expr, B: float, ts, xs, ps, zmax: float):
-    """z f(t,x,z,0) and z g(t,+-ell,z,p) bounded by Phi(|z|)|z| + B."""
-    nz = 65
-    zs = np.linspace(-zmax, zmax, nz)
+def _gauge_margins(problem: ProblemSpec, phi: Expr, B: float, ts, xs, ps, zmax: float):
+    """(209b) candidates: z f(t,x,z,0), then z g(t,+-ell,z,p) at each
+    dynamic end, minus the gauge Phi(|z|)|z| + B."""
+    zs = np.linspace(-zmax, zmax, 65)
     phi_fn = compile_expr(phi)
-    f_fn = compile_expr(problem.f)
 
     def gauge(zarr):
         az = np.abs(zarr)
         return np.broadcast_to(phi_fn(z=az, p=az, x=az, t=az), az.shape) * az + B
 
-    shape3 = (ts.size, xs.size, nz)
     tt = ts[:, None, None]
-    xx = xs[None, :, None]
     zz = zs[None, None, :]
-    margin_f = zz * f_fn(t=tt, x=xx, z=zz, p=0.0) - gauge(zz)
-    worst, wit = _box_worst(margin_f, shape3, {"t": ts, "x": xs, "z": zs})
-    wit = {"part": "f", **wit}
-
-    shape3b = (ts.size, nz, ps.size)
-    t3 = ts[:, None, None]
+    margin_f = zz * compile_expr(problem.f)(t=tt, x=xs[None, :, None], z=zz, p=0.0) - gauge(zz)
+    yield _box_worst(margin_f, {"t": ts, "x": xs, "z": zs}, part="f")
     z3 = zs[None, :, None]
     p3 = ps[None, None, :]
-    for x_end, bc in ((problem.ell, problem.bc_plus), (-problem.ell, problem.bc_minus)):
-        if not isinstance(bc, DynamicBC):
-            continue
-        g_fn = compile_expr(bc.g)
-        margin_g = z3 * g_fn(t=t3, x=x_end, z=z3, p=p3) - gauge(z3)
-        w, isample = _box_worst(margin_g, shape3b, {"t": ts, "z": zs, "p": ps})
-        if w > worst:
-            worst = w
-            wit = {"part": "g at " + ("+ell" if x_end > 0 else "-ell"), **isample}
-    return ConditionCheck("(209b)", worst <= 0.0, worst, wit)
+    for end in problem.ends:
+        if isinstance(end.bc, DynamicBC):
+            margin_g = z3 * compile_expr(end.bc.g)(t=tt, x=end.x, z=z3, p=p3) - gauge(z3)
+            yield _box_worst(margin_g, {"t": ts, "z": zs, "p": ps}, part="g at " + end.label)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ workflow parameters.  Reports are written with fixed field order and floats
 at 17 significant digits, so identical inputs produce byte-identical files.
 solve writes the solution twice: ``solution.csv`` to read, and
 ``solution.npy``, the same numbers as one float64 array, which verify reads.
-Sweeps evaluate their points serially: the work is pure Python holding the
-interpreter lock, so ``--jobs`` is accepted and has no effect.
+Sweeps evaluate their points serially.
 
 Exit codes: 0 success / all conditions satisfied; 1 input or artifact error,
 command-line usage errors included; 2 condition violations or negative
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import (
-    BarrierCertificate, PsiSpec, SupBoundCertificate, build_barrier,
+    K_SLACK, BarrierCertificate, PsiSpec, SupBoundCertificate, build_barrier,
     check_hypotheses, estimate_lipschitz, sup_bound,
 )
 from .errors import (
@@ -120,7 +119,7 @@ class RunManifest:
     out_dir: Path
     report_format: str = "json"
     strict: bool | None = None
-    jobs: int = 1
+    jobs: int = 1  # unused: sweeps run serially
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -531,7 +530,7 @@ def _sweep_point(args):
     try:
         psi = PsiSpec.from_text(psi_text)
         cert = build_barrier(psi, q0=q0, M=M, K=min(K_est, q0))
-        covers = K_est <= q0 * (1.0 + 1e-5)
+        covers = K_est <= q0 * (1.0 + K_SLACK)
         return (psi_text, q0, M, "ok", cert.q1, cert.kappa0, covers, "")
     except DynbcError as exc:
         return (psi_text, q0, M, type(exc).__name__, math.nan, math.nan, False, str(exc))
@@ -596,8 +595,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--format", default="json", choices=("json", "csv"))
         p.add_argument("--strict", action="store_true", default=None,
                        help="require exact zero-time compatibility")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; sweeps run serially")
         p.add_argument("--nx", type=int, default=None)
         p.add_argument("--dt0", type=float, default=None)
         p.add_argument("--cutoff", type=float, default=None)
@@ -606,7 +603,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         manifest = RunManifest(
             spec_path=Path(args.spec), command=args.command, out_dir=Path(args.out),
-            report_format=args.format, strict=args.strict, jobs=args.jobs,
+            report_format=args.format, strict=args.strict,
             overrides={"nx": args.nx, "dt0": args.dt0, "cutoff": args.cutoff})
     except DynbcError as exc:
         print(f"dynbc: {exc}", file=sys.stderr)

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ConfigError
 from .expr import Expr, free_variables, parse
 
-__all__ = ["DynamicBC", "DirichletBC", "BoundaryCondition", "ProblemSpec"]
+__all__ = ["DynamicBC", "DirichletBC", "BoundaryCondition", "End", "ProblemSpec"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,16 @@ class DirichletBC:
 
 
 BoundaryCondition = Union[DynamicBC, DirichletBC]
+
+
+class End(NamedTuple):
+    """An end of the interval: its abscissa, its boundary condition, the
+    sign that makes outward * u_x the outward derivative, and its label."""
+
+    x: float
+    bc: BoundaryCondition
+    outward: float
+    label: str
 
 
 @dataclass(frozen=True)
@@ -70,11 +80,17 @@ class ProblemSpec:
                     raise ConfigError(f"{side} Dirichlet value may depend on t only, found {sorted(bad)}")
 
     @property
+    def ends(self) -> tuple[End, End]:
+        """The two ends, +ell first."""
+        return (End(self.ell, self.bc_plus, 1.0, "+ell"),
+                End(-self.ell, self.bc_minus, -1.0, "-ell"))
+
+    @property
     def has_split_rhs(self) -> bool:
         if self.f1 is not None:
             return True
-        return any(isinstance(bc, DynamicBC) and bc.g1 is not None
-                   for bc in (self.bc_minus, self.bc_plus))
+        return any(isinstance(end.bc, DynamicBC) and end.bc.g1 is not None
+                   for end in self.ends)
 
     # ------------------------------------------------------------------
     # JSON wire format (expression strings)

@@ -36,7 +36,7 @@ from .errors import ConfigError, PreconditionFailed
 from .expr import compile_expr, diff
 from .holder import GridFunction
 from .numerics import thomas
-from .problem import BoundaryCondition, DirichletBC, DynamicBC, ProblemSpec
+from .problem import BoundaryCondition, DirichletBC, DynamicBC, End, ProblemSpec
 
 __all__ = [
     "SolverConfig", "Completed", "BlowUpDetected", "StepFailure", "Solution",
@@ -144,11 +144,11 @@ def _sum_terms(kernels, kw, total=None):
 class _DynamicEnd:
     """Compiled boundary law -/+ b p + g (+ g1) and its z/p derivatives."""
 
-    def __init__(self, bc: DynamicBC, x_end: float, outward: float):
-        self.x = x_end
-        self.outward = outward  # +1 at +ell, -1 at -ell: law is u_t = -outward*b*p + g
-        (self.b,), (self.b_z,), (self.b_p,) = _compile_terms(bc.b)
-        self.g, self.g_z, self.g_p = _compile_terms(bc.g, bc.g1)
+    def __init__(self, end: End):
+        self.x = end.x
+        self.outward = end.outward  # the law is u_t = -outward*b*p + g
+        (self.b,), (self.b_z,), (self.b_p,) = _compile_terms(end.bc.b)
+        self.g, self.g_z, self.g_p = _compile_terms(end.bc.g, end.bc.g1)
 
     def law(self, t: float, z: float, p: float) -> float:
         kw = dict(t=t, x=self.x, z=z, p=p)
@@ -165,10 +165,10 @@ class _DynamicEnd:
 class _DirichletEnd:
     """A pinned node: it moves with the pin, whatever the state."""
 
-    def __init__(self, bc: DirichletBC, x_end: float):
-        self.x = x_end
-        self.value = compile_expr(bc.value)
-        self.dvalue = compile_expr(diff(bc.value, "t"))
+    def __init__(self, end: End):
+        self.x = end.x
+        self.value = compile_expr(end.bc.value)
+        self.dvalue = compile_expr(diff(end.bc.value, "t"))
 
     def at(self, t: float) -> float:
         return float(self.value(t=t))
@@ -198,12 +198,9 @@ class SemiDiscretization:
         (self.a,), (self.a_z,), (self.a_p,) = _compile_terms(problem.a)
         self.f, self.f_z, self.f_p = _compile_terms(problem.f, problem.f1)
 
-        self.end_minus = (_DynamicEnd(problem.bc_minus, -problem.ell, -1.0)
-                          if isinstance(problem.bc_minus, DynamicBC)
-                          else _DirichletEnd(problem.bc_minus, -problem.ell))
-        self.end_plus = (_DynamicEnd(problem.bc_plus, problem.ell, +1.0)
-                        if isinstance(problem.bc_plus, DynamicBC)
-                        else _DirichletEnd(problem.bc_plus, problem.ell))
+        self.end_plus, self.end_minus = (
+            _DynamicEnd(end) if isinstance(end.bc, DynamicBC) else _DirichletEnd(end)
+            for end in problem.ends)
         self.pinned_minus = isinstance(self.end_minus, _DirichletEnd)
         self.pinned_plus = isinstance(self.end_plus, _DirichletEnd)
 
@@ -425,15 +422,14 @@ def _validate_upc(problem: ProblemSpec, nx_probe: int = 17) -> None:
             raise PreconditionFailed(
                 f"parabolicity fails for {part} on the sampled working box "
                 f"(worst margin = {np.max(margin):.6g})")
-    for x_end, bc, end in ((problem.ell, problem.bc_plus, "+ell"),
-                           (-problem.ell, problem.bc_minus, "-ell")):
-        if not isinstance(bc, DynamicBC):
+    for end in problem.ends:
+        if not isinstance(end.bc, DynamicBC):
             continue
-        bv = compile_expr(bc.b)(t=ts[:, None, None], x=x_end, z=zs[None, :, None],
-                                p=ps[None, None, :])
+        bv = compile_expr(end.bc.b)(t=ts[:, None, None], x=end.x, z=zs[None, :, None],
+                                    p=ps[None, None, :])
         if not np.all(np.isfinite(bv)) or np.min(bv) <= 0.0:
             raise PreconditionFailed(
-                f"boundary coefficient b not positive at {end} (min = {np.min(bv):.6g})")
+                f"boundary coefficient b not positive at {end.label} (min = {np.min(bv):.6g})")
 
 
 # ---------------------------------------------------------------------------

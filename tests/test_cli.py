@@ -51,7 +51,8 @@ def test_missing_spec_file(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["certify"], ["certify", "--spec", "p.json", "--nx", "abc"],
-                                  ["solve", "--spec", "p.json", "--bogus"], []])
+                                  ["solve", "--spec", "p.json", "--bogus"], [],
+                                  ["sweep", "--spec", "p.json", "--jobs", "2"]])
 def test_usage_errors_exit_1(argv, capsys):
     # exit 2 is reserved for violated conditions
     with pytest.raises(SystemExit) as exc:
@@ -282,7 +283,7 @@ def test_sweep_closed_form_column(tmp_path):
     doc["sweep"] = {"psi": ["1"], "q0": [1.0, 2.0, 4.0], "M": [2.0]}
     spec = _write_spec(tmp_path, doc)
     out = tmp_path / "run"
-    assert main(["sweep", "--spec", str(spec), "--out", str(out), "--jobs", "2"]) == 0
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
     rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
     q1s = [float(r.split(",")[4]) for r in rows]
     for got, q0 in zip(q1s, (1.0, 2.0, 4.0)):
