@@ -19,10 +19,10 @@ budget, and |u_x| <= h'(0) = q1 is the resulting gradient bound.
 q1, the barrier table and the sup budget's integral of 1/Phi all come from
 one slope-space quadrature: five-point Gauss-Legendre sums over cells,
 accumulated, with the kernel called on arrays of nodes.  Every integral over
-[a, inf) is decided by one reading of such sums, ``tail_integral``: the
-budget integral of find_q1 and of conditions (9) and (266), the integral of
-1/Phi of sup_bound and of condition (phi), and the one blowup_inequality
-halves.  So no two of them can disagree.
+[a, inf) is read once, by ``tail_integral``, and decided from that reading:
+find_q1 finds q1 in it, (9) and (266) share one, sup_bound inverts its
+reading of 1/Phi as G, and blowup_inequality halves one.  Cells halve on
+their own, so no sum depends on the call, and no two readings disagree.
 
 Hypothesis checks are dense-sampling falsifiers over the stated boxes, not
 proofs.  They report signed worst margins (satisfied iff margin <= 0): a
@@ -33,6 +33,7 @@ its witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,8 +46,8 @@ from .numerics import PchipCurve, golden_section
 from .problem import DirichletBC, DynamicBC, ProblemSpec
 
 __all__ = [
-    "PsiSpec", "BarrierCertificate", "ConditionCheck", "ConditionReport",
-    "SupBoundCertificate", "TailIntegral", "tail_integral", "find_q1", "build_barrier",
+    "PsiSpec", "BarrierCertificate", "ConditionCheck", "ConditionReport", "SupBoundCertificate",
+    "TailIntegral", "TailReading", "tail_integral", "find_q1", "build_barrier",
     "estimate_lipschitz", "check_compatibility", "check_hypotheses", "sup_bound",
 ]
 
@@ -209,8 +210,9 @@ _WEIGHTS = np.array([[_W2, _W1, 128.0 / 225.0, _W1, _W2, 0.0, 0.0, 0.0, 0.0],
                      [0.0, 0.0, 32.0 / 45.0, 0.0, 0.0, 0.1, 49.0 / 90.0, 49.0 / 90.0, 0.1]]).T
 
 CELL_TOL = 1e-14        # relative agreement of the two rules that accepts a cell
+HALVINGS = 8            # disagreeing parts of one input cell that a level may halve
 CHUNK = 512             # cells per call of _cells: bounds the temporaries of a table
-CELLS_PER_DOUBLING = 8  # geometric cells per doubling in tail integrals and sup_bound
+CELLS_PER_DOUBLING = 8  # geometric cells per doubling in tail integrals
 SECTIONS = 64           # equal parts per round of the search in _reach
 _SPLIT = np.arange(SECTIONS + 1) / SECTIONS
 BARRIER_ROWS = 8193     # rows of the barrier table: uniform and geometric slopes
@@ -221,30 +223,32 @@ TAIL_TOL = 1e-14
 TAIL_DOUBLINGS = 61
 
 
-def _cells(fn, lo, hi, room=None) -> np.ndarray:
+def _cells(fn, lo, hi, root=None) -> np.ndarray:
     """Integrals of fn over the cells [lo, hi] by the five-point
     Gauss-Legendre rule.  A cell where the Gauss-Lobatto rule disagrees by
-    more than CELL_TOL, relative, is halved, and so on: a kink in the
-    integrand costs a few levels in the cell that holds it, also next to the
-    cell's ends, which only Lobatto samples.  Halving stops at adjacent
-    floats, and when more cells disagree than the call started with (noise
-    in fn that halving cannot resolve), so each level is at most twice the
-    size of the first.
+    more than CELL_TOL, relative, is halved, and so on while at most HALVINGS
+    parts of its input cell (its root) disagree at one level: a kink costs a
+    few parts per level in its own cell, also next to the cell's ends, which
+    only Lobatto samples, and noise that halving cannot resolve stops after
+    a few levels.  Halving also stops at adjacent floats.  So a cell's value
+    does not depend on the other cells of the call.
 
     fn is called once per level, on the array of every node, and may return
     a stack of integrands along leading axes.
     """
-    room = lo.size if room is None else room
     half = 0.5 * (hi - lo)
     mid = lo + half
     rules = half[:, None] * (fn(mid[:, None] + half[:, None] * _NODES) @ _WEIGHTS)
     out, check = rules[..., 0], rules[..., 1]
-    redo = np.any((np.abs(out - check) > CELL_TOL * np.abs(out)).reshape(-1, lo.size), axis=0)
-    redo &= (lo < mid) & (mid < hi)
+    bad = np.any((np.abs(out - check) > CELL_TOL * np.abs(out)).reshape(-1, lo.size), axis=0)
+    redo = bad & (lo < mid) & (mid < hi)
+    if redo.any():  # most calls halve nothing, so they skip the count per root
+        root = np.arange(lo.size) if root is None else root
+        redo &= np.bincount(root, weights=bad)[root] <= HALVINGS
     k = int(np.count_nonzero(redo))
-    if 0 < k <= room:
+    if k:
         sub = _cells(fn, np.concatenate([lo[redo], mid[redo]]),
-                     np.concatenate([mid[redo], hi[redo]]), room)
+                     np.concatenate([mid[redo], hi[redo]]), np.tile(root[redo], 2))
         out[..., redo] = sub[..., :k] + sub[..., k:]
     return out
 
@@ -283,14 +287,6 @@ def _doubling_edges(lo: float, hi: float) -> np.ndarray:
     return lo * 2.0 ** (np.arange(count + 1) / CELLS_PER_DOUBLING)
 
 
-def _settled(sums: np.ndarray) -> int:
-    """The convergence rule on the integral at the window ends, sums[0] at
-    the end of the first: the index of the first window that adds at most
-    TAIL_TOL (1 + |sum|), or 0 when none does."""
-    hit = np.abs(np.diff(sums)) <= TAIL_TOL * (1.0 + np.abs(sums[1:]))
-    return int(np.argmax(hit)) + 1 if hit.any() else 0
-
-
 class TailIntegral(NamedTuple):
     """An integral over [a, inf) as read at the window end ``upper`` where
     it was decided: ``crossed_target``, ``convergent`` or ``divergent``."""
@@ -304,19 +300,37 @@ class TailIntegral(NamedTuple):
                 "classified": self.classified}
 
 
-@np.errstate(all="ignore")  # cells past the decision may overflow the integrand
-def tail_integral(fn, a: float, stop_above: float = math.inf) -> TailIntegral:
-    """The integral of fn over [a, inf), a >= 0, read at the window ends
-    max(1, a) 2^j for j = 1..TAIL_DOUBLINGS.
+class TailReading(NamedTuple):
+    """An integral over [a, inf) summed from a to its edges; the window ends
+    are edges[first] = 2 max(1, a) and every CELLS_PER_DOUBLING-th after."""
 
-    fn is summed over geometric cells, CHUNK cells per ``_cells`` call: from
-    a to 2 max(1, a) in equal ratios, CELLS_PER_DOUBLING cells or more to a
+    edges: np.ndarray
+    sums: np.ndarray
+    first: int
+
+    def decide(self, target: float = math.inf) -> TailIntegral:
+        """Whichever comes first: ``crossed_target`` at the first window end
+        past target, ``convergent`` where TAIL_TOL settles it, else ``divergent``."""
+        ends, at = (v[self.first::CELLS_PER_DOUBLING] for v in (self.edges, self.sums))
+        settled = np.flatnonzero(np.abs(np.diff(at)) <= TAIL_TOL * (1.0 + np.abs(at[1:]))) + 1
+        passed = np.flatnonzero(at > target)
+        if passed.size and not (settled.size and settled[0] < passed[0]):
+            k, classified = passed[0], "crossed_target"
+        elif settled.size:
+            k, classified = settled[0], "convergent"
+        else:
+            k, classified = -1, "divergent"
+        return TailIntegral(float(at[k]), float(ends[k]), classified)
+
+
+@np.errstate(all="ignore")  # cells far out may overflow the integrand
+def tail_integral(fn, a: float) -> TailReading:
+    """The one reading of the integral of fn over [a, inf), a >= 0, that
+    every caller decides from, with window ends max(1, a) 2^j for
+    j = 1..TAIL_DOUBLINGS.  fn is summed over geometric cells: from a to
+    2 max(1, a) in equal ratios, CELLS_PER_DOUBLING cells or more to a
     doubling (for a = 0 the first cell is [0, 2^-10]), then
-    CELLS_PER_DOUBLING to each window.  After each call the sums decide, and
-    summing stops: ``crossed_target`` at the first window end past
-    stop_above, unless the integral converged (see ``_settled``) before it;
-    ``convergent`` at the window that settled it; ``divergent`` at the last
-    window end when neither happened.
+    CELLS_PER_DOUBLING to each window, up to the last window end.
     """
     low = max(1.0, a)
     last = low * 2.0 ** TAIL_DOUBLINGS
@@ -331,56 +345,44 @@ def tail_integral(fn, a: float, stop_above: float = math.inf) -> TailIntegral:
         head = a * ratio ** (np.arange(n + 1) / n)
         head[-1] = 2.0 * low
     edges = np.concatenate([head, _doubling_edges(2.0 * low, last)[1:]])
-    lo, hi = edges[:-1], edges[1:]
-    sums = np.zeros(1)
-    for i in range(0, lo.size, CHUNK):
-        cells = _cells(fn, lo[i:i + CHUNK], hi[i:i + CHUNK])
-        sums = np.concatenate([sums, sums[-1] + np.cumsum(cells)])
-        at = sums[head.size - 1::CELLS_PER_DOUBLING]  # the integral at the window ends
-        settled = _settled(at)
-        passed = np.flatnonzero(at > stop_above)
-        if passed.size and (not settled or passed[0] <= settled):
-            return TailIntegral(float(at[passed[0]]), low * 2.0 ** (passed[0] + 1),
-                                "crossed_target")
-        if settled:
-            return TailIntegral(float(at[settled]), low * 2.0 ** (settled + 1), "convergent")
-    return TailIntegral(float(at[-1]), last, "divergent")
+    return TailReading(edges, _gauss_sums(fn, edges[:-1], edges[1:]), head.size - 1)
 
 
 # ---------------------------------------------------------------------------
 # slope budget
 
-@np.errstate(all="ignore")  # cells past q1 may overflow the gauge
-def find_q1(psi: PsiSpec, q0: float, M: float) -> float:
-    """Top slope q1 > q0 with integral_{q0}^{q1} rho/psi = 2M.
-
-    ``tail_integral`` decides whether q1 exists.  When the integral passes
-    2M at a window end, the cells are summed again from q0 to one doubling
-    past it, and q1 is found inside the cell where that sum passes 2M by
-    repeated sectioning.
-
-    Raises ConditionViolated when the integral stays <= 2M: it converges to
-    a value <= 2M, so no finite q1 meets the budget, or it is still short
-    at max(1, q0) 2^61, the last window end.
-    """
+def _top_slope(integrand, budget: TailReading, q0: float, M: float) -> float:
+    """``find_q1`` on ``budget``, the reading of integrand = rho/psi from q0."""
     if not (q0 > 0):
         raise PreconditionFailed(f"q0 must be positive, got {q0}")
     if not (M > 0):
         raise PreconditionFailed(f"M must be positive, got {M}")
     target = 2.0 * M
-    integrand = psi.budget_integrand()
-    tail = tail_integral(integrand, q0, stop_above=target)
+    tail = budget.decide(target)
     if tail.classified == "crossed_target":
-        # sum again, from q0 to one doubling past the deciding window end, in
-        # one call: _cells halves as far as the size of its call allows, and
-        # this call is the one every recorded q1 comes from
-        edges = _doubling_edges(q0, 2.0 * tail.upper)
-        return _reach(integrand, edges, _gauss_sums(integrand, edges[:-1], edges[1:]), target)
+        return _reach(integrand, budget.edges, budget.sums, target)
     reach = ("converges to" if tail.classified == "convergent"
              else f"up to {tail.upper:.6g} reaches")
     raise ConditionViolated(
         f"integral of rho/psi over [{q0}, inf) {reach} ~{tail.value:.6g}"
         f" <= 2M = {target:.6g}; no finite q1 exists")
+
+
+@np.errstate(all="ignore")  # cells past q1 may overflow the gauge
+def find_q1(psi: PsiSpec, q0: float, M: float) -> float:
+    """Top slope q1 > q0 with integral_{q0}^{q1} rho/psi = 2M.
+
+    One ``tail_integral`` reading decides whether q1 exists.  When the
+    integral passes 2M at a window end, q1 is found inside the cell of that
+    reading where its sum passes 2M, by repeated sectioning.
+
+    Raises ConditionViolated when the integral stays <= 2M: it converges to
+    a value <= 2M, so no finite q1 meets the budget, or it is still short
+    at max(1, q0) 2^61, the last window end.
+    """
+    integrand = psi.budget_integrand()
+    # a q0 that is not positive is read from 0 and refused by _top_slope
+    return _top_slope(integrand, tail_integral(integrand, q0 if q0 > 0 else 0.0), q0, M)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +516,8 @@ def _running_worst(dom: np.ndarray, offset: np.ndarray, forward: tuple[bool, boo
     return float(margin[idx]), idx, (box[0].start + dj, box[1].start + dk)
 
 
-def _divergence_entry(name: str, integrand, lower: float) -> ConditionCheck:
-    tail = tail_integral(integrand, lower)
+def _divergence_entry(name: str, reading: TailReading) -> ConditionCheck:
+    tail = reading.decide()
     satisfied = tail.classified != "convergent"
     return ConditionCheck(name=name, satisfied=satisfied,
                           worst_violation=-1.0 if satisfied else 1.0, witness=tail.witness())
@@ -536,11 +538,14 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     the first NaN sample is its witness.  Checks over ordered tuples run at
     full n_samples resolution through running-extremum reductions.
     Divergence conditions report +-1 sentinel margins with the
-    ``tail_integral`` reading as witness.
+    ``tail_integral`` decision as witness; (9), (266) and the default pmax
+    decide from one reading of rho/psi.
     """
+    rho_over_psi = psi.budget_integrand()
+    budget = tail_integral(rho_over_psi, max(q0, 0.0))
     if pmax is None:
         try:
-            pmax = 4.0 * find_q1(psi, q0, M)
+            pmax = 4.0 * _top_slope(rho_over_psi, budget, q0, M)
         except ConditionViolated:
             pmax = 100.0
     n = n_samples
@@ -562,9 +567,8 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     margin6 = np.abs(f_fn(t=tt, x=xx, z=zz, p=pp)) - a_fn(t=tt, x=xx, z=zz, p=pp) * psi_fn(p=np.abs(pp))
     entries.append(_worst("(6)", [_box_worst(margin6, {"t": ts, "x": xs, "z": zs, "p": ps})]))
 
-    # (9): integral_{q0}^inf rho/psi > 2M, read as find_q1 reads it
-    rho_over_psi = psi.budget_integrand()
-    tail = tail_integral(rho_over_psi, max(q0, 0.0), stop_above=2.0 * M)
+    # (9): integral_{q0}^inf rho/psi > 2M, decided as find_q1 decides it
+    tail = budget.decide(2.0 * M)
     margin9 = 2.0 * M - tail.value
     converged = tail.classified == "convergent"
     entries.append(ConditionCheck("(9)", not (converged and margin9 >= 0.0),
@@ -598,10 +602,11 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     if phi is not None and B is not None:
         entries.append(_worst("(209b)", _gauge_margins(
             problem, phi, B, ts, xs, ps, zmax if zmax is not None else max(10.0, 4.0 * M))))
-        entries.append(_divergence_entry("(phi)", _inverse_gauge(compile_expr(phi)), 0.0))
+        entries.append(_divergence_entry(
+            "(phi)", tail_integral(_inverse_gauge(compile_expr(phi)), 0.0)))
 
     # (266): strengthened budget, integral of rho/psi diverges
-    entries.append(_divergence_entry("(266)", rho_over_psi, max(q0, 0.0)))
+    entries.append(_divergence_entry("(266)", budget))
 
     return ConditionReport([e for e in entries if e is not None])
 
@@ -661,8 +666,11 @@ def _split_rhs_entries(problem: ProblemSpec, ts, xs, zs, pos, n):
             t=ts[:, None, None], x=end.x, z=zs[None, :, None], p=p[None, None, :])
         return np.broadcast_to(vals, (ts.size, zs.size, p.size))
 
-    def over_x(p, reduce):  # f1 reduced over x, on the (t, z, p) grid
-        return np.stack([reduce(f1_at(it, p), axis=0) for it in range(ts.size)])
+    @functools.cache
+    def over_x(s):  # f1's min and max over x, on the (t, z, p) grid at slopes s pos
+        blocks = (f1_at(it, s * pos) for it in range(ts.size))  # one n^3 block at a time
+        low, high = zip(*((block.min(axis=0), block.max(axis=0)) for block in blocks))
+        return np.stack(low), np.stack(high)
 
     def order_225():
         # f1(t, y, z1, +-p) >= f1(t, x, z2, +-p) for x <= y, z1 <= z2, p >= 0
@@ -684,7 +692,7 @@ def _split_rhs_entries(problem: ProblemSpec, ts, xs, zs, pos, n):
         for s in (+1.0, -1.0):
             p = s * pos
             # at (it, j2, m2): g1(z2, p2) minus min f1 over x, z1 <= z2, p1 <= p2
-            worst, (it, j2, m2), (j1, m1) = _running_worst(-over_x(p, np.min), g1_at(plus, p),
+            worst, (it, j2, m2), (j1, m1) = _running_worst(-over_x(s)[0], g1_at(plus, p),
                                                            (True, True))
             ix = int(np.argmin(f1_at(it, p)[:, j1, m1]))
             yield worst, {"t": float(ts[it]), "sign": s, "x": float(xs[ix]),
@@ -699,8 +707,8 @@ def _split_rhs_entries(problem: ProblemSpec, ts, xs, zs, pos, n):
                 continue
             p = -end.outward * pos
             # at (it, j1, m1): max f1 over x, z2 >= z1, p2 <= p1, minus g1(z1, p1)
-            worst, (it, j1, m1), (j2, m2) = _running_worst(over_x(p, np.max), -g1_at(end, p),
-                                                           (False, True))
+            worst, (it, j1, m1), (j2, m2) = _running_worst(
+                over_x(-end.outward)[1], -g1_at(end, p), (False, True))
             ix = int(np.argmax(f1_at(it, p)[:, j2, m2]))
             yield worst, {"t": float(ts[it]), "end": end.label, "x": float(xs[ix]),
                           "z1": float(zs[j1]), "z2": float(zs[j2]),
@@ -752,15 +760,16 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
         M_paper  = inf over lambda > 1 of  G^{-1}( max{0, G(beta), G(u0_sup)} )
         M_proof  = inf over lambda > 1 of  G^{-1}( max{...} + lambda T )
 
-    with beta = B / ((lambda - 1) Phi(0)).  The infimum is scanned on the
-    grid lambda = 1 + 10^k, k = -6..6, then refined by golden section.
+    with beta = B / ((lambda - 1) Phi(0)).  G^{-1} increases, so each
+    infimum is G^{-1} of the infimum of its argument, which is scanned on
+    the grid lambda = 1 + 10^k, k = -6..6, then refined by golden section.
 
-    G is tabulated on [0, 2^-10] and geometric cells up to 2^80; G^{-1} is
-    searched inside the cell where the table passes its argument, and is
-    inf past the table.
+    G is the ``tail_integral`` reading of 1/Phi from 0, whose edges end at
+    2^61; G^{-1} is searched inside the cell where its sums pass the
+    argument, and is inf past the last edge.
 
-    Raises ConditionViolated when ``tail_integral`` reads the integral of
-    1/Phi over [0, inf) as convergent, as condition (phi) does.
+    Raises ConditionViolated when that reading is convergent, as condition
+    (phi) reads it.
     """
     bad = free_variables(Phi) - {"z"} - {"p"} - {"x"} - {"t"}
     if bad:
@@ -780,14 +789,12 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
         raise PreconditionFailed(f"u0_sup must be non-negative, got {u0_sup}")
 
     inv_phi = _inverse_gauge(phi_fn)
-    tail = tail_integral(inv_phi, 0.0)
+    edges, sums, _ = reading = tail_integral(inv_phi, 0.0)
+    tail = reading.decide()
     if tail.classified == "convergent":
         raise ConditionViolated(
             f"integral of 1/Phi over [0, inf) converges (~{tail.value:.6g}); "
             "the sup budget construction requires divergence")
-
-    edges = np.concatenate([[0.0], _doubling_edges(2.0 ** -10, 2.0 ** 80)])
-    sums = _gauss_sums(inv_phi, edges[:-1], edges[1:])
 
     phi0 = float(phi_fn(t=0.0, x=0.0, z=0.0, p=0.0))
 
@@ -810,12 +817,6 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
         beta = B / ((lam - 1.0) * phi0)
         return max(0.0, G(beta), Gu0)
 
-    def m_paper(lam: float) -> float:
-        return G_inv(log_xi(lam))
-
-    def m_proof(lam: float) -> float:
-        return G_inv(log_xi(lam) + lam * T)
-
     def minimize(fn) -> tuple[float, float]:
         grid = [1.0 + 10.0 ** k for k in range(-6, 7)]
         vals = [fn(l) for l in grid]
@@ -831,7 +832,8 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
             return 1.0 + 10.0 ** u_star, f_star
         return grid[i], vals[i]
 
-    _, Mp = minimize(m_paper)
-    lam_star, Mq = minimize(m_proof)
+    _, paper = minimize(log_xi)
+    lam_star, proof = minimize(lambda lam: log_xi(lam) + lam * T)
     return SupBoundCertificate(phi_text=to_str(Phi), B=B, u0_sup=u0_sup, T=T,
-                               M_paper=Mp, M_proof=Mq, lambda_star=lam_star)
+                               M_paper=G_inv(paper), M_proof=G_inv(proof),
+                               lambda_star=lam_star)

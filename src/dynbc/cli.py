@@ -211,7 +211,7 @@ def cmd_certify(manifest: RunManifest) -> int:
         pmax = float(blk["pmax"]) if "pmax" in blk else None
         n_samples = int(blk.get("n_samples", 33))
         # the barrier goes first: its q1 gives the default pmax = 4 q1 that
-        # check_hypotheses would otherwise find with a second find_q1
+        # check_hypotheses would otherwise find again
         cert: BarrierCertificate | None = None
         barrier_error = None
         try:
@@ -221,7 +221,7 @@ def cmd_certify(manifest: RunManifest) -> int:
             barrier_error = str(exc)
             # ConditionViolated is find_q1's "no finite q1", where
             # check_hypotheses uses pmax = 100; after a PreconditionFailed
-            # it runs find_q1 itself and raises first, as before
+            # it refuses the same q0 or M itself and raises, as before
             if pmax is None and isinstance(exc, ConditionViolated):
                 pmax = 100.0
         if pmax is None and cert is not None:

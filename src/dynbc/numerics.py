@@ -1,9 +1,8 @@
-"""Shared numerical kernels: quadrature, minimization, linear algebra.
+"""Shared numerical kernels: minimization, linear algebra, interpolation.
 
 Everything here is deterministic and dependency-free beyond numpy; the
 heavier modules (certificate, solver, verify) build on these kernels.
-The package's own integrals are Gauss sums in ``certificate``;
-``adaptive_simpson`` is the scalar quadrature the tests check them against.
+The package's own integrals are Gauss sums in ``certificate``.
 """
 
 from __future__ import annotations
@@ -16,51 +15,8 @@ import numpy as np
 from .errors import DynbcError
 
 __all__ = [
-    "adaptive_simpson", "golden_section", "thomas", "PchipCurve",
+    "golden_section", "thomas", "PchipCurve",
 ]
-
-
-# ---------------------------------------------------------------------------
-# adaptive Simpson quadrature
-
-def _simpson(f, a, fa, b, fb, m, fm) -> float:
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth) -> float:
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    return (_adaptive(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
-            + _adaptive(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-12, max_depth: int = 48) -> float:
-    """Adaptive Simpson integral of f over [a, b] with Richardson correction.
-
-    tol acts as an absolute tolerance and, through the recursive halving,
-    as an effective relative one for well-scaled integrands.
-    """
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(f, a, fa, b, fb, m, fm)
-    # the /15 keeps the achieved error near tol even though acceptance tests 15*tol
-    scaled = max(tol, tol * abs(whole)) / 15.0
-    return sign * _adaptive(f, a, fa, b, fb, m, fm, whole, scaled, max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def blowup_inequality(sol: Solution, psi: PsiSpec, tol: float = 1e-9) -> BlowupC
     """
     if not isinstance(sol.status, BlowUpDetected):
         raise PreconditionFailed("blowup_inequality needs a blow-up run")
-    tail = tail_integral(psi.budget_integrand(), 0.0)
+    tail = tail_integral(psi.budget_integrand(), 0.0).decide()
     if tail.classified != "convergent":
         raise DivergentIntegral(
             "budget integral of rho/psi diverges: gradient blow-up of a bounded "

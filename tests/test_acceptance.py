@@ -19,10 +19,10 @@ from dynbc.certificate import (
 from dynbc.errors import ConditionViolated
 from dynbc.expr import parse
 from dynbc.holder import GridFunction, holder_seminorm, interpolation_diagnostic, sup_norm
-from dynbc.numerics import adaptive_simpson
 from dynbc.problem import DirichletBC, DynamicBC, ProblemSpec
 from dynbc.solver import BlowUpDetected, Completed, SolverConfig, solve
 from dynbc.verify import blowup_inequality, bounds_check
+from simpson import adaptive_simpson
 
 from test_certificate import _random_admissible
 from test_holder import _random_grids

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynbc.certificate import PsiSpec, build_barrier
-from dynbc.numerics import adaptive_simpson
+from simpson import adaptive_simpson
 
 TOL = 1e-11
 # rows whose slope-midpoints are checked against the oracle

@@ -4,12 +4,15 @@ integral as find_q1 does.
 
 ``tail_probe`` is a frozen copy of the scalar adaptive-Simpson probe the
 package used to run; its cap on integrand evaluations, which could only end
-a call, is left out.  ``probe_find_q1`` is a frozen copy of the earlier
+a call, is left out.  ``probe_find_q1`` is a frozen copy of an earlier
 ``find_q1``: the probe bounds q1, then the Gauss cells are summed from q0 to
-one doubling past the probe's last limit.  ``probe_sup_bound`` is the
-earlier ``sup_bound``: the same probe of 1/Phi, then the unchanged table and
-infimum.  The current functions must return the same numbers bit for bit,
-or raise the same exception with the same message.
+one doubling past the probe's last limit.  ``probe_sup_bound`` is an
+earlier ``sup_bound``: the same probe of 1/Phi, then the current sup budget.
+The current functions must raise the same exception with the same message.
+Where find_q1 sums the same cells as the frozen copy, from q0 >= 1 on a
+smooth gauge, q1 is the same bit for bit; elsewhere the budget at q1, by
+adaptive Simpson split at the kinks and the powers of two, must be 2M up to
+1e-13 2M plus one ulp of q1 times the integrand there.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynbc import certificate, numerics
 from dynbc.certificate import (
@@ -27,8 +30,8 @@ from dynbc.certificate import (
 )
 from dynbc.errors import ConditionViolated, PreconditionFailed
 from dynbc.expr import compile_expr, parse
-from dynbc.numerics import adaptive_simpson
 from dynbc.problem import DynamicBC, ProblemSpec
+from simpson import adaptive_simpson
 
 
 class TailProbe:
@@ -113,6 +116,17 @@ def probe_sup_bound(Phi, B, u0_sup, T):
     return sup_bound(Phi, B, u0_sup, T)
 
 
+def assert_meets_budget(psi: PsiSpec, q0: float, M: float, q1: float, kinks=()) -> None:
+    """The integral of rho/psi over [q0, q1] is 2M, to 1e-13 2M plus one ulp
+    of q1 times the integrand at q1."""
+    fn = psi.fn()
+    powers = (2.0 ** j for j in range(math.ceil(math.log2(q0)), math.floor(math.log2(q1)) + 1))
+    cuts = sorted({q0, q1, *(c for c in (*kinks, *powers) if q0 < c < q1)})
+    budget = math.fsum(adaptive_simpson(lambda r: r / fn(r), lo, hi)
+                       for lo, hi in zip(cuts, cuts[1:]))
+    assert abs(budget - 2.0 * M) <= 1e-13 * 2.0 * M + math.ulp(q1) * q1 / fn(q1)
+
+
 def outcome(fn, *args):
     """('value', result) or (exception type, message)."""
     try:
@@ -148,26 +162,38 @@ def assert_9_agrees(psi: PsiSpec, q0: float, M: float, found) -> None:
         assert classified == "divergent"
 
 
+def assert_q1_agrees(psi: PsiSpec, q0: float, M: float, old, new, kinks=()) -> None:
+    """The same decision and message as the frozen find_q1; the same q1 bit
+    for bit from q0 >= 1 on a smooth gauge, else a q1 that meets the budget."""
+    if old[0] == "value" and new[0] == "value":
+        if q0 >= 1.0 and not kinks:
+            assert bits(new[1]) == bits(old[1])
+        else:
+            assert_meets_budget(psi, q0, M, new[1], kinks)
+    else:
+        assert new == old
+
+
 @st.composite
 def gauges(draw):
+    """A gauge's text and its kinks."""
     kind = draw(st.sampled_from(["1", "1+p", "1+p^2", "(1+p^2)^1.5", "kinked", "power"]))
     if kind == "kinked":
-        return f"1+abs(p-{draw(st.floats(0.0, 10.0))!r})"
+        c = draw(st.floats(0.0, 10.0))
+        return f"1+abs(p-{c!r})", (c,)
     if kind == "power":
-        return f"(1+p^2)^{draw(st.floats(0.9, 1.6))!r}"
-    return kind
+        return f"(1+p^2)^{draw(st.floats(0.9, 1.6))!r}", ()
+    return kind, ()
 
 
 @settings(deadline=None, max_examples=150)
 @given(gauges(), st.floats(-9.0, 1.0), st.floats(-2.0, 1.0))
-def test_find_q1_decides_as_the_probe_did(text, log_q0, log_M):
+def test_find_q1_decides_as_the_probe_did(gauge, log_q0, log_M):
+    text, kinks = gauge
     psi = PsiSpec.from_text(text)
     q0, M = 10.0 ** log_q0, 10.0 ** log_M
     old, new = outcome(probe_find_q1, psi, q0, M), outcome(find_q1, psi, q0, M)
-    if old[0] == "value" and new[0] == "value":
-        assert bits(new[1]) == bits(old[1])
-    else:
-        assert new == old
+    assert_q1_agrees(psi, q0, M, old, new, kinks)
     assert_9_agrees(psi, q0, M, new)
 
 
@@ -181,11 +207,28 @@ def test_find_q1_decides_as_the_probe_did(text, log_q0, log_M):
 def test_find_q1_decides_as_the_probe_did_at_the_edges(text, q0, M):
     psi = PsiSpec.from_text(text)
     old, new = outcome(probe_find_q1, psi, q0, M), outcome(find_q1, psi, q0, M)
-    if old[0] == "value":
-        assert new[0] == "value" and bits(new[1]) == bits(old[1])
-    else:
-        assert new == old
+    assert_q1_agrees(psi, q0, M, old, new)
     assert_9_agrees(psi, q0, M, new)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.floats(0.0, 10.0), st.floats(-1.0, 1.0), st.floats(0.0, 1.5))
+@example(6.0, 0.5, 1.0)  # psi 1+abs(p-6), q0 = 10^0.5, M = 10
+def test_find_q1_meets_the_budget_on_a_kinked_gauge(c, log_q0, log_M):
+    # each cell halves at the kink on its own, so no other cell of its call
+    # can stop it short
+    psi = PsiSpec.from_text(f"1+abs(p-{c!r})")
+    q0, M = 10.0 ** log_q0, 10.0 ** log_M
+    assert_meets_budget(psi, q0, M, find_q1(psi, q0, M), (c,))
+
+
+def test_a_cell_is_read_alike_in_any_call():
+    fn = PsiSpec.from_text("1+abs(p-6)").budget_integrand()
+    edges = _doubling_edges(10.0 ** 0.5, 2.0 ** 61)
+    together = certificate._cells(fn, edges[:-1], edges[1:])
+    alone = np.concatenate([certificate._cells(fn, edges[i:i + 1], edges[i + 1:i + 2])
+                            for i in range(edges.size - 1)])
+    assert np.max(np.abs(together - alone) / np.abs(alone)) <= 1e-15
 
 
 @settings(deadline=None, max_examples=12)
@@ -197,15 +240,22 @@ def test_sup_bound_decides_as_the_probe_did(text, log_B, u0_sup, T):
 
 
 def test_build_barrier_runs_no_tail_probe(monkeypatch):
-    # no scalar probe is left; find_q1 and sup_bound read one tail integral each
+    # no scalar probe is left; find_q1, check_hypotheses and sup_bound read
+    # one tail integral each, and sup_bound inverts G twice
     assert not hasattr(numerics, "tail_probe")
-    starts = []
-    tail = certificate.tail_integral
+    starts, reaches = [], []
+    tail, reach = certificate.tail_integral, certificate._reach
     monkeypatch.setattr(certificate, "tail_integral",
-                        lambda fn, a, **k: starts.append(a) or tail(fn, a, **k))
-    build_barrier(PsiSpec.from_text("1+p^2"), q0=1.0, M=1.0, K=0.5)
+                        lambda fn, a: starts.append(a) or tail(fn, a))
+    monkeypatch.setattr(certificate, "_reach",
+                        lambda *args: reaches.append(args[-1]) or reach(*args))
+    psi = PsiSpec.from_text("1+p^2")
+    build_barrier(psi, q0=1.0, M=1.0, K=0.5)
+    assert (starts, len(reaches)) == ([1.0], 1)
+    check_hypotheses(PROBLEM, M=1.0, q0=1.0, psi=psi, n_samples=3)  # pmax = 4 q1
+    assert (starts, len(reaches)) == ([1.0, 1.0], 2)
     sup_bound(parse("1+z"), B=1.0, u0_sup=0.5, T=1.0)
-    assert starts == [1.0, 0.0]
+    assert (starts, len(reaches)) == ([1.0, 1.0, 0.0], 4)
 
 
 def test_an_oscillating_gauge_at_a_large_q0_meets_condition_9():

@@ -18,8 +18,8 @@ from dynbc.certificate import (
 )
 from dynbc.errors import ConditionViolated, PreconditionFailed
 from dynbc.expr import parse
-from dynbc.numerics import adaptive_simpson
 from dynbc.problem import DirichletBC, DynamicBC, ProblemSpec
+from simpson import adaptive_simpson
 
 
 PSI_ONE = PsiSpec.from_text("1")

@@ -244,7 +244,7 @@ def frozen_check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiS
 
     # (9): integral_{q0}^inf rho/psi > 2M, read as find_q1 reads it
     rho_over_psi = psi.budget_integrand()
-    tail = tail_integral(rho_over_psi, max(q0, 0.0), stop_above=2.0 * M)
+    tail = tail_integral(rho_over_psi, max(q0, 0.0)).decide(2.0 * M)
     margin9 = 2.0 * M - tail.value
     converged = tail.classified == "convergent"
     entries.append(ConditionCheck("(9)", not (converged and margin9 >= 0.0),
@@ -285,10 +285,11 @@ def frozen_check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiS
     if phi is not None and B is not None:
         entries.append(_condition_209b(problem, phi, B, ts, xs, ps,
                                        zmax if zmax is not None else max(10.0, 4.0 * M)))
-        entries.append(_divergence_entry("(phi)", _inverse_gauge(compile_expr(phi)), 0.0))
+        entries.append(_divergence_entry("(phi)",
+                                         tail_integral(_inverse_gauge(compile_expr(phi)), 0.0)))
 
     # (266): strengthened budget, integral of rho/psi diverges
-    entries.append(_divergence_entry("(266)", rho_over_psi, max(q0, 0.0)))
+    entries.append(_divergence_entry("(266)", tail_integral(rho_over_psi, max(q0, 0.0))))
 
     return ConditionReport(entries)
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from dynbc import certificate
 from dynbc.certificate import tail_integral
-from dynbc.numerics import PchipCurve, adaptive_simpson, golden_section, thomas
+from dynbc.numerics import PchipCurve, golden_section, thomas
+from simpson import adaptive_simpson
 
 
 def test_simpson_polynomial_exact():
@@ -28,26 +29,26 @@ def test_simpson_orientation_and_empty():
     assert adaptive_simpson(lambda r: r, 2, 2) == 0.0
 
 
-# the tail probe: certificate.tail_integral, which reads Gauss sums at
-# doubling window ends and is checked here on closed forms
+# the tail probe: certificate.tail_integral, whose Gauss sums are decided
+# at doubling window ends and checked here on closed forms
 
 def test_tail_probe_convergent():
     # integral of rho*(1+rho^2)^(-3/2) over [0, inf) equals 1
-    tail = tail_integral(lambda r: r * (1 + r * r) ** -1.5, 0.0)
+    tail = tail_integral(lambda r: r * (1 + r * r) ** -1.5, 0.0).decide()
     assert tail.classified == "convergent"
     assert tail.value == pytest.approx(1.0, abs=1e-13)
 
 
 def test_tail_probe_divergent():
     # integrand rho/(1+rho) has a divergent tail
-    tail = tail_integral(lambda r: r / (1 + r), 0.0)
+    tail = tail_integral(lambda r: r / (1 + r), 0.0).decide()
     assert tail.classified == "divergent"
     assert tail.upper == 2.0 ** 61
 
 
-def test_tail_probe_stop_above():
+def test_tail_probe_crosses_a_target():
     # integral of rho over [1, 2^j] is (4^j - 1) / 2: first past 10 at 2^3
-    tail = tail_integral(lambda r: r, 1.0, stop_above=10.0)
+    tail = tail_integral(lambda r: r, 1.0).decide(10.0)
     assert tail.classified == "crossed_target"
     assert tail.upper == 8.0
     assert tail.value == pytest.approx(31.5, rel=1e-14)
@@ -58,9 +59,9 @@ def test_tail_cells_increase_to_the_first_window_end(q0, monkeypatch):
     # rho (1+rho^2)^(-3/2) from q0 integrates to 1/sqrt(1+q0^2)
     seen = []
     cells = certificate._cells
-    monkeypatch.setattr(certificate, "_cells", lambda fn, lo, hi, room=None: (
-        room is None and seen.append((lo, hi))) or cells(fn, lo, hi, room))  # calls, not halvings
-    tail = tail_integral(lambda r: r * (1 + r * r) ** -1.5, q0)
+    monkeypatch.setattr(certificate, "_cells", lambda fn, lo, hi, root=None: (
+        root is None and seen.append((lo, hi))) or cells(fn, lo, hi, root))  # calls, not halvings
+    tail = tail_integral(lambda r: r * (1 + r * r) ** -1.5, q0).decide()
     lo = np.concatenate([c[0] for c in seen])
     hi = np.concatenate([c[1] for c in seen])
     assert lo[0] == q0 and np.all(lo < hi) and np.array_equal(lo[1:], hi[:-1])
