@@ -86,10 +86,6 @@ class PsiSpec:
     def from_text(cls, text: str) -> "PsiSpec":
         return cls(parse(text))
 
-    def fn(self):
-        f = compile_expr(self.expr)
-        return lambda rho: float(f(p=float(rho)))
-
     def kernel(self):
         """psi on an array of slopes."""
         f = compile_expr(self.expr)

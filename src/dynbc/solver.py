@@ -96,9 +96,13 @@ class StepFailure:
 
 @dataclass
 class Solution:
+    """One run's record: u on the grid, and u_x and u_t as float arrays of
+    the grid's shape (times, nodes).  Only u is a validated GridFunction: a
+    run that ends in step failure can store a slope of inf or nan."""
+
     grid: GridFunction
-    ux: GridFunction
-    ut: GridFunction
+    ux: np.ndarray
+    ut: np.ndarray
     status: Completed | BlowUpDetected | StepFailure
     step_log: dict = field(default_factory=dict)
 
@@ -118,7 +122,7 @@ class Solution:
 
     @property
     def sup_ux(self) -> float:
-        return float(np.max(np.abs(self.ux.values)))
+        return float(np.max(np.abs(self.ux)))
 
 
 class _NewtonFailure(Exception):
@@ -529,15 +533,10 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
             grow = 0.9 * (cfg.local_error_tol / max(err, 1e-300)) ** (1.0 / (order + 1.0))
             dt = min(max(dt * min(max(grow, 0.2), 5.0), cfg.dt_min), cfg.dt_max)
 
-    tarr = np.asarray(times)
-    vals = np.vstack(states)
-    ux = np.vstack([disc.gradient(row) for row in states])
-    ut = np.vstack(slopes)
-    grid = GridFunction(tarr, disc.nodes, vals)
     return Solution(
-        grid=grid,
-        ux=GridFunction(tarr, disc.nodes, ux),
-        ut=GridFunction(tarr, disc.nodes, ut),
+        grid=GridFunction(np.asarray(times), disc.nodes, np.vstack(states)),
+        ux=np.vstack([disc.gradient(row) for row in states]),
+        ut=np.vstack(slopes),
         status=status,
         step_log={"accepted": accepted, "rejected": rejected,
                   "newton_failures": newton_failures},

@@ -67,8 +67,8 @@ class DoublingResult:
 
 @dataclass
 class VerificationReport:
-    max_w_tilde: float | None
-    max_w1_tilde: float | None
+    max_w_tilde: float
+    max_w1_tilde: float
     gradient_slack: float
     modulus_slack: float
     sup_slack: float | None
@@ -122,8 +122,8 @@ class BandTable(NamedTuple):
 
 
 def band_table(nodes: np.ndarray, cert: BarrierCertificate) -> BandTable:
-    """The table both pair scans read; build it once per grid and pass it
-    to `doubling_check` and `bounds_check`."""
+    """The table both pair scans read; `bounds_check` builds it once per
+    grid and passes it to `doubling_check`."""
     jj, kk, offsets = _pair_mask(nodes, cert.kappa0)
     h = cert.h_curve()(offsets)
     del offsets
@@ -176,22 +176,26 @@ def _scan(sol: Solution, table: BandTable, tidx: np.ndarray,
     return list(zip(best, wits))
 
 
+def _require_covered(sol: Solution, cert: BarrierCertificate, caller: str) -> None:
+    """Refuse a run that is not Completed or that the budget M does not cover
+    (M >= sup|u|): the comparison has no claim to check there."""
+    if not isinstance(sol.status, Completed):
+        raise PreconditionFailed(f"{caller} needs a completed solution, not {sol.status.kind}")
+    if sol.sup_u > cert.M * (1.0 + 1e-9) + 1e-12:
+        raise CertificateMismatch(
+            f"certificate budget M = {cert.M} below sup|u| = {sol.sup_u}")
+
+
 def doubling_check(sol: Solution, cert: BarrierCertificate,
                    max_time_slices: int = MAX_TIME_SLICES,
                    table: BandTable | None = None) -> DoublingResult:
     """Scan the doubled domain for positive comparison values.
 
-    Requires a completed run and a certificate that covers it
-    (M >= sup|u|); otherwise the comparison has no claim to check.
-    `table` is `band_table(sol.grid.nodes, cert)`, built here when not given.
+    Requires a completed run and a certificate that covers it, checked
+    before any pair is formed.  `table` is `band_table(sol.grid.nodes,
+    cert)`, built here when not given; `bounds_check` passes its own.
     """
-    if not isinstance(sol.status, Completed):
-        raise PreconditionFailed("doubling_check needs a completed solution")
-    sup_u = sol.sup_u
-    if sup_u > cert.M * (1.0 + 1e-9) + 1e-12:
-        raise CertificateMismatch(
-            f"certificate budget M = {cert.M} below sup|u| = {sup_u}")
-
+    _require_covered(sol, cert, "doubling_check")
     nodes = sol.grid.nodes
     times = sol.grid.times
     if table is None:
@@ -207,34 +211,31 @@ def doubling_check(sol: Solution, cert: BarrierCertificate,
 
 
 def bounds_check(sol: Solution, cert: BarrierCertificate,
-                 sup_cert: SupBoundCertificate | None = None,
-                 doubling: DoublingResult | None = None,
-                 table: BandTable | None = None) -> VerificationReport:
-    """Assemble the slack report; negative slacks are findings, not errors.
+                 sup_cert: SupBoundCertificate | None = None) -> VerificationReport:
+    """The verification report of a run: the comparison maxima of
+    `doubling_check` and the slacks.  Negative slacks are findings, not
+    errors.
 
-    The comparison maxima are filled from `doubling` when given, computed
-    when the certificate covers the solution, and left None otherwise.
-    sup_slack compares against the amplified budget (M_proof);
-    sup_slack_paper against the bare-infimum variant (M_paper).  `table` is
-    `band_table(sol.grid.nodes, cert)`, built here when not given.
+    Before any pair is formed it refuses a run that is not Completed
+    (PreconditionFailed) and one whose sup|u| the budget M does not cover
+    (CertificateMismatch).  One in-band pair table serves the modulus scan
+    and the doubled scan.  sup_slack compares against the amplified budget
+    (M_proof); sup_slack_paper against the bare-infimum variant (M_paper).
     """
-    if not isinstance(sol.status, Completed):
-        raise PreconditionFailed("bounds_check needs a completed solution")
-
+    _require_covered(sol, cert, "bounds_check")
     times = sol.grid.times
     nodes = sol.grid.nodes
     values = sol.grid.values
     witnesses: dict = {}
 
-    it, ix = np.unravel_index(int(np.argmax(np.abs(sol.ux.values))), sol.ux.values.shape)
-    gradient_slack = cert.q1 - float(np.abs(sol.ux.values[it, ix]))
+    it, ix = np.unravel_index(int(np.argmax(np.abs(sol.ux))), sol.ux.shape)
+    gradient_slack = cert.q1 - float(np.abs(sol.ux[it, ix]))
     witnesses["gradient"] = {"t": float(times[it]), "x": float(nodes[ix]),
-                             "ux": float(sol.ux.values[it, ix])}
+                             "ux": float(sol.ux[it, ix])}
 
     # every stored slice enters the modulus scan (the slice cap applies
     # only to the doubled scan); the wide guard is for pathological runs
-    if table is None:
-        table = band_table(nodes, cert)
+    table = band_table(nodes, cert)
     scan = _scan(sol, table, _time_subsample(times, cap=32_768), damped=False)
     if scan is not None:
         ((modulus_slack, wit),) = scan
@@ -250,18 +251,12 @@ def bounds_check(sol: Solution, cert: BarrierCertificate,
     sup_slack = sup_cert.M_proof - sup_u if sup_cert is not None else None
     sup_slack_paper = sup_cert.M_paper - sup_u if sup_cert is not None else None
 
-    max_w = max_w1 = None
-    if doubling is None and sup_u <= cert.M * (1.0 + 1e-9) + 1e-12:
-        doubling = doubling_check(sol, cert, table=table)
-    if doubling is not None:
-        max_w = doubling.max_w_tilde
-        max_w1 = doubling.max_w1_tilde
-        witnesses["w"] = doubling.witness_w
-        witnesses["w1"] = doubling.witness_w1
+    doubling = doubling_check(sol, cert, table=table)
+    witnesses["w"], witnesses["w1"] = doubling.witness_w, doubling.witness_w1
 
     tolerance = 5.0 * (sol.dx + sol.dt_max_accepted) * (1.0 + cert.q1)
     return VerificationReport(
-        max_w_tilde=max_w, max_w1_tilde=max_w1,
+        max_w_tilde=doubling.max_w_tilde, max_w1_tilde=doubling.max_w1_tilde,
         gradient_slack=gradient_slack, modulus_slack=modulus_slack,
         sup_slack=sup_slack, sup_slack_paper=sup_slack_paper,
         blowup_lhs=None, witnesses=witnesses, tolerance=tolerance)

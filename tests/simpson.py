@@ -1,9 +1,18 @@
 """Adaptive Simpson quadrature: the scalar oracle the tests check the
-package's Gauss sums against."""
+package's Gauss sums against, and psi as the scalar function it integrates."""
 
 from __future__ import annotations
 
 from typing import Callable
+
+from dynbc.certificate import PsiSpec
+from dynbc.expr import compile_expr
+
+
+def psi_fn(psi: PsiSpec) -> Callable[[float], float]:
+    """psi as a scalar function of one slope."""
+    f = compile_expr(psi.expr)
+    return lambda rho: float(f(p=float(rho)))
 
 
 def _simpson(f, a, fa, b, fb, m, fm) -> float:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynbc.certificate import PsiSpec, build_barrier
-from simpson import adaptive_simpson
+from simpson import adaptive_simpson, psi_fn
 
 TOL = 1e-11
 # rows whose slope-midpoints are checked against the oracle
@@ -44,7 +44,7 @@ def barriers(draw):
         below = (1.0 + kink) * math.log(1.0 + kink - q0) - (kink - q0)
         M = 0.5 * (below + draw(st.floats(0.01, 5.0)))
     psi = PsiSpec.from_text(text)
-    return psi, psi.fn(), q0, M
+    return psi, psi_fn(psi), q0, M
 
 
 @settings(deadline=None, max_examples=50)

@@ -31,7 +31,7 @@ from dynbc.certificate import (
 from dynbc.errors import ConditionViolated, PreconditionFailed
 from dynbc.expr import compile_expr, parse
 from dynbc.problem import DynamicBC, ProblemSpec
-from simpson import adaptive_simpson
+from simpson import adaptive_simpson, psi_fn
 
 
 class TailProbe:
@@ -87,7 +87,7 @@ def probe_find_q1(psi: PsiSpec, q0: float, M: float) -> float:
         raise PreconditionFailed(f"q0 must be positive, got {q0}")
     if not (M > 0):
         raise PreconditionFailed(f"M must be positive, got {M}")
-    fn = psi.fn()
+    fn = psi_fn(psi)
     target = 2.0 * M
 
     probe = tail_probe(lambda r: r / fn(r), q0, stop_above=target)
@@ -119,7 +119,7 @@ def probe_sup_bound(Phi, B, u0_sup, T):
 def assert_meets_budget(psi: PsiSpec, q0: float, M: float, q1: float, kinks=()) -> None:
     """The integral of rho/psi over [q0, q1] is 2M, to 1e-13 2M plus one ulp
     of q1 times the integrand at q1."""
-    fn = psi.fn()
+    fn = psi_fn(psi)
     powers = (2.0 ** j for j in range(math.ceil(math.log2(q0)), math.floor(math.log2(q1)) + 1))
     cuts = sorted({q0, q1, *(c for c in (*kinks, *powers) if q0 < c < q1)})
     budget = math.fsum(adaptive_simpson(lambda r: r / fn(r), lo, hi)

@@ -19,7 +19,7 @@ from dynbc.certificate import (
 from dynbc.errors import ConditionViolated, PreconditionFailed
 from dynbc.expr import parse
 from dynbc.problem import DirichletBC, DynamicBC, ProblemSpec
-from simpson import adaptive_simpson
+from simpson import adaptive_simpson, psi_fn
 
 
 PSI_ONE = PsiSpec.from_text("1")
@@ -167,7 +167,7 @@ def test_barrier_consistency_triple_randomized():
         assert np.all(np.diff(cert.hp) <= 1e-15)  # h' decreasing
         assert cert.hp[-1] == pytest.approx(q0, rel=1e-9)
         # stopping abscissa equals the independent width quadrature
-        fn = psi.fn()
+        fn = psi_fn(psi)
         kappa_quad = adaptive_simpson(lambda r: 1.0 / fn(r), q0, cert.q1)
         assert cert.kappa0 == pytest.approx(kappa_quad, rel=1e-8)
         # barrier dominates the K-cone

@@ -234,15 +234,64 @@ def test_verify_missing_artifacts(tmp_path):
     assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
 
 
-def test_verify_mismatched_certificate(tmp_path):
-    # certificate budgeted below sup|u| must be rejected as an input error
+def test_verify_mismatched_certificate(tmp_path, monkeypatch, capsys):
+    # certificate budgeted below sup|u| must be rejected as an input error,
+    # before any pair of the scans is formed
     doc = dict(STEADY)
     doc["certificate"] = {"psi": "1", "q0": 1.0, "M": 0.5}  # sup|u| = 1 > M
     spec = _write_spec(tmp_path, doc)
     out = tmp_path / "run"
     assert main(["certify", "--spec", str(spec), "--out", str(out)]) == 0
     assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
+    calls = []
+    pair_mask = verify._pair_mask
+    monkeypatch.setattr(verify, "_pair_mask", lambda *a: calls.append(a) or pair_mask(*a))
+    capsys.readouterr()
     assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
+    assert calls == []
+    assert "verify: certificate budget M = 0.5 below sup|u| = 1.0" in capsys.readouterr().err
+    assert not (out / "verification.json").exists()
+
+
+def test_verify_with_a_malformed_dynbc_tol_is_an_input_error(tmp_path, monkeypatch, capsys):
+    spec = _write_spec(tmp_path, STEADY)
+    out = tmp_path / "run"
+    assert main(["certify", "--spec", str(spec), "--out", str(out)]) == 0
+    assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
+    monkeypatch.setenv("DYNBC_TOL", "abc")
+    capsys.readouterr()
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
+    assert "verify: could not convert string to float: 'abc'" in capsys.readouterr().err
+    assert not (out / "verification.json").exists()
+
+
+def test_a_slope_past_the_float_range_ends_in_step_failure(tmp_path, capsys):
+    # f = 1/z is infinite at the node x = 0, where u0 = x vanishes: the
+    # first slope holds inf, the run reaches StepFailure, and its reports
+    # are written with that inf in the u_t column
+    doc = {"ell": 1.0, "T": 1.0, "a": "1", "f": "1/z", "u0": "x",
+           "bc_minus": {"kind": "dirichlet", "value": "-1"},
+           "bc_plus": {"kind": "dirichlet", "value": "1"},
+           "certificate": {"psi": "1", "q0": 1.0, "M": 2.0},
+           "solver": {"nx": 33}}
+    spec = _write_spec(tmp_path, doc)
+    out = tmp_path / "run"
+    # condition (6) fails, since f is unbounded, but the barrier is written
+    assert main(["certify", "--spec", str(spec), "--out", str(out)]) == 2
+    assert (out / "h_table.csv").is_file()
+    assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 4
+    assert "solve: step failure" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"]["kind"] == "stepfailure"
+    rows = np.load(out / "solution.npy")
+    assert np.isinf(rows[:, 4]).any()
+    assert np.all(np.isfinite(rows[:, :4]))
+    cells = [line.split(",")[4] for line in (out / "solution.csv").read_text().splitlines()[1:]]
+    assert "inf" in cells or "-inf" in cells
+    # verify reads the run back and refuses it: there is nothing to verify
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
+    assert "needs a completed solution, not stepfailure" in capsys.readouterr().err
+    assert not (out / "verification.json").exists()
 
 
 def test_blowup_chain_and_inequality(tmp_path):

@@ -104,7 +104,7 @@ def test_verify_reads_the_numbers_of_the_csv(name, tmp_path, monkeypatch):
     assert saved.shape == parsed.shape and saved.dtype == parsed.dtype == np.float64
     assert np.array_equal(saved.view(np.uint64), parsed.view(np.uint64))
     sol = read_solution(out)
-    read = [sol.grid.times, sol.grid.nodes, sol.grid.values, sol.ux.values, sol.ut.values]
+    read = [sol.grid.times, sol.grid.nodes, sol.grid.values, sol.ux, sol.ut]
     for got, want in zip(read, scattered_grids(saved), strict=True):
         assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -127,8 +127,8 @@ def scan_cases(draw):
     grid = GridFunction(times, nodes, values)
     for _ in range(draw(st.integers(0, 2))):
         grid.values[rng.integers(nt), rng.integers(nx)] = draw(st.sampled_from(SPECIALS))
-    sol = Solution(grid=grid, ux=GridFunction(times, nodes, np.zeros_like(values)),
-                   ut=GridFunction(times, nodes, np.zeros_like(values)), status=Completed())
+    sol = Solution(grid=grid, ux=np.zeros_like(values), ut=np.zeros_like(values),
+                   status=Completed())
 
     shape = draw(st.sampled_from(("concave", "linear", "steps", "constant")))
     scale = draw(st.sampled_from((0.25, 1.0, 2.0)))
@@ -167,7 +167,7 @@ def test_doubling_check_equals_the_scan_of_every_pair(case):
 @given(scan_cases())
 def test_modulus_scan_equals_the_scan_of_every_pair(case):
     sol, cert = case
-    report = bounds_check(sol, cert, doubling=doubling_check(sol, cert))
+    report = bounds_check(sol, cert)
     slack, witnesses = reference_modulus(sol, cert)
     assert bits(report.modulus_slack) == bits(slack)
     assert bits(report.witnesses.get("modulus")) == bits(witnesses.get("modulus"))
@@ -192,8 +192,8 @@ def test_pruned_scan_skips_pairs_and_keeps_the_first_witness(monkeypatch):
     times = np.linspace(0.0, 1.0, 9)
     values = 0.1 * np.cos(np.pi * nodes / 2) ** 2 + 0.0 * times[:, None]
     grid = GridFunction(times, nodes, values)
-    sol = Solution(grid=grid, ux=GridFunction(times, nodes, np.zeros_like(values)),
-                   ut=GridFunction(times, nodes, np.zeros_like(values)), status=Completed())
+    sol = Solution(grid=grid, ux=np.zeros_like(values), ut=np.zeros_like(values),
+                   status=Completed())
     cert = SimpleNamespace(kappa0=2.0, M=1.0, q1=1.0, h_curve=lambda: lambda q: np.asarray(q))
     want = reference_doubling(sol, cert)
     slack, witnesses = reference_modulus(sol, cert)
@@ -201,16 +201,22 @@ def test_pruned_scan_skips_pairs_and_keeps_the_first_witness(monkeypatch):
     grid.values = grid.values.view(CountedRows)
     got = doubling_check(sol, cert)
     assert bits([got.max_w_tilde, got.max_w1_tilde, got.witness_w, got.witness_w1]) == bits(list(want))
-    report = bounds_check(sol, cert, doubling=got)
+    report = bounds_check(sol, cert)
     assert bits([report.modulus_slack, report.witnesses["modulus"]]) == bits([slack, witnesses["modulus"]])
-    # two gathers (x and y) per evaluated slice; each scan's first slice has
-    # no best to beat, every later one skips most pairs
+    assert bits([report.max_w_tilde, report.max_w1_tilde, report.witnesses["w"],
+                 report.witnesses["w1"]]) == bits(list(want))
+    # two gathers (x and y) per evaluated slice, over three scans: the doubled
+    # scan above, then bounds_check's modulus scan and its own doubled scan;
+    # each scan's first slice has no best to beat, every later one skips most
+    # pairs
     pairs = _pair_mask(nodes, cert.kappa0)[0].size
     per_slice = CountedRows.gathered[::2]
     assert CountedRows.gathered[1::2] == per_slice
-    assert len(per_slice) == 2 * times.size
-    assert per_slice[0] == per_slice[times.size] == pairs
-    assert max(per_slice[1:times.size] + per_slice[times.size + 1:]) < pairs // 4
+    assert len(per_slice) == 3 * times.size
+    firsts = per_slice[::times.size]
+    assert firsts == [pairs] * 3
+    later = [n for k, n in enumerate(per_slice) if k % times.size]
+    assert max(later) < pairs // 4
 
 
 def test_tied_zero_extremes_keep_the_sign_of_the_first_pair():
@@ -221,8 +227,7 @@ def test_tied_zero_extremes_keep_the_sign_of_the_first_pair():
     times = np.array([0.0])
     values = np.array([[0.0, -0.0, 0.0]])
     sol = Solution(grid=GridFunction(times, nodes, values),
-                   ux=GridFunction(times, nodes, np.zeros_like(values)),
-                   ut=GridFunction(times, nodes, np.zeros_like(values)), status=Completed())
+                   ux=np.zeros_like(values), ut=np.zeros_like(values), status=Completed())
     cert = SimpleNamespace(kappa0=2.0, M=1.0, q1=1.0,
                            h_curve=lambda: lambda q: np.where(np.asarray(q) > 1.5, 10.0, 0.0))
     got = doubling_check(sol, cert)

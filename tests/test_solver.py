@@ -176,7 +176,7 @@ def test_solve_evaluates_each_stored_slope_once(monkeypatch):
         uk = sol.grid.values[k]
         hits = [out for tc, uc, out in calls if tc == tk and np.array_equal(uc, uk)]
         assert len(hits) == 1, (k, tk, len(hits))
-        assert np.array_equal(hits[0], sol.ut.values[k])
+        assert np.array_equal(hits[0], sol.ut[k])
 
 
 def test_config_validation():
@@ -389,11 +389,11 @@ def test_every_run_has_exactly_one_status():
 
 def test_solution_carries_derived_grids():
     sol = solve(manufactured_problem(T=0.3), SolverConfig(nx=33))
-    assert sol.ux.values.shape == sol.grid.values.shape
-    assert sol.ut.values.shape == sol.grid.values.shape
+    assert sol.ux.shape == sol.grid.values.shape
+    assert sol.ut.shape == sol.grid.values.shape
     tt, xx = np.meshgrid(sol.grid.times, sol.grid.nodes, indexing="ij")
-    assert np.max(np.abs(sol.ux.values + np.exp(-tt) * np.sin(xx))) <= 3e-3
-    assert np.max(np.abs(sol.ut.values + np.exp(-tt) * np.cos(xx))) <= 3e-3
+    assert np.max(np.abs(sol.ux + np.exp(-tt) * np.sin(xx))) <= 3e-3
+    assert np.max(np.abs(sol.ut + np.exp(-tt) * np.cos(xx))) <= 3e-3
 
 
 def test_split_rhs_terms_enter_the_equations():

@@ -27,10 +27,7 @@ def _synthetic_solution(fn, times, nodes) -> Solution:
     ux = np.gradient(grid.values, nodes, axis=1, edge_order=2)
     ut = (np.gradient(grid.values, times, axis=0, edge_order=2)
           if len(times) > 2 else np.zeros_like(grid.values))
-    return Solution(grid=grid,
-                    ux=GridFunction(times, nodes, ux),
-                    ut=GridFunction(times, nodes, ut),
-                    status=Completed(), step_log={})
+    return Solution(grid=grid, ux=ux, ut=ut, status=Completed(), step_log={})
 
 
 def test_doubling_constant_state():
@@ -107,8 +104,7 @@ def test_doubling_scan_matches_triple_loop_oracle():
     nodes[0], nodes[-1] = -1.0, 1.0
     vals = rng.uniform(-0.8, 0.8, (5, 9))
     sol = Solution(grid=GridFunction(times, nodes, vals),
-                   ux=GridFunction(times, nodes, np.zeros_like(vals)),
-                   ut=GridFunction(times, nodes, np.zeros_like(vals)),
+                   ux=np.zeros_like(vals), ut=np.zeros_like(vals),
                    status=Completed(), step_log={})
     cert = build_barrier(PsiSpec.from_text("1+0.5*p^2"), q0=0.3, M=0.85, K=0.0)
     res = doubling_check(sol, cert)
