@@ -9,7 +9,9 @@ at nx = 257 and amplitude 0.47 is a grid where the verify scans' oscillation
 bound skips most pairs.  ``burgers_newton_retry`` caps Newton at two
 iterations from a large first step, so both the configured theta and the
 theta = 1 retry fail and dt shrinks; ``burgers_implicit_fixed`` runs the
-fully implicit scheme at a fixed step.  For every problem ``solution.npy``
+fully implicit scheme at a fixed step.  ``burgers_pinned`` pins both ends:
+a moving pin at +ell and a pin at exactly -0.0 at -ell, so the digests
+also fix the sign of each zero the stage solve stores there.  For every problem ``solution.npy``
 must also equal ``solution.csv`` parsed back, ``read_solution`` must build
 the grids that sorting and scattering its rows builds, and verify must
 write the same report from a ``solution.npy`` rebuilt from the CSV.
@@ -45,6 +47,9 @@ GRIDS = {
                                                     "newton_max_iter": 2}}),
     "burgers_implicit_fixed": ("burgers", {"solver": {"nx": 65, "theta": 1.0,
                                                       "dt_min": 0.01, "dt_max": 0.01}}),
+    "burgers_pinned": ("burgers", {"bc_minus": {"kind": "dirichlet", "value": "-0.0*t"},
+                                   "bc_plus": {"kind": "dirichlet",
+                                               "value": "0.05*sin(3*t)"}}),
 }
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
