@@ -22,8 +22,8 @@ from .holder import (
 )
 from .problem import DirichletBC, DynamicBC, ProblemSpec
 from .solver import (
-    BlowUpDetected, Completed, Solution, SolverConfig, StepFailure,
-    semidiscretize, solve,
+    BlowUpDetected, Completed, SemiDiscretization, Solution, SolverConfig,
+    StepFailure, solve,
 )
 from .verify import blowup_inequality, bounds_check, doubling_check
 
@@ -37,7 +37,7 @@ __all__ = [
     "GridFunction", "HolderReport", "holder_seminorm",
     "interpolation_diagnostic", "parabolic_norm", "sup_norm",
     "DirichletBC", "DynamicBC", "ProblemSpec",
-    "BlowUpDetected", "Completed", "Solution", "SolverConfig", "StepFailure",
-    "semidiscretize", "solve",
+    "BlowUpDetected", "Completed", "SemiDiscretization", "Solution",
+    "SolverConfig", "StepFailure", "solve",
     "blowup_inequality", "bounds_check", "doubling_check",
 ]

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .expr import compile_expr, parse
 from .holder import GridFunction, parabolic_norm
-from .problem import ProblemSpec
+from .problem import ProblemSpec, spec_value
 from .solver import (
     BlowUpDetected, Completed, Solution, SolverConfig, StepFailure, solve,
 )
@@ -135,9 +135,10 @@ class RunManifest:
 
     def load_spec(self) -> dict:
         try:
-            return json.loads(self.spec_path.read_text(encoding="utf-8"))
+            raw = json.loads(self.spec_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"spec file is not valid JSON: {exc}") from None
+        return spec_value(raw, dict, "the spec file")
 
 
 def preset_path(name: str) -> Path:
@@ -149,20 +150,27 @@ def preset_path(name: str) -> Path:
     return p
 
 
+# the solver block's keys, each with its SolverConfig field and JSON type
+_SOLVER_KEYS = {
+    "nx": ("nx", int), "dt0": ("dt0", float), "theta": ("theta", float),
+    "dt_min": ("dt_min", float), "dt_max": ("dt_max", float),
+    "cutoff": ("gradient_cutoff", float), "strict": ("strict_compatibility", bool),
+    "local_error_tol": ("local_error_tol", float), "newton_tol": ("newton_tol", float),
+    "newton_max_iter": ("newton_max_iter", int),
+}
+
+
 def _solver_config(raw: dict, manifest: RunManifest) -> SolverConfig:
-    blk = dict(raw.get("solver", {}))
-    ov = manifest.overrides
+    blk = spec_value(raw.get("solver", {}), dict, "solver")
     kwargs = {}
-    for key, target in (("nx", "nx"), ("dt0", "dt0"), ("theta", "theta"),
-                        ("dt_min", "dt_min"), ("dt_max", "dt_max"),
-                        ("newton_tol", "newton_tol"), ("newton_max_iter", "newton_max_iter"),
-                        ("cutoff", "gradient_cutoff"), ("gradient_cutoff", "gradient_cutoff"),
-                        ("local_error_tol", "local_error_tol"), ("strict", "strict_compatibility")):
-        if key in blk:
-            kwargs[target] = blk[key]
-    for key, target in (("nx", "nx"), ("dt0", "dt0"), ("cutoff", "gradient_cutoff")):
-        if key in ov and ov[key] is not None:
-            kwargs[target] = ov[key]
+    for key, value in blk.items():
+        if key not in _SOLVER_KEYS:
+            raise ConfigError(f"unknown solver key {key!r}; the keys are {' '.join(_SOLVER_KEYS)}")
+        target, kind = _SOLVER_KEYS[key]
+        kwargs[target] = spec_value(value, kind, f"solver.{key}")
+    for key in ("nx", "dt0", "cutoff"):
+        if manifest.overrides.get(key) is not None:
+            kwargs[_SOLVER_KEYS[key][0]] = manifest.overrides[key]
     if manifest.strict is not None:
         kwargs["strict_compatibility"] = manifest.strict
     kwargs.setdefault("compat_tol", default_tol())
@@ -174,7 +182,7 @@ def _solver_config(raw: dict, manifest: RunManifest) -> SolverConfig:
 
 def _certificate_params(raw: dict):
     blk = raw.get("certificate")
-    if blk is None or "psi" not in blk or "q0" not in blk:
+    if not isinstance(blk, dict) or "psi" not in blk or "q0" not in blk:
         raise ConfigError('spec needs a "certificate" block with "psi" and "q0"')
     return blk
 
@@ -184,20 +192,23 @@ def cmd_certify(manifest: RunManifest) -> int:
         raw = manifest.load_spec()
         problem = ProblemSpec.from_dict(raw)
         blk = _certificate_params(raw)
-        psi = PsiSpec.from_text(blk["psi"])
-        q0 = float(blk["q0"])
+        psi = PsiSpec.from_text(spec_value(blk["psi"], str, "certificate.psi"))
+        q0 = spec_value(blk["q0"], float, "certificate.q0")
 
         sup_blk = raw.get("sup_bound")
         supc: SupBoundCertificate | None = None
         sup_error: str | None = None
+        phi = B = None
         if sup_blk is not None:
+            sup_blk = spec_value(sup_blk, dict, "sup_bound")
+            phi = parse(spec_value(sup_blk["Phi"], str, "sup_bound.Phi"))
+            B = spec_value(sup_blk["B"], float, "sup_bound.B")
             try:
-                supc = sup_bound(parse(sup_blk["Phi"]), float(sup_blk["B"]),
-                                 u0_sup=_u0_sup(problem), T=problem.T)
+                supc = sup_bound(phi, B, u0_sup=_u0_sup(problem), T=problem.T)
             except ConditionViolated as exc:
                 sup_error = str(exc)
         if "M" in blk:
-            M = float(blk["M"])
+            M = spec_value(blk["M"], float, "certificate.M")
             m_source = "given"
         elif supc is not None:
             M = supc.M_proof
@@ -208,8 +219,8 @@ def cmd_certify(manifest: RunManifest) -> int:
         else:
             raise ConfigError('certificate block needs "M" (or a "sup_bound" block to derive it)')
 
-        pmax = float(blk["pmax"]) if "pmax" in blk else None
-        n_samples = int(blk.get("n_samples", 33))
+        pmax = spec_value(blk["pmax"], float, "certificate.pmax") if "pmax" in blk else None
+        n_samples = spec_value(blk.get("n_samples", 33), int, "certificate.n_samples")
         # the barrier goes first: its q1 gives the default pmax = 4 q1 that
         # check_hypotheses would otherwise find again
         cert: BarrierCertificate | None = None
@@ -228,9 +239,7 @@ def cmd_certify(manifest: RunManifest) -> int:
             pmax = 4.0 * cert.q1
         report = check_hypotheses(
             problem, M=M, q0=q0, psi=psi, pmax=pmax, n_samples=n_samples,
-            phi=parse(sup_blk["Phi"]) if sup_blk else None,
-            B=float(sup_blk["B"]) if sup_blk else None,
-            compat_tol=default_tol())
+            phi=phi, B=B, compat_tol=default_tol())
     except (DynbcError, KeyError, ValueError) as exc:
         print(f"certify: {exc}", file=sys.stderr)
         return 1
@@ -483,31 +492,23 @@ def _verify_blowup(manifest: RunManifest, sol: Solution, psi_text: str) -> int:
     psi = PsiSpec.from_text(psi_text)
     try:
         chk = blowup_inequality(sol, psi)
-        doc = {
-            "command": "verify",
-            "blowup": {**chk.as_dict(),
-                       "time": sol.status.time, "max_gradient": sol.status.max_gradient},
-            "passed": chk.consistent,
-        }
-        _write(manifest.out_dir / "verification.json", json_dumps(doc))
-        return 0 if chk.consistent else 2
+        blowup, passed = chk.as_dict(), chk.consistent
     except DivergentIntegral as exc:
-        doc = {
-            "command": "verify",
-            "blowup": {"error": "DivergentIntegral", "detail": str(exc),
-                       "time": sol.status.time, "max_gradient": sol.status.max_gradient},
-            "passed": False,
-        }
-        _write(manifest.out_dir / "verification.json", json_dumps(doc))
+        blowup, passed = {"error": "DivergentIntegral", "detail": str(exc)}, False
         print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    doc = {
+        "command": "verify",
+        "blowup": {**blowup, "time": sol.status.time, "max_gradient": sol.status.max_gradient},
+        "passed": passed,
+    }
+    _write(manifest.out_dir / "verification.json", json_dumps(doc))
+    return 0 if passed else 2
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_point(args):
-    psi_text, q0, M, K_est = args
+def _sweep_point(psi_text: str, q0: float, M: float, K_est: float):
     try:
         psi = PsiSpec.from_text(psi_text)
         cert = build_barrier(psi, q0=q0, M=M, K=min(K_est, q0))
@@ -523,12 +524,16 @@ def cmd_sweep(manifest: RunManifest) -> int:
         blk = raw.get("sweep")
         if not blk:
             raise ConfigError('spec needs a non-empty "sweep" block')
-        psis = list(blk.get("psi", []))
-        q0s = [float(v) for v in blk.get("q0", [])]
-        Ms = [float(v) for v in blk.get("M", [])]
+        blk = spec_value(blk, dict, "sweep")
+
+        def axis(name: str, kind: type) -> list:
+            return [spec_value(v, kind, f"sweep.{name} entry")
+                    for v in spec_value(blk.get(name, []), list, f"sweep.{name}")]
+
+        psis, q0s, Ms = axis("psi", str), axis("q0", float), axis("M", float)
         if not (psis and q0s and Ms):
             raise ConfigError('sweep block needs non-empty "psi", "q0" and "M" axes')
-    except (DynbcError, ValueError) as exc:
+    except DynbcError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 1
 
@@ -540,7 +545,7 @@ def cmd_sweep(manifest: RunManifest) -> int:
     except DynbcError:
         K_est = math.nan
 
-    rows = [_sweep_point((p, q, M, K_est)) for p in psis for q in q0s for M in Ms]
+    rows = [_sweep_point(p, q, M, K_est) for p in psis for q in q0s for M in Ms]
 
     lines = ["psi,q0,M,status,q1,kappa0,q0_covers_K,detail"]
     for row in rows:
@@ -568,17 +573,21 @@ def main(argv: list[str] | None = None) -> int:
         prog="dynbc",
         description="certify / solve / verify workflows for 1-d quasilinear "
                     "parabolic problems with dynamical boundary conditions")
+    # each flag goes only on the commands it acts on; the others read its default
+    parser.set_defaults(format="json", strict=None, nx=None, dt0=None, cutoff=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("certify", "solve", "verify", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="problem file (JSON)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", default="json", choices=("json", "csv"))
-        p.add_argument("--strict", action="store_true", default=None,
-                       help="require exact zero-time compatibility")
-        p.add_argument("--nx", type=int, default=None)
-        p.add_argument("--dt0", type=float, default=None)
-        p.add_argument("--cutoff", type=float, default=None)
+        if name in ("certify", "verify"):
+            p.add_argument("--format", default="json", choices=("json", "csv"))
+        if name == "solve":
+            p.add_argument("--strict", action="store_true", default=None,
+                           help="require exact zero-time compatibility")
+            p.add_argument("--nx", type=int)
+            p.add_argument("--dt0", type=float)
+            p.add_argument("--cutoff", type=float)
     args = parser.parse_args(argv)
 
     try:

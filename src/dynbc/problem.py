@@ -22,7 +22,22 @@ from typing import NamedTuple, Union
 from .errors import ConfigError
 from .expr import Expr, free_variables, parse
 
-__all__ = ["DynamicBC", "DirichletBC", "BoundaryCondition", "End", "ProblemSpec"]
+__all__ = ["DynamicBC", "DirichletBC", "BoundaryCondition", "End", "ProblemSpec",
+           "spec_value"]
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string", list: "a list", dict: "an object"}
+
+
+def spec_value(value, kind: type, name: str):
+    """``value``, read from a spec file as ``kind`` (one of ``_KINDS``), or a
+    ConfigError naming ``name``.  A number may be written as an integer; a
+    JSON true or false is a bool only."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{name} must be {_KINDS[kind]}, got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)
@@ -97,27 +112,31 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemSpec":
+        def expr(text, name: str) -> Expr:
+            return parse(spec_value(text, str, name))
+
         def bc(key: str) -> BoundaryCondition:
             raw = d.get(key)
             if raw is None:
                 raise ConfigError(f"missing boundary condition {key!r}")
+            raw = spec_value(raw, dict, key)
             kind = raw.get("kind", "dynamic")
             if kind == "dynamic":
                 g1 = raw.get("g1")
-                return DynamicBC(b=parse(raw["b"]), g=parse(raw["g"]),
-                                 g1=parse(g1) if g1 is not None else None)
+                return DynamicBC(b=expr(raw["b"], f"{key}.b"), g=expr(raw["g"], f"{key}.g"),
+                                 g1=expr(g1, f"{key}.g1") if g1 is not None else None)
             if kind == "dirichlet":
-                return DirichletBC(value=parse(raw.get("value", "0")))
+                return DirichletBC(value=expr(raw.get("value", "0"), f"{key}.value"))
             raise ConfigError(f"unknown boundary kind {kind!r}")
 
         try:
             f1 = d.get("f1")
             return cls(
-                ell=float(d["ell"]), T=float(d["T"]),
-                a=parse(d["a"]), f=parse(d.get("f", "0")),
-                u0=parse(d["u0"]),
+                ell=spec_value(d["ell"], float, "ell"), T=spec_value(d["T"], float, "T"),
+                a=expr(d["a"], "a"), f=expr(d.get("f", "0"), "f"),
+                u0=expr(d["u0"], "u0"),
                 bc_minus=bc("bc_minus"), bc_plus=bc("bc_plus"),
-                f1=parse(f1) if f1 is not None else None,
+                f1=expr(f1, "f1") if f1 is not None else None,
             )
         except KeyError as exc:
             raise ConfigError(f"problem spec missing field {exc}") from None

@@ -7,18 +7,22 @@ one-sided stencil would pollute the global order through the boundary ODE).
 Each law is a lead term plus source terms: a u_xx + f (+ f1) inside, and
 du/dt = -/+ b p + g (+ g1) at a dynamic boundary node.  Every coefficient is
 compiled once with its exact z- and p-derivatives, and the sources are added
-left to right.  Dirichlet nodes are pinned algebraically.
+left to right.  Dirichlet nodes are pinned algebraically: ``pins`` lists
+each pinned end with its node, and a pin enters the stage system only as
+the identity row u = value(t).
 
 Time: theta-scheme (trapezoidal by default) with damped Newton on the stage
 system; Jacobian entries come from the exact derivatives, assembled into a
 tridiagonal-plus-two-corners matrix.  A corner is eliminated against its
 adjacent row before the Thomas sweep when the multiplier is at most 1;
 otherwise the stage system is solved densely.  Step size adapts on a
-step-doubling error estimate; Newton failure first retries the step fully
-implicitly (theta = 1), then shrinks dt.  The slope rhs(t, u) of each
-stored state is evaluated once: it starts every attempt from that state
+step-doubling error estimate, and one factor, 0.9 (tol/err)^(1/(order+1))
+clipped to [0.2, 5], rescales dt after a rejection and an acceptance
+alike; Newton failure first retries the step fully implicitly (theta = 1),
+then shrinks dt.  The slope rhs(t, u) and the gradient of each stored
+state are evaluated once: the slope starts every attempt from that state
 (the full step and the first half step alike) and is the state's row of
-u_t.
+u_t; the gradient is checked against the cutoff and is its row of u_x.
 
 Every run ends in exactly one of three states: Completed at T, BlowUpDetected
 once max |u_x| crosses the cutoff, or StepFailure when dt hits its floor.
@@ -40,7 +44,7 @@ from .problem import BoundaryCondition, DirichletBC, DynamicBC, End, ProblemSpec
 
 __all__ = [
     "SolverConfig", "Completed", "BlowUpDetected", "StepFailure", "Solution",
-    "SemiDiscretization", "semidiscretize", "solve",
+    "SemiDiscretization", "solve",
     "ProblemSpec", "BoundaryCondition", "DynamicBC", "DirichletBC",
 ]
 
@@ -67,6 +71,8 @@ class SolverConfig:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if not (0 < self.dt_min <= self.dt_max):
             raise ConfigError("need 0 < dt_min <= dt_max")
+        if not (self.local_error_tol > 0 or self.fixed_step):
+            raise ConfigError(f"an adaptive run needs local_error_tol > 0, got {self.local_error_tol}")
 
     @property
     def fixed_step(self) -> bool:
@@ -202,21 +208,20 @@ class SemiDiscretization:
         (self.a,), (self.a_z,), (self.a_p,) = _compile_terms(problem.a)
         self.f, self.f_z, self.f_p = _compile_terms(problem.f, problem.f1)
 
-        self.end_plus, self.end_minus = (
+        self.end_plus, self.end_minus = ends = [
             _DynamicEnd(end) if isinstance(end.bc, DynamicBC) else _DirichletEnd(end)
-            for end in problem.ends)
-        self.pinned_minus = isinstance(self.end_minus, _DirichletEnd)
-        self.pinned_plus = isinstance(self.end_plus, _DirichletEnd)
+            for end in problem.ends]
+        # each Dirichlet end as (node index, end)
+        self.pins = [(i, end) for i, end in zip((-1, 0), ends)
+                     if isinstance(end, _DirichletEnd)]
 
     # ------------------------------------------------------------------
     def initial_state(self) -> np.ndarray:
         u0 = compile_expr(self.problem.u0)
         u = np.asarray(u0(x=self.nodes), dtype=float)
         u = np.broadcast_to(u, self.nodes.shape).copy()
-        if self.pinned_minus:
-            u[0] = self.end_minus.at(0.0)
-        if self.pinned_plus:
-            u[-1] = self.end_plus.at(0.0)
+        for i, end in self.pins:
+            u[i] = end.at(0.0)
         return u
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
@@ -273,11 +278,6 @@ class SemiDiscretization:
         return lower, diag, upper, corner_right, corner_left
 
 
-def semidiscretize(problem: ProblemSpec, nx: int) -> SemiDiscretization:
-    """Build the spatial discretization (node ODE description)."""
-    return SemiDiscretization(problem, nx)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra for the stage system
 
@@ -322,31 +322,26 @@ def _solve_bordered(lower, diag, upper, corner_right, corner_left, rhs):
 def _theta_step(disc: SemiDiscretization, t: float, u: np.ndarray, f0: np.ndarray,
                 dt: float, theta: float, cfg: SolverConfig) -> np.ndarray:
     """One theta-scheme step from u, whose slope is f0 = rhs(t, u), with
-    damped Newton; raises _NewtonFailure."""
+    damped Newton; raises _NewtonFailure.
+
+    Each pinned node takes its pin's value at t + dt in the predictor, and
+    its residual and Jacobian rows are those of U[i] = value.  A predictor
+    that is not finite at a free node makes the residual not finite, which
+    fails the step."""
     t1 = t + dt
     explicit = u + dt * (1.0 - theta) * f0 if theta < 1.0 else u.copy()
-
-    pin_lo = disc.pinned_minus
-    pin_hi = disc.pinned_plus
-    val_lo = disc.end_minus.at(t1) if pin_lo else 0.0
-    val_hi = disc.end_plus.at(t1) if pin_hi else 0.0
+    pins = [(i, end.at(t1)) for i, end in disc.pins]
 
     def residual(U: np.ndarray) -> np.ndarray:
         R = U - explicit - dt * theta * disc.rhs(t1, U)
-        if pin_lo:
-            R[0] = U[0] - val_lo
-        if pin_hi:
-            R[-1] = U[-1] - val_hi
+        for i, value in pins:
+            R[i] = U[i] - value
         return R
 
     # explicit Euler predictor keeps Newton in its quadratic basin
     U = u + dt * f0
-    if pin_lo:
-        U[0] = val_lo
-    if pin_hi:
-        U[-1] = val_hi
-    if not np.all(np.isfinite(U)):
-        raise _NewtonFailure("predictor not finite")
+    for i, value in pins:
+        U[i] = value
 
     scale = 1.0 + float(np.max(np.abs(u)))
     tol = cfg.newton_tol * scale
@@ -363,10 +358,10 @@ def _theta_step(disc: SemiDiscretization, t: float, u: np.ndarray, f0: np.ndarra
         Ju = -dt * theta * upper
         Jcr = -dt * theta * c_r
         Jcl = -dt * theta * c_l
-        if pin_lo:
-            Jd[0], Ju[0], Jcr = 1.0, 0.0, 0.0
-        if pin_hi:
-            Jd[-1], Jl[-1], Jcl = 1.0, 0.0, 0.0
+        # a pinned end's corner is already +-0, which _solve_bordered skips;
+        # the whole row is reset so the pinned update keeps a pin's -0.0
+        for i, _ in disc.pins:
+            Jd[i], Jl[i], Ju[i] = 1.0, 0.0, 0.0
         if not (np.all(np.isfinite(Jd)) and np.all(np.isfinite(Jl)) and np.all(np.isfinite(Ju))):
             raise _NewtonFailure("jacobian not finite")
         try:
@@ -447,7 +442,7 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
     residuals exceed cfg.compat_tol or the sampled parabolicity check fails.
     """
     cfg = cfg or SolverConfig()
-    disc = semidiscretize(problem, cfg.nx)
+    disc = SemiDiscretization(problem, cfg.nx)
 
     if cfg.strict_compatibility:
         res = check_compatibility(problem)
@@ -461,23 +456,24 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
     t = 0.0
     u = disc.initial_state()
     # each stored state's slope rhs(t, u): the start slope of every attempt
-    # from it, and its row of u_t
+    # from it, and its row of u_t; and its gradient, its row of u_x.  Nothing
+    # writes into a stored state, so it is kept as it is.
     f0 = disc.rhs(t, u)
-    times = [0.0]
-    states = [u.copy()]
+    times = [t]
+    states = [u]
     slopes = [f0]
+    grads = [disc.gradient(u)]
     accepted = 0
     rejected = 0
     newton_failures = 0
     dt = min(max(cfg.dt0, cfg.dt_min), cfg.dt_max, problem.T)
-    status: Completed | BlowUpDetected | StepFailure | None = None
-
-    grad0 = float(np.max(np.abs(disc.gradient(u))))
-    if grad0 > cfg.gradient_cutoff:
-        status = BlowUpDetected(time=0.0, max_gradient=grad0)
 
     eps_t = 1e-12 * problem.T
-    while status is None:
+    while True:
+        grad = float(np.max(np.abs(grads[-1])))
+        if grad > cfg.gradient_cutoff:
+            status = BlowUpDetected(time=t, max_gradient=grad)
+            break
         if t >= problem.T - eps_t:
             status = Completed()
             break
@@ -503,13 +499,16 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
 
         order = 2.0 if theta_used == 0.5 else 1.0
         err = float(np.max(np.abs(big - half))) / (2.0 ** order - 1.0)
+        # below 0.9 whenever err > tol; a fixed-step run keeps its step and
+        # never evaluates the power, which would be complex for its tol < 0
+        factor = 1.0 if cfg.fixed_step else min(max(
+            0.9 * (cfg.local_error_tol / max(err, 1e-300)) ** (1.0 / (order + 1.0)), 0.2), 5.0)
         if not cfg.fixed_step and err > cfg.local_error_tol:
             rejected += 1
             if dt <= cfg.dt_min * (1 + 1e-9):
                 status = StepFailure(time=t, reason="error control at minimal step")
                 break
-            shrink = max(0.2, 0.9 * (cfg.local_error_tol / err) ** (1.0 / (order + 1.0)))
-            dt = max(dt * min(shrink, 0.9), cfg.dt_min)
+            dt = max(dt * factor, cfg.dt_min)
             continue
 
         if not np.all(np.isfinite(half)):
@@ -521,21 +520,14 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
         f0 = disc.rhs(t, u)
         accepted += 1
         times.append(t)
-        states.append(u.copy())
+        states.append(u)
         slopes.append(f0)
-
-        grad = float(np.max(np.abs(disc.gradient(u))))
-        if grad > cfg.gradient_cutoff:
-            status = BlowUpDetected(time=t, max_gradient=grad)
-            break
-
-        if not cfg.fixed_step:
-            grow = 0.9 * (cfg.local_error_tol / max(err, 1e-300)) ** (1.0 / (order + 1.0))
-            dt = min(max(dt * min(max(grow, 0.2), 5.0), cfg.dt_min), cfg.dt_max)
+        grads.append(disc.gradient(u))
+        dt = min(max(dt * factor, cfg.dt_min), cfg.dt_max)
 
     return Solution(
         grid=GridFunction(np.asarray(times), disc.nodes, np.vstack(states)),
-        ux=np.vstack([disc.gradient(row) for row in states]),
+        ux=np.vstack(grads),
         ut=np.vstack(slopes),
         status=status,
         step_log={"accepted": accepted, "rejected": rejected,

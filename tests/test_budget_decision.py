@@ -118,11 +118,12 @@ def probe_sup_bound(Phi, B, u0_sup, T):
 
 def assert_meets_budget(psi: PsiSpec, q0: float, M: float, q1: float, kinks=()) -> None:
     """The integral of rho/psi over [q0, q1] is 2M, to 1e-13 2M plus one ulp
-    of q1 times the integrand at q1."""
+    of q1 times the integrand at q1.  The oracle integrates at tol = 1e-14:
+    at its default 1e-12 its own error can use up that bound."""
     fn = psi_fn(psi)
     powers = (2.0 ** j for j in range(math.ceil(math.log2(q0)), math.floor(math.log2(q1)) + 1))
     cuts = sorted({q0, q1, *(c for c in (*kinks, *powers) if q0 < c < q1)})
-    budget = math.fsum(adaptive_simpson(lambda r: r / fn(r), lo, hi)
+    budget = math.fsum(adaptive_simpson(lambda r: r / fn(r), lo, hi, tol=1e-14)
                        for lo, hi in zip(cuts, cuts[1:]))
     assert abs(budget - 2.0 * M) <= 1e-13 * 2.0 * M + math.ulp(q1) * q1 / fn(q1)
 
@@ -188,6 +189,8 @@ def gauges(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(gauges(), st.floats(-9.0, 1.0), st.floats(-2.0, 1.0))
+# the oracle at tol = 1e-12 missed this q1 by 2.4633e-14 against a bound of 2.4645e-14
+@example(("(1+p^2)^1.2081058968129912", ()), -1.1426146805599604, -0.91015625)
 def test_find_q1_decides_as_the_probe_did(gauge, log_q0, log_M):
     text, kinks = gauge
     psi = PsiSpec.from_text(text)

@@ -52,9 +52,12 @@ def test_missing_spec_file(tmp_path):
 
 @pytest.mark.parametrize("argv", [["certify"], ["certify", "--spec", "p.json", "--nx", "abc"],
                                   ["solve", "--spec", "p.json", "--bogus"], [],
-                                  ["sweep", "--spec", "p.json", "--jobs", "2"]])
+                                  ["sweep", "--spec", "p.json", "--jobs", "2"],
+                                  ["certify", "--spec", "p.json", "--nx", "5"],
+                                  ["sweep", "--spec", "p.json", "--format", "csv"]])
 def test_usage_errors_exit_1(argv, capsys):
-    # exit 2 is reserved for violated conditions
+    # exit 2 is reserved for violated conditions; a flag is parsed only by
+    # the commands it acts on
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -72,6 +75,34 @@ def test_invalid_json_spec(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert main(["certify", "--spec", str(p), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("command, changes", [
+    ("certify", {"ell": None}),
+    ("solve", {"a": 1}),
+    ("solve", {"bc_plus": "x"}),
+    ("certify", []),
+    ("sweep", []),
+    ("certify", {"certificate": {"psi": "1", "q0": None, "M": 2.0}}),
+    ("sweep", {"sweep": {"psi": ["1"], "q0": [None], "M": [1.0]}}),
+    ("sweep", {"sweep": {"psi": [1], "q0": [1.0], "M": [1.0]}}),
+    ("solve", {"solver": {"nx": 65.0}}),
+    ("solve", {"solver": {"nx": "65"}}),
+    ("solve", {"solver": {"theta": "0.5"}}),
+    ("solve", {"solver": {"dt_max": None}}),
+    ("solve", {"solver": {"newton_max_iter": 2.5}}),
+    ("solve", {"solver": {"local_error_tol": -1e-8}}),
+    ("solve", {"solver": {"nxx": 17}}),
+    ("solve", {"solver": {"gradient_cutoff": 25.0}}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_a_malformed_spec_is_an_input_error(tmp_path, capsys, command, changes):
+    # changes replace top-level fields of STEADY; a list is the whole file
+    spec = _write_spec(tmp_path, STEADY | changes if isinstance(changes, dict) else changes)
+    out = tmp_path / "out"
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{command}: "), err
+    assert not any(out.iterdir())
 
 
 def test_certify_steady_artifacts(tmp_path):

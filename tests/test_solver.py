@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -16,8 +17,7 @@ from dynbc.expr import parse
 from dynbc.problem import DirichletBC, DynamicBC, ProblemSpec
 from dynbc import solver
 from dynbc.solver import (
-    BlowUpDetected, Completed, SemiDiscretization, SolverConfig, StepFailure,
-    semidiscretize, solve,
+    BlowUpDetected, Completed, SemiDiscretization, SolverConfig, StepFailure, solve,
 )
 
 
@@ -55,7 +55,7 @@ def exact_manufactured(t, x):
 # semidiscretization identities
 
 def test_semidiscretize_constant_state():
-    disc = semidiscretize(ProblemSpec(
+    disc = SemiDiscretization(ProblemSpec(
         ell=1.0, T=1.0, a=parse("1"), f=parse("0"), u0=parse("2"),
         bc_minus=DynamicBC(parse("1"), parse("0")),
         bc_plus=DynamicBC(parse("1"), parse("0"))), nx=11)
@@ -64,7 +64,7 @@ def test_semidiscretize_constant_state():
 
 
 def test_semidiscretize_linear_state():
-    disc = semidiscretize(steady_problem(), nx=17)
+    disc = SemiDiscretization(steady_problem(), nx=17)
     u = disc.nodes.copy()
     out = disc.rhs(0.3, u)
     assert np.allclose(out, 0.0, atol=1e-13)
@@ -75,7 +75,7 @@ def test_semidiscretize_quadratic_exact():
     prob = ProblemSpec(ell=1.0, T=1.0, a=parse("1"), f=parse("0"), u0=parse("x^2"),
                        bc_minus=DynamicBC(parse("1"), parse("0")),
                        bc_plus=DynamicBC(parse("1"), parse("0")))
-    disc = semidiscretize(prob, nx=21)
+    disc = SemiDiscretization(prob, nx=21)
     u = disc.nodes ** 2
     out = disc.rhs(0.0, u)
     assert np.allclose(out[1:-1], 2.0, atol=1e-11)
@@ -86,7 +86,7 @@ def test_semidiscretize_quadratic_exact():
 
 def test_semidiscretize_rejects_tiny_grid():
     with pytest.raises(ConfigError):
-        semidiscretize(steady_problem(), nx=4)
+        SemiDiscretization(steady_problem(), nx=4)
 
 
 def test_rhs_jacobian_matches_difference_quotients():
@@ -96,7 +96,7 @@ def test_rhs_jacobian_matches_difference_quotients():
                        f1=parse("-z^3"), u0=parse("cos(x)"),
                        bc_minus=DynamicBC(parse("1 + p^2/8"), parse("z"), g1=parse("-z^3")),
                        bc_plus=DirichletBC(parse("cos(1)*exp(-t)")))
-    disc = semidiscretize(prob, nx=9)
+    disc = SemiDiscretization(prob, nx=9)
     u = np.cos(disc.nodes) + 0.1 * disc.nodes
     lower, diag, upper, corner_right, corner_left = disc.rhs_jacobian(0.2, u)
     dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
@@ -114,7 +114,7 @@ def test_attempt_evaluates_each_start_slope_once(monkeypatch):
     """The full step and the first half step share the slope passed in; the
     second half step evaluates its start slope once more."""
     prob = ProblemSpec.from_json(preset_path("burgers").read_text())
-    disc = semidiscretize(prob, nx=33)
+    disc = SemiDiscretization(prob, nx=33)
     cfg = SolverConfig(nx=33)
     t, dt = 0.1, 0.05
     u = disc.initial_state()
@@ -179,11 +179,42 @@ def test_solve_evaluates_each_stored_slope_once(monkeypatch):
         assert np.array_equal(hits[0], sol.ut[k])
 
 
+def test_solve_takes_each_stored_gradient_once(monkeypatch):
+    """Outside the stencil, solve takes the gradient of each stored state
+    exactly once, and that value is both what the cutoff reads and the
+    state's row of u_x; on a blow-up run as well."""
+    calls = []
+    gradient = SemiDiscretization.gradient
+
+    def recording_gradient(self, uk):
+        out = gradient(self, uk)
+        if sys._getframe(1).f_code.co_name != "_stencil":
+            calls.append((uk.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(SemiDiscretization, "gradient", recording_gradient)
+    for name, cfg in (("burgers", SolverConfig(nx=33)),
+                      ("blowup_270", SolverConfig(nx=33, strict_compatibility=False,
+                                                  gradient_cutoff=25.0, dt_max=0.05))):
+        calls.clear()
+        sol = solve(ProblemSpec.from_json(preset_path(name).read_text()), cfg)
+        assert len(calls) == sol.grid.times.size
+        for (uc, out), uk, uxk in zip(calls, sol.grid.values, sol.ux, strict=True):
+            assert np.array_equal(uc, uk) and np.array_equal(out, uxk)
+    assert isinstance(sol.status, BlowUpDetected)
+    assert sol.status.max_gradient == np.max(np.abs(sol.ux[-1])) > 25.0
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(theta=1.5)
     with pytest.raises(ConfigError):
         SolverConfig(nx=3)
+    # the step-size factor's power needs a positive tolerance on an adaptive run
+    for tol in (0.0, -1e-8, math.nan):
+        with pytest.raises(ConfigError):
+            SolverConfig(local_error_tol=tol)
+    assert SolverConfig(local_error_tol=-1.0, dt_min=0.01, dt_max=0.01).fixed_step
 
 
 # ---------------------------------------------------------------------------
