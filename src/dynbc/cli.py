@@ -118,7 +118,6 @@ class RunManifest:
     command: str
     out_dir: Path
     report_format: str = "json"
-    strict: bool | None = None
     jobs: int = 1  # unused: sweeps run serially
     overrides: dict = field(default_factory=dict)
 
@@ -168,30 +167,23 @@ def _solver_config(raw: dict, manifest: RunManifest) -> SolverConfig:
             raise ConfigError(f"unknown solver key {key!r}; the keys are {' '.join(_SOLVER_KEYS)}")
         target, kind = _SOLVER_KEYS[key]
         kwargs[target] = spec_value(value, kind, f"solver.{key}")
-    for key in ("nx", "dt0", "cutoff"):
-        if manifest.overrides.get(key) is not None:
-            kwargs[_SOLVER_KEYS[key][0]] = manifest.overrides[key]
-    if manifest.strict is not None:
-        kwargs["strict_compatibility"] = manifest.strict
-    kwargs.setdefault("compat_tol", default_tol())
-    return SolverConfig(**kwargs)
+    # solve's flags, named as the keys they override
+    for key, value in manifest.overrides.items():
+        if value is not None:
+            kwargs[_SOLVER_KEYS[key][0]] = value
+    return SolverConfig(compat_tol=default_tol(), **kwargs)
 
 
 # ---------------------------------------------------------------------------
 # certify
 
-def _certificate_params(raw: dict):
-    blk = raw.get("certificate")
-    if not isinstance(blk, dict) or "psi" not in blk or "q0" not in blk:
-        raise ConfigError('spec needs a "certificate" block with "psi" and "q0"')
-    return blk
-
-
 def cmd_certify(manifest: RunManifest) -> int:
     try:
         raw = manifest.load_spec()
         problem = ProblemSpec.from_dict(raw)
-        blk = _certificate_params(raw)
+        blk = raw.get("certificate")
+        if not isinstance(blk, dict) or "psi" not in blk or "q0" not in blk:
+            raise ConfigError('spec needs a "certificate" block with "psi" and "q0"')
         psi = PsiSpec.from_text(spec_value(blk["psi"], str, "certificate.psi"))
         q0 = spec_value(blk["q0"], float, "certificate.q0")
 
@@ -508,14 +500,14 @@ def _verify_blowup(manifest: RunManifest, sol: Solution, psi_text: str) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_point(psi_text: str, q0: float, M: float, K_est: float):
+def _sweep_point(psi_text: str, q0: float, M: float, K_est: float) -> str:
+    """The ``sweep.csv`` row of one point: its barrier, or the error it raised."""
     try:
-        psi = PsiSpec.from_text(psi_text)
-        cert = build_barrier(psi, q0=q0, M=M, K=min(K_est, q0))
-        covers = K_est <= q0 * (1.0 + K_SLACK)
-        return (psi_text, q0, M, "ok", cert.q1, cert.kappa0, covers, "")
+        cert = build_barrier(PsiSpec.from_text(psi_text), q0=q0, M=M, K=min(K_est, q0))
+        cells, detail = ("ok", cert.q1, cert.kappa0, K_est <= q0 * (1.0 + K_SLACK)), ""
     except DynbcError as exc:
-        return (psi_text, q0, M, type(exc).__name__, math.nan, math.nan, False, str(exc))
+        cells, detail = (type(exc).__name__, math.nan, math.nan, False), str(exc)
+    return _csv_row((json.dumps(psi_text), q0, M, *cells, json.dumps(detail)))
 
 
 def cmd_sweep(manifest: RunManifest) -> int:
@@ -546,13 +538,8 @@ def cmd_sweep(manifest: RunManifest) -> int:
         K_est = math.nan
 
     rows = [_sweep_point(p, q, M, K_est) for p in psis for q in q0s for M in Ms]
-
-    lines = ["psi,q0,M,status,q1,kappa0,q0_covers_K,detail"]
-    for row in rows:
-        psi_text, q0, M, status, q1, kappa0, covers, detail = row
-        lines.append(_csv_row((json.dumps(psi_text), q0, M, status, q1, kappa0,
-                               covers, json.dumps(detail))))
-    _write(manifest.out_dir / "sweep.csv", "\n".join(lines))
+    _write(manifest.out_dir / "sweep.csv",
+           "\n".join(["psi,q0,M,status,q1,kappa0,q0_covers_K,detail", *rows]))
     return 0
 
 
@@ -573,8 +560,6 @@ def main(argv: list[str] | None = None) -> int:
         prog="dynbc",
         description="certify / solve / verify workflows for 1-d quasilinear "
                     "parabolic problems with dynamical boundary conditions")
-    # each flag goes only on the commands it acts on; the others read its default
-    parser.set_defaults(format="json", strict=None, nx=None, dt0=None, cutoff=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("certify", "solve", "verify", "sweep"):
         p = sub.add_parser(name)
@@ -588,19 +573,20 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--nx", type=int)
             p.add_argument("--dt0", type=float)
             p.add_argument("--cutoff", type=float)
-    args = parser.parse_args(argv)
+    # what is left after the common flags are solve's overrides
+    flags = vars(parser.parse_args(argv))
+    command = flags.pop("command")
 
     try:
         manifest = RunManifest(
-            spec_path=Path(args.spec), command=args.command, out_dir=Path(args.out),
-            report_format=args.format, strict=args.strict,
-            overrides={"nx": args.nx, "dt0": args.dt0, "cutoff": args.cutoff})
+            spec_path=Path(flags.pop("spec")), command=command, out_dir=Path(flags.pop("out")),
+            report_format=flags.pop("format", "json"), overrides=flags)
     except DynbcError as exc:
         print(f"dynbc: {exc}", file=sys.stderr)
         return 1
 
     cmd = {"certify": cmd_certify, "solve": cmd_solve,
-           "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
+           "verify": cmd_verify, "sweep": cmd_sweep}[command]
     return cmd(manifest)
 
 

@@ -22,17 +22,15 @@ from typing import NamedTuple, Union
 from .errors import ConfigError
 from .expr import Expr, free_variables, parse
 
-__all__ = ["DynamicBC", "DirichletBC", "BoundaryCondition", "End", "ProblemSpec",
-           "spec_value"]
+__all__ = ["DynamicBC", "DirichletBC", "BoundaryCondition", "End", "ProblemSpec", "spec_value"]
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a number",
           str: "a string", list: "a list", dict: "an object"}
 
 
 def spec_value(value, kind: type, name: str):
-    """``value``, read from a spec file as ``kind`` (one of ``_KINDS``), or a
-    ConfigError naming ``name``.  A number may be written as an integer; a
-    JSON true or false is a bool only."""
+    """``value`` read from a spec file as ``kind``, or a ConfigError naming
+    ``name``; a number may be an integer, and only true or false is a bool."""
     if kind is float and type(value) is int:
         return float(value)
     if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):

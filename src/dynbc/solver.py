@@ -7,22 +7,20 @@ one-sided stencil would pollute the global order through the boundary ODE).
 Each law is a lead term plus source terms: a u_xx + f (+ f1) inside, and
 du/dt = -/+ b p + g (+ g1) at a dynamic boundary node.  Every coefficient is
 compiled once with its exact z- and p-derivatives, and the sources are added
-left to right.  Dirichlet nodes are pinned algebraically: ``pins`` lists
-each pinned end with its node, and a pin enters the stage system only as
-the identity row u = value(t).
+left to right.  Dirichlet nodes are pinned algebraically, each through one
+identity row of the stage system.
 
 Time: theta-scheme (trapezoidal by default) with damped Newton on the stage
 system; Jacobian entries come from the exact derivatives, assembled into a
 tridiagonal-plus-two-corners matrix.  A corner is eliminated against its
 adjacent row before the Thomas sweep when the multiplier is at most 1;
 otherwise the stage system is solved densely.  Step size adapts on a
-step-doubling error estimate, and one factor, 0.9 (tol/err)^(1/(order+1))
-clipped to [0.2, 5], rescales dt after a rejection and an acceptance
-alike; Newton failure first retries the step fully implicitly (theta = 1),
-then shrinks dt.  The slope rhs(t, u) and the gradient of each stored
-state are evaluated once: the slope starts every attempt from that state
-(the full step and the first half step alike) and is the state's row of
-u_t; the gradient is checked against the cutoff and is its row of u_x.
+step-doubling error estimate, one factor rescaling dt after a rejection and
+an acceptance alike; Newton failure first retries the step fully implicitly
+(theta = 1), then shrinks dt.  The slope rhs(t, u) and the gradient of each
+stored state are evaluated once: the slope starts every attempt from that
+state (the full step and the first half step alike) and is its row of u_t;
+the gradient meets the cutoff and is its row of u_x.
 
 Every run ends in exactly one of three states: Completed at T, BlowUpDetected
 once max |u_x| crosses the cutoff, or StepFailure when dt hits its floor.
@@ -71,8 +69,11 @@ class SolverConfig:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if not (0 < self.dt_min <= self.dt_max):
             raise ConfigError("need 0 < dt_min <= dt_max")
+        if math.isnan(self.dt0):  # every step would be nan, up to the step budget
+            raise ConfigError("dt0 must be a number, got nan")
         if not (self.local_error_tol > 0 or self.fixed_step):
-            raise ConfigError(f"an adaptive run needs local_error_tol > 0, got {self.local_error_tol}")
+            raise ConfigError(
+                f"an adaptive run needs local_error_tol > 0, got {self.local_error_tol}")
 
     @property
     def fixed_step(self) -> bool:
@@ -201,7 +202,6 @@ class SemiDiscretization:
         if nx < 5:
             raise ConfigError(f"nx must be at least 5, got {nx}")
         self.problem = problem
-        self.nx = nx
         self.nodes = np.linspace(-problem.ell, problem.ell, nx)
         self.dx = float(self.nodes[1] - self.nodes[0])
 
@@ -322,12 +322,8 @@ def _solve_bordered(lower, diag, upper, corner_right, corner_left, rhs):
 def _theta_step(disc: SemiDiscretization, t: float, u: np.ndarray, f0: np.ndarray,
                 dt: float, theta: float, cfg: SolverConfig) -> np.ndarray:
     """One theta-scheme step from u, whose slope is f0 = rhs(t, u), with
-    damped Newton; raises _NewtonFailure.
-
-    Each pinned node takes its pin's value at t + dt in the predictor, and
-    its residual and Jacobian rows are those of U[i] = value.  A predictor
-    that is not finite at a free node makes the residual not finite, which
-    fails the step."""
+    damped Newton; raises _NewtonFailure.  Each pin's rows are those of
+    U[i] = value(t + dt), and the predictor takes that value."""
     t1 = t + dt
     explicit = u + dt * (1.0 - theta) * f0 if theta < 1.0 else u.copy()
     pins = [(i, end.at(t1)) for i, end in disc.pins]
@@ -455,9 +451,8 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
 
     t = 0.0
     u = disc.initial_state()
-    # each stored state's slope rhs(t, u): the start slope of every attempt
-    # from it, and its row of u_t; and its gradient, its row of u_x.  Nothing
-    # writes into a stored state, so it is kept as it is.
+    # each stored state's slope rhs(t, u), the start slope of every attempt
+    # from it, and its gradient; nothing writes into a stored state
     f0 = disc.rhs(t, u)
     times = [t]
     states = [u]

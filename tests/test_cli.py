@@ -92,6 +92,7 @@ def test_invalid_json_spec(tmp_path):
     ("solve", {"solver": {"dt_max": None}}),
     ("solve", {"solver": {"newton_max_iter": 2.5}}),
     ("solve", {"solver": {"local_error_tol": -1e-8}}),
+    ("solve", {"solver": {"dt0": math.nan}}),
     ("solve", {"solver": {"nxx": 17}}),
     ("solve", {"solver": {"gradient_cutoff": 25.0}}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
