@@ -525,7 +525,7 @@ def cmd_sweep(manifest: RunManifest) -> int:
         psis, q0s, Ms = axis("psi", str), axis("q0", float), axis("M", float)
         if not (psis and q0s and Ms):
             raise ConfigError('sweep block needs non-empty "psi", "q0" and "M" axes')
-    except DynbcError as exc:
+    except (DynbcError, ValueError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 1
 

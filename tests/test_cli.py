@@ -75,6 +75,9 @@ def test_invalid_json_spec(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert main(["certify", "--spec", str(p), "--out", str(tmp_path / "out")]) == 1
+    p.write_bytes(b"\xff\xfe{")  # not UTF-8
+    for command in ("certify", "solve", "sweep"):
+        assert main([command, "--spec", str(p), "--out", str(tmp_path / "out")]) == 1
 
 
 @pytest.mark.parametrize("command, changes", [
