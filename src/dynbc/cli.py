@@ -52,8 +52,12 @@ __all__ = ["RunManifest", "cmd_certify", "cmd_solve", "cmd_verify", "cmd_sweep",
 
 
 def default_tol() -> float:
-    """Base tolerance; the DYNBC_TOL environment variable overrides it."""
-    return float(os.environ.get("DYNBC_TOL", "1e-8"))
+    """Base tolerance; the DYNBC_TOL environment variable overrides it.
+    Raises ValueError when it is not a number, nan included."""
+    tol = float(os.environ.get("DYNBC_TOL", "1e-8"))
+    if math.isnan(tol):  # every slack would pass a nan tolerance
+        raise ValueError("DYNBC_TOL must be a number, got nan")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -525,17 +529,13 @@ def cmd_sweep(manifest: RunManifest) -> int:
         psis, q0s, Ms = axis("psi", str), axis("q0", float), axis("M", float)
         if not (psis and q0s and Ms):
             raise ConfigError('sweep block needs non-empty "psi", "q0" and "M" axes')
+        # sampled Lipschitz constant of the problem's initial data, reported
+        # per row so q0 choices can be screened against it
+        problem = ProblemSpec.from_dict(raw)
+        K_est = estimate_lipschitz(problem.u0, problem.ell)
     except (DynbcError, ValueError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 1
-
-    # sampled Lipschitz constant of the problem's initial data, reported per
-    # row so q0 choices can be screened against it
-    try:
-        problem = ProblemSpec.from_dict(raw)
-        K_est = estimate_lipschitz(problem.u0, problem.ell)
-    except DynbcError:
-        K_est = math.nan
 
     rows = [_sweep_point(p, q, M, K_est) for p in psis for q in q0s for M in Ms]
     _write(manifest.out_dir / "sweep.csv",

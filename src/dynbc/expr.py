@@ -25,6 +25,7 @@ Trees are immutable; all operations here are pure.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -39,7 +40,6 @@ __all__ = [
 ]
 
 VARIABLES = ("t", "x", "z", "p")
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs", "tanh", "sign")
 NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
@@ -70,12 +70,60 @@ Expr = Union[Const, Var, Unary, Binary]
 
 
 # ---------------------------------------------------------------------------
+# the operations: scalar value with its domain rule, and a function's
+# derivative; a function's kernel is always numpy's function of that name
+
+def _log(v: float) -> float:
+    if v <= 0.0:
+        raise DomainError(f"log of non-positive value {v}")
+    return math.log(v)
+
+
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise DomainError(f"sqrt of negative value {v}")
+    return math.sqrt(v)
+
+
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _pow(a: float, b: float) -> float:
+    if a == 0.0 and b < 0.0:
+        raise DomainError("zero raised to negative power")
+    if a < 0.0 and b != math.floor(b):
+        raise DomainError(f"negative base {a} with non-integer exponent {b}")
+    return a ** b
+
+
+# name -> (scalar value with its domain rule, the factor f'(arg) that the
+# derivative of the node f(arg) puts on d(arg), built from that node)
+_FUNCTIONS = {
+    "sin": (math.sin, lambda e: _fold_unary("cos", e.arg)),
+    "cos": (math.cos, lambda e: _fold_unary("neg", _fold_unary("sin", e.arg))),
+    "exp": (math.exp, lambda e: e),
+    "log": (_log, lambda e: _fold_binary("/", Const(1.0), e.arg)),
+    "sqrt": (_sqrt, lambda e: _fold_binary("/", Const(0.5), e)),
+    "abs": (abs, lambda e: _fold_unary("sign", e.arg)),
+    "tanh": (math.tanh, lambda e: _fold_binary("-", Const(1.0), _fold_binary("^", e, Const(2.0)))),
+    # flat away from 0; 0 at 0 by the abs convention
+    "sign": (lambda v: float((v > 0) - (v < 0)), lambda e: Const(0.0)),
+}
+FUNCTIONS = tuple(_FUNCTIONS)
+_UNARY = {"neg": operator.neg, **{name: value for name, (value, _) in _FUNCTIONS.items()}}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
+
+
+# ---------------------------------------------------------------------------
 # construction with constant folding
 
 def _fold_unary(op: str, arg: Expr) -> Expr:
     if isinstance(arg, Const):
         try:
-            return Const(_apply_unary(op, arg.value))
+            return Const(_UNARY[op](arg.value))
         except (DomainError, OverflowError):  # an overflow is left to evaluation
             pass
     return Unary(op, arg)
@@ -84,56 +132,10 @@ def _fold_unary(op: str, arg: Expr) -> Expr:
 def _fold_binary(op: str, left: Expr, right: Expr) -> Expr:
     if isinstance(left, Const) and isinstance(right, Const):
         try:
-            return Const(_apply_binary(op, left.value, right.value))
+            return Const(_BINARY[op](left.value, right.value))
         except (DomainError, OverflowError):
             pass
     return Binary(op, left, right)
-
-
-def _apply_unary(op: str, v: float) -> float:
-    if op == "neg":
-        return -v
-    if op == "sin":
-        return math.sin(v)
-    if op == "cos":
-        return math.cos(v)
-    if op == "exp":
-        return math.exp(v)
-    if op == "tanh":
-        return math.tanh(v)
-    if op == "abs":
-        return abs(v)
-    if op == "sign":
-        return float((v > 0) - (v < 0))
-    if op == "log":
-        if v <= 0.0:
-            raise DomainError(f"log of non-positive value {v}")
-        return math.log(v)
-    if op == "sqrt":
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative value {v}")
-        return math.sqrt(v)
-    raise ValueError(f"unknown unary op {op!r}")
-
-
-def _apply_binary(op: str, a: float, b: float) -> float:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0.0:
-            raise DomainError("division by zero")
-        return a / b
-    if op == "^":
-        if a == 0.0 and b < 0.0:
-            raise DomainError("zero raised to negative power")
-        if a < 0.0 and b != math.floor(b):
-            raise DomainError(f"negative base {a} with non-integer exponent {b}")
-        return a ** b
-    raise ValueError(f"unknown binary op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -197,38 +199,36 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected token {value!r}", offset)
         return e
 
-    def _expr(self) -> Expr:
-        e = self._term()
-        while True:
-            kind, value, _ = self.tok.peek()
-            if kind == "op" and value in "+-":
-                self.tok.next()
-                e = _fold_binary(value, e, self._term())
-            else:
-                return e
+    def _accept(self, ops: str) -> str | None:
+        """Take the next token if it is one of the operators ops."""
+        kind, value, _ = self.tok.peek()
+        if kind == "op" and value in ops:
+            self.tok.next()
+            return value
+        return None
 
-    def _term(self) -> Expr:
-        e = self._factor()
-        while True:
-            kind, value, _ = self.tok.peek()
-            if kind == "op" and value in "*/":
-                self.tok.next()
-                e = _fold_binary(value, e, self._factor())
-            else:
-                return e
+    def _expect(self, op: str, message: str) -> None:
+        kind, value, offset = self.tok.next()
+        if not (kind == "op" and value == op):
+            raise ExprSyntaxError(message, offset)
+
+    def _expr(self, ops: str = "+-") -> Expr:
+        """An expr, or a term when ops is '*/': operands joined left to right."""
+        operand = self._factor if ops == "*/" else lambda: self._expr("*/")
+        e = operand()
+        while op := self._accept(ops):
+            e = _fold_binary(op, e, operand())
+        return e
 
     def _factor(self) -> Expr:
-        kind, value, _ = self.tok.peek()
-        if kind == "op" and value == "-":
-            self.tok.next()
+        if self._accept("-"):
             return _fold_unary("neg", self._factor())
         return self._power()
 
     def _power(self) -> Expr:
         base = self._atom()
-        kind, value, offset = self.tok.peek()
-        if kind == "op" and value == "^":
-            self.tok.next()
+        offset = self.tok.peek()[2]
+        if self._accept("^"):
             exponent = self._factor()
             if not isinstance(exponent, Const):
                 raise ExprSyntaxError("exponent must fold to a constant", offset)
@@ -244,21 +244,15 @@ class _Parser:
                 return Var(value)
             if value in NAMED_CONSTANTS:
                 return Const(NAMED_CONSTANTS[value])
-            if value in FUNCTIONS:
-                k, v, o = self.tok.next()
-                if not (k == "op" and v == "("):
-                    raise ExprSyntaxError(f"expected '(' after function {value!r}", o)
+            if value in _FUNCTIONS:
+                self._expect("(", f"expected '(' after function {value!r}")
                 arg = self._expr()
-                k, v, o = self.tok.next()
-                if not (k == "op" and v == ")"):
-                    raise ExprSyntaxError("expected ')'", o)
+                self._expect(")", "expected ')'")
                 return _fold_unary(value, arg)
             raise UnknownIdentifier(f"unknown identifier {value!r}", offset)
         if kind == "op" and value == "(":
             e = self._expr()
-            k, v, o = self.tok.next()
-            if not (k == "op" and v == ")"):
-                raise ExprSyntaxError("expected ')'", o)
+            self._expect(")", "expected ')'")
             return e
         raise ExprSyntaxError(f"unexpected token {value!r}" if value else "unexpected end of input", offset)
 
@@ -278,8 +272,10 @@ def parse(text: str) -> Expr:
 def evaluate(e: Expr, t: float = 0.0, x: float = 0.0, z: float = 0.0, p: float = 0.0) -> float:
     """Evaluate to an IEEE double; unused variables are ignored.
 
-    Raises DomainError (carrying the offending node) for log/sqrt of a
-    negative argument or division by zero.
+    Raises DomainError (carrying the offending node) for every operation
+    that fails: log/sqrt of a negative argument, division by zero, a
+    negative base with a non-integer exponent, and math's overflow and
+    domain errors (``exp(z): math range error``).
     """
     env = {"t": float(t), "x": float(x), "z": float(z), "p": float(p)}
     return _eval(e, env)
@@ -291,19 +287,15 @@ def _eval(e: Expr, env: dict) -> float:
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, Unary):
-        v = _eval(e.arg, env)
-        try:
-            return _apply_unary(e.op, v)
-        except DomainError as exc:
-            raise DomainError(str(exc), node=e) from None
-    if isinstance(e, Binary):
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        try:
-            return _apply_binary(e.op, a, b)
-        except DomainError as exc:
-            raise DomainError(str(exc), node=e) from None
-    raise TypeError(f"not an Expr node: {e!r}")
+        op, args = _UNARY[e.op], (_eval(e.arg, env),)
+    else:
+        op, args = _BINARY[e.op], (_eval(e.left, env), _eval(e.right, env))
+    try:
+        return op(*args)
+    except DomainError as exc:
+        raise DomainError(str(exc), node=e) from None
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(f"{to_str(e)}: {exc}", node=e) from None
 
 
 # ---------------------------------------------------------------------------
@@ -351,25 +343,7 @@ def _diff(e: Expr, v: str) -> Expr:
         du = _diff(e.arg, v)
         if e.op == "neg":
             return _fold_unary("neg", du)
-        if e.op == "sin":
-            outer = _fold_unary("cos", e.arg)
-        elif e.op == "cos":
-            outer = _fold_unary("neg", _fold_unary("sin", e.arg))
-        elif e.op == "exp":
-            outer = e
-        elif e.op == "log":
-            outer = _fold_binary("/", Const(1.0), e.arg)
-        elif e.op == "sqrt":
-            outer = _fold_binary("/", Const(0.5), e)
-        elif e.op == "tanh":
-            outer = _fold_binary("-", Const(1.0), _fold_binary("^", e, Const(2.0)))
-        elif e.op == "abs":
-            outer = _fold_unary("sign", e.arg)
-        elif e.op == "sign":
-            outer = Const(0.0)  # flat away from 0; 0 at 0 by the abs convention
-        else:
-            raise ValueError(f"unknown unary op {e.op!r}")
-        return _mul(outer, du)
+        return _mul(_FUNCTIONS[e.op][1](e), du)
     if isinstance(e, Binary):
         dl = _diff(e.left, v)
         dr = _diff(e.right, v)
@@ -436,12 +410,6 @@ def to_str(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # compilation to a numpy-vectorized callable
 
-_NP_FUNCS = {
-    "sin": "_np.sin", "cos": "_np.cos", "exp": "_np.exp", "log": "_np.log",
-    "sqrt": "_np.sqrt", "abs": "_np.abs", "tanh": "_np.tanh", "sign": "_np.sign",
-}
-
-
 def _pycode(e: Expr) -> str:
     if isinstance(e, Const):
         return f"({e.value!r})"
@@ -450,23 +418,28 @@ def _pycode(e: Expr) -> str:
     if isinstance(e, Unary):
         if e.op == "neg":
             return f"(-{_pycode(e.arg)})"
-        return f"{_NP_FUNCS[e.op]}({_pycode(e.arg)})"
+        return f"_np.{e.op}({_pycode(e.arg)})"
     op = "**" if e.op == "^" else e.op
-    return f"({_pycode(e.left)}{op}{_pycode(e.right)})"
+    left = _pycode(e.left)
+    if isinstance(e.left, Const) and isinstance(e.right, Const):
+        # a fold that failed (1/0, 10^400): numpy's inf/nan, not Python's error
+        left = f"_np.float64{left}"
+    return f"({left}{op}{_pycode(e.right)})"
 
 
 def compile_expr(e: Expr):
     """Compile to ``f(t=0, x=0, z=0, p=0)`` broadcasting over numpy arrays.
 
-    The compiled form does not police domains: out-of-domain points yield
-    nan/inf under numpy semantics (callers check finiteness).  Nor does it
+    The compiled form does not police domains and never raises: out-of-domain
+    points and non-finite constants yield nan/inf under numpy semantics
+    (callers check finiteness), given numpy arrays or scalars.  Nor does it
     touch numpy's floating-point error policy: callers set it once per entry
     point (``np.errstate``), not around each kernel call.  The result is what
     the arithmetic gives, a float or an array.  Use ``evaluate`` for the
     strict scalar contract.
     """
     src = f"def _f(t=0.0, x=0.0, z=0.0, p=0.0):\n    return {_pycode(e)}\n"
-    ns = {"_np": np}
+    ns = {"_np": np, "inf": math.inf, "nan": math.nan}
     exec(src, ns)
     f = ns["_f"]
     f.expr = e

@@ -19,6 +19,8 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
+import numpy as np
+
 from .errors import ConfigError
 from .expr import Expr, free_variables, parse
 
@@ -94,9 +96,11 @@ class ProblemSpec:
 
     @property
     def ends(self) -> tuple[End, End]:
-        """The two ends, +ell first."""
-        return (End(self.ell, self.bc_plus, 1.0, "+ell"),
-                End(-self.ell, self.bc_minus, -1.0, "-ell"))
+        """The two ends, +ell first.  Each abscissa is a numpy scalar, so a
+        kernel called there gives inf/nan where Python float arithmetic
+        raises (``1/(x-1)`` at ell = 1)."""
+        ell = np.float64(self.ell)
+        return (End(ell, self.bc_plus, 1.0, "+ell"), End(-ell, self.bc_minus, -1.0, "-ell"))
 
     @property
     def has_split_rhs(self) -> bool:

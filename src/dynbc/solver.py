@@ -7,7 +7,9 @@ one-sided stencil would pollute the global order through the boundary ODE).
 Each law is a lead term plus source terms: a u_xx + f (+ f1) inside, and
 du/dt = -/+ b p + g (+ g1) at a dynamic boundary node.  Every coefficient is
 compiled once with its exact z- and p-derivatives, and the sources are added
-left to right.  Dirichlet nodes are pinned algebraically, each through one
+left to right.  The kernels take t as a numpy scalar, so a coefficient that
+is singular at some t (0.1/t at t = 0) gives inf/nan there instead of
+raising.  Dirichlet nodes are pinned algebraically, each through one
 identity row of the stage system.
 
 Time: theta-scheme (trapezoidal by default) with damped Newton on the stage
@@ -63,14 +65,17 @@ class SolverConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
+        # nan passes every comparison: a nan cutoff never detects blow-up, a
+        # nan newton_tol fails every Newton solve, a nan dt0 makes every step nan
+        for name, value in vars(self).items():
+            if isinstance(value, float) and math.isnan(value):
+                raise ConfigError(f"{name} must be a number, got nan")
         if self.nx < 5:
             raise ConfigError(f"nx must be at least 5, got {self.nx}")
         if not (0.0 <= self.theta <= 1.0):
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if not (0 < self.dt_min <= self.dt_max):
             raise ConfigError("need 0 < dt_min <= dt_max")
-        if math.isnan(self.dt0):  # every step would be nan, up to the step budget
-            raise ConfigError("dt0 must be a number, got nan")
         if not (self.local_error_tol > 0 or self.fixed_step):
             raise ConfigError(
                 f"an adaptive run needs local_error_tol > 0, got {self.local_error_tol}")
@@ -162,12 +167,12 @@ class _DynamicEnd:
         self.g, self.g_z, self.g_p = _compile_terms(end.bc.g, end.bc.g1)
 
     def law(self, t: float, z: float, p: float) -> float:
-        kw = dict(t=t, x=self.x, z=z, p=p)
+        kw = dict(t=np.float64(t), x=self.x, z=z, p=p)
         return _sum_terms(self.g, kw, -self.outward * self.b(**kw) * p)
 
     def law_derivs(self, t: float, z: float, p: float) -> tuple[float, float]:
         """(d/dz, d/dp) of the boundary law at fixed stencil gradient p."""
-        kw = dict(t=t, x=self.x, z=z, p=p)
+        kw = dict(t=np.float64(t), x=self.x, z=z, p=p)
         dz = _sum_terms(self.g_z, kw, -self.outward * self.b_z(**kw) * p)
         dp = _sum_terms(self.g_p, kw, -self.outward * (self.b_p(**kw) * p + self.b(**kw)))
         return dz, dp
@@ -182,10 +187,10 @@ class _DirichletEnd:
         self.dvalue = compile_expr(diff(end.bc.value, "t"))
 
     def at(self, t: float) -> float:
-        return float(self.value(t=t))
+        return float(self.value(t=np.float64(t)))
 
     def law(self, t: float, z: float, p: float) -> float:
-        return float(self.dvalue(t=t))
+        return float(self.dvalue(t=np.float64(t)))
 
     def law_derivs(self, t: float, z: float, p: float) -> tuple[float, float]:
         return 0.0, 0.0
@@ -236,7 +241,7 @@ class SemiDiscretization:
         """Slopes at every node, interior u_xx, and the interior kernel arguments."""
         p = self.gradient(u)
         uxx = (u[2:] - 2 * u[1:-1] + u[:-2]) / self.dx ** 2
-        return p, uxx, dict(t=t, x=self.nodes[1:-1], z=u[1:-1], p=p[1:-1])
+        return p, uxx, dict(t=np.float64(t), x=self.nodes[1:-1], z=u[1:-1], p=p[1:-1])
 
     def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
         """du/dt of every node; pinned nodes report the pin's rate."""

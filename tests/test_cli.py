@@ -96,6 +96,12 @@ def test_invalid_json_spec(tmp_path):
     ("solve", {"solver": {"newton_max_iter": 2.5}}),
     ("solve", {"solver": {"local_error_tol": -1e-8}}),
     ("solve", {"solver": {"dt0": math.nan}}),
+    ("solve", {"solver": {"cutoff": math.nan}}),
+    ("solve", {"solver": {"newton_tol": math.nan}}),
+    ("sweep", {"ell": None, "sweep": {"psi": ["1"], "q0": [1.0], "M": [2.0]}}),
+    ("certify", {"f": "exp(z)", "u0": "800"}),
+    ("solve", {"f": "exp(z)", "u0": "800"}),
+    ("certify", {"certificate": {"psi": "1+0*1e400", "q0": 1.0, "M": 2.0}}),
     ("solve", {"solver": {"nxx": 17}}),
     ("solve", {"solver": {"gradient_cutoff": 25.0}}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
@@ -107,6 +113,37 @@ def test_a_malformed_spec_is_an_input_error(tmp_path, capsys, command, changes):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{command}: "), err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["solve", "--cutoff", "nan"], {}),
+    (["certify"], {"DYNBC_TOL": "nan"}),
+], ids=["flag", "environment"])
+def test_a_nan_flag_or_tolerance_is_an_input_error(tmp_path, capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    assert main([*argv, "--spec", str(_write_spec(tmp_path, STEADY)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{argv[0]}: "), err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, changes, code", [
+    ("certify", {"f": "-z*p + 0*10^400"}, 1),
+    ("certify", {"f": "-z*p + 0*(1/0)"}, 1),
+    ("certify", {"bc_plus": {"kind": "dynamic", "b": "1", "g": "0/(x-1)"}}, 1),
+    ("solve", {"bc_plus": {"kind": "dirichlet", "value": "0.1/t"}}, 1),
+    ("solve", {"bc_plus": {"kind": "dynamic", "b": "1", "g": "0.1/t"}}, 4),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_a_singular_coefficient_ends_with_an_exit_code(tmp_path, capsys, command, changes, code):
+    # burgers, non-strict so the solver meets the singular data itself
+    doc = json.loads(preset_path("burgers").read_text()) | changes
+    doc["solver"] = {"strict": False, "nx": 33}
+    out = tmp_path / "out"
+    assert main([command, "--spec", str(_write_spec(tmp_path, doc)), "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{command}: "), err
 
 
 def test_certify_steady_artifacts(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dynbc.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from dynbc.expr import (
-    Binary, Const, Unary, Var, _fold_binary, _fold_unary,
+    FUNCTIONS, Binary, Const, Unary, Var, _fold_binary, _fold_unary,
     compile_expr, diff, evaluate, free_variables, parse, to_str,
 )
 
@@ -84,6 +84,21 @@ def test_eval_domain_errors():
     except DomainError as ex:
         err = ex
     assert err is not None and err.node == Unary("log", Var("z"))
+
+
+def test_every_failed_operation_is_a_domain_error_naming_its_node():
+    # math's OverflowError and ValueError, and float **'s OverflowError
+    for text, env, node in [("exp(z)", {"z": 800.0}, Unary("exp", Var("z"))),
+                            ("sin(x)", {"x": math.inf}, Unary("sin", Var("x"))),
+                            ("x + 10^400", {}, Binary("^", Const(10.0), Const(400.0)))]:
+        with pytest.raises(DomainError) as exc:
+            evaluate(parse(text), **env)
+        assert exc.value.node == node
+        assert str(exc.value).startswith(f"{to_str(node)}: ")
+    # an inner node's error reaches the caller unchanged
+    with pytest.raises(DomainError) as exc:
+        evaluate(parse("1 + exp(z)*2"), z=800.0)
+    assert exc.value.node == Unary("exp", Var("z")) and str(exc.value) == "exp(z): math range error"
 
 
 def test_folding_leaves_an_overflow_to_evaluation():
@@ -233,6 +248,46 @@ def test_compile_matches_evaluate():
         except DomainError:
             continue
         assert float(f(**env)) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+
+def test_a_kernel_gives_inf_or_nan_and_never_raises():
+    with np.errstate(all="ignore"):
+        # constants that print as inf/nan, and folds that failed
+        assert compile_expr(parse("1e400*x"))(x=2.0) == math.inf
+        assert math.isnan(compile_expr(parse("1+0*1e400"))())
+        assert math.isnan(compile_expr(parse("-z*p + 0*10^400"))(z=1.0, p=1.0))
+        assert math.isnan(compile_expr(parse("0*(1/0)"))())
+        assert math.isnan(compile_expr(parse("(0-8)^(1/3)"))())
+        # numpy scalars, as the solver hands its end kernels
+        assert compile_expr(parse("0.1/t"))(t=np.float64(0.0)) == math.inf
+
+
+# each function's reference value, independent of the table
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
+         "sqrt": math.sqrt, "abs": math.fabs, "tanh": math.tanh,
+         "sign": lambda v: math.copysign(1.0, v) if v else 0.0}
+
+
+def test_the_parser_accepts_exactly_the_table():
+    assert sorted(FUNCTIONS) == sorted(_MATH)
+    for name in ("tan", "sinh", "cosh", "arcsin", "log10", "ln", "sgn", "floor", "square"):
+        with pytest.raises(UnknownIdentifier):
+            parse(f"{name}(x)")
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_each_function_parses_folds_compiles_and_differentiates(name):
+    assert parse(f"{name}(x)") == Unary(name, Var("x"))
+    for text in (name, f"{name}*x", f"{name}(x"):
+        with pytest.raises(ExprSyntaxError):
+            parse(text)
+    assert parse(f"{name}(0.7)") == Const(_MATH[name](0.7))
+    xs = np.array([-2.0, -0.5, -0.0, 0.0, 0.7, 3.0, math.inf])
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(compile_expr(parse(f"{name}(x)"))(x=xs), getattr(np, name)(xs))
+    h, x0 = 1e-6, 0.7
+    fd = (_MATH[name](x0 + h) - _MATH[name](x0 - h)) / (2 * h)
+    assert evaluate(diff(parse(f"{name}(x)"), "x"), x=x0) == pytest.approx(fd, rel=1e-8, abs=1e-9)
 
 
 def test_compile_broadcasts():

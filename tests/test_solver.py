@@ -215,6 +215,10 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             SolverConfig(local_error_tol=tol)
     assert SolverConfig(local_error_tol=-1.0, dt_min=0.01, dt_max=0.01).fixed_step
+    # nan passes every comparison, so each float field refuses it by name
+    for name in ("dt0", "gradient_cutoff", "newton_tol", "compat_tol"):
+        with pytest.raises(ConfigError, match=f"^{name} must be a number"):
+            SolverConfig(**{name: math.nan})
 
 
 # ---------------------------------------------------------------------------
