@@ -124,7 +124,8 @@ def _fold_unary(op: str, arg: Expr) -> Expr:
     if isinstance(arg, Const):
         try:
             return Const(_UNARY[op](arg.value))
-        except (DomainError, OverflowError):  # an overflow is left to evaluation
+        # an overflow or a math domain error (sin(inf)) is left to evaluation
+        except (DomainError, OverflowError, ValueError):
             pass
     return Unary(op, arg)
 

@@ -120,6 +120,8 @@ class Solution:
 
     @property
     def dx(self) -> float:
+        if self.grid.nodes.size < 2:
+            return 0.0
         return float(self.grid.nodes[1] - self.grid.nodes[0])
 
     @property

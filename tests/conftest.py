@@ -1,0 +1,20 @@
+"""Suite-wide fixtures."""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid gave pid {pid}, status {status})")

@@ -146,6 +146,13 @@ def test_a_singular_coefficient_ends_with_an_exit_code(tmp_path, capsys, command
     assert len(err) == 1 and err[0].startswith(f"{command}: "), err
 
 
+def test_a_constant_outside_a_functions_domain_is_an_input_error_naming_it(tmp_path, capsys):
+    spec = _write_spec(tmp_path, STEADY | {"f": "sin(1e400)*p"})
+    assert main(["certify", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["certify: sin(inf): math domain error"]
+
+
 def test_certify_steady_artifacts(tmp_path):
     spec = _write_spec(tmp_path, STEADY)
     out = tmp_path / "run"

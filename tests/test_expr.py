@@ -110,6 +110,16 @@ def test_folding_leaves_an_overflow_to_evaluation():
     assert parse("10^400") == Binary("^", Const(10.0), Const(400.0))
 
 
+def test_folding_leaves_a_math_domain_error_to_evaluation():
+    # math.sin and math.cos of inf raise ValueError("math domain error")
+    for name in ("sin", "cos"):
+        e = parse(f"{name}(1e400)")
+        assert e == Unary(name, Const(math.inf))
+        with pytest.raises(DomainError) as exc:
+            evaluate(e)
+        assert exc.value.node == e and str(exc.value) == f"{name}(inf): math domain error"
+
+
 def test_diff_linearity_of_constant_times_p():
     b0 = parse("3.5")
     e = Binary("*", b0, Var("p"))

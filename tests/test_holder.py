@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dynbc.errors import DegenerateGrid
 from dynbc.holder import (
-    GridFunction, holder_seminorm, interpolation_diagnostic, parabolic_norm,
+    GridFunction, _pairwise_max, holder_seminorm, interpolation_diagnostic, parabolic_norm,
     sup_norm,
 )
 
@@ -200,3 +203,43 @@ def test_subsampling_reported_on_large_grid():
     rep = parabolic_norm(u, 0, 0.5)
     assert rep.stride_x == 3  # ceil(1400/512)
     assert rep.stride_t == 1
+
+
+def pairwise_max_by_pairs(coords, values2d, alpha):
+    """The pair scan ``_pairwise_max`` ran before it scanned by offset, kept
+    verbatim as the reference: every pair of ``np.triu_indices``, row by row."""
+    n = coords.size
+    jj, kk = np.triu_indices(n, k=1)
+    weights = 1.0 / np.abs(coords[kk] - coords[jj]) ** alpha
+    best = 0.0
+    for row in values2d:
+        dmax = np.max(np.abs(row[kk] - row[jj]) * weights)
+        if dmax > best:
+            best = float(dmax)
+    return best
+
+
+_cell = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan cells warn in both scans
+@settings(max_examples=300, deadline=None)
+@given(coords=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=12, unique=True).map(sorted),
+       rows=st.integers(0, 5), alpha=st.floats(0.01, 1.0), data=st.data())
+def test_offset_scan_equals_the_pair_scan(coords, rows, alpha, data):
+    coords = np.asarray(coords, dtype=float)
+    values2d = data.draw(hnp.arrays(np.float64, (rows, coords.size), elements=_cell))
+    got = _pairwise_max(coords, values2d, alpha)
+    want = pairwise_max_by_pairs(coords, values2d, alpha)
+    assert type(got) is float and math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_offset_scan_equals_the_pair_scan_on_a_solver_sized_table():
+    rng = np.random.default_rng(16)
+    coords = np.cumsum(rng.uniform(1e-3, 1.0, 257))
+    values2d = np.cumsum(rng.standard_normal((40, coords.size)), axis=1)
+    for alpha in (0.25, 0.5, 0.75, 1.0):
+        assert _pairwise_max(coords, values2d, alpha) == pairwise_max_by_pairs(
+            coords, values2d, alpha)
