@@ -11,11 +11,17 @@ workflow parameters.  Reports are written with fixed field order and floats
 at 17 significant digits, so identical inputs produce byte-identical files.
 solve writes the solution twice: ``solution.csv`` to read, and
 ``solution.npy``, the same numbers as one float64 array, which verify reads.
-When the table has at least ``SPLIT_MIN_ROWS`` (2**14) rows and ``os.fork``
-exists, a child process formats the second half of the CSV's time slices
-into ``solution.csv.part``, which solve appends and removes; the CSV bytes
-are the same either way, and an interrupted solve can leave the part file
-behind.  Sweeps evaluate their points serially.
+Where ``os.fork`` exists, the CSV is formatted while the solver runs: each
+time the stored slices that no child has taken reach ``SPLIT_MIN_ROWS``
+(2**14) rows and no formatter child still runs, a forked child formats
+them, at the lowest priority, into ``solution.csv.part<i>`` (i its first
+slice); at the end, a backlog of that size is split between this process
+and one more child.  solve then
+joins the header and the parts in slice order into ``solution.csv`` and
+removes every part.  The CSV bytes are the same as one process writes; no
+child and no part outlives solve, and a solve killed outright can leave
+parts, which the next solve into that directory removes.  A report that
+cannot be written exits 1.  Sweeps evaluate their points serially.
 
 Exit codes: 0 success / all conditions satisfied; 1 input or artifact error,
 command-line usage errors included; 2 condition violations or negative
@@ -48,7 +54,7 @@ from .expr import compile_expr, parse
 from .holder import GridFunction, parabolic_norm
 from .problem import ProblemSpec, spec_value
 from .solver import (
-    BlowUpDetected, Completed, Solution, SolverConfig, StepFailure, solve,
+    BlowUpDetected, Completed, Solution, SolverConfig, StepFailure, grid_nodes, solve,
 )
 from .verify import blowup_inequality, bounds_check
 
@@ -258,13 +264,17 @@ def cmd_certify(manifest: RunManifest) -> int:
         "conditions": report.as_dict(),
         "h_table": "h_table.csv" if cert else None,
     }
-    _write(manifest.out_dir / "certificate.json", json_dumps(doc))
-    if cert is not None:
-        write_h_table(cert, manifest.out_dir)
-    if manifest.report_format == "csv":
-        lines = ["name,satisfied,worst_violation"]
-        lines += [_csv_row((e.name, e.satisfied, e.worst_violation)) for e in report.entries]
-        _write(manifest.out_dir / "conditions.csv", "\n".join(lines))
+    try:
+        _write(manifest.out_dir / "certificate.json", json_dumps(doc))
+        if cert is not None:
+            write_h_table(cert, manifest.out_dir)
+        if manifest.report_format == "csv":
+            lines = ["name,satisfied,worst_violation"]
+            lines += [_csv_row((e.name, e.satisfied, e.worst_violation)) for e in report.entries]
+            _write(manifest.out_dir / "conditions.csv", "\n".join(lines))
+    except OSError as exc:
+        print(f"certify: {exc}", file=sys.stderr)
+        return 1
 
     if not report.all_satisfied or cert is None:
         for name in report.violated:
@@ -305,26 +315,126 @@ def _status_from_dict(d: dict):
     return StepFailure(time=float(d["time"]), reason=str(d.get("reason", "")))
 
 
-# Tables of at least this many rows format the second half of their time
-# slices in a forked child.  On a 2-vCPU Xeon, fork plus waitpid of a 50 MB
-# process takes 1.8-2.4 ms and half of 2**14 rows takes about 20 ms to
-# format, so smaller tables are formatted in-process.
+# Once the slices that no child has taken hold this many rows, a forked child
+# formats them.  On a 2-vCPU Xeon, a fork costs a 50-75 MB solving process
+# about 3-4 ms, its copy-on-write faults included, and 2**14 rows take about
+# 40 ms to format, so a smaller table is formatted in-process.
 SPLIT_MIN_ROWS = 2 ** 14
 
 
-def write_solution(sol: Solution, out_dir: Path) -> None:
+@dataclass
+class _Formatter:
+    """A child formatting slices ``first`` to ``last`` of solution.csv."""
+
+    pid: int
+    first: int
+    last: int
+    status: int | None = None  # its wait status, once reaped
+
+
+def _reap(child: _Formatter, flags: int = 0) -> bool:
+    """Reap ``child`` once it has ended, waiting for it unless ``flags`` is
+    ``os.WNOHANG``; return whether it has ended."""
+    if child.status is None:
+        pid, status = os.waitpid(child.pid, flags)
+        if pid:
+            child.status = status
+    return child.status is not None
+
+
+class CsvWriter:
+    """The time slices of ``solution.csv``, formatted while solve runs.
+
+    ``store`` is solve's ``on_store`` hook.  Once the slices that no child
+    has taken hold ``SPLIT_MIN_ROWS`` rows, no child is still running (a
+    ``WNOHANG`` wait, so the solver never waits) and ``os.fork`` exists, a
+    forked child formats them from its copy-on-write snapshot into
+    ``solution.csv.part<i>``, i the first slice it holds, at the lowest
+    priority (nice 19), and the writer drops them.  ``write_solution`` finishes the file.  ``close`` reaps
+    every child, in order, and removes every part; leaving a ``with`` block
+    calls it.  A new writer removes the parts an interrupted solve left in
+    ``out_dir``.
+    """
+
+    def __init__(self, out_dir: Path, nodes: np.ndarray):
+        self.out_dir, self.nodes = Path(out_dir), nodes
+        self.backlog: list[tuple] = []  # (t, u, ux, ut) of slices no child has taken
+        self.taken = 0                  # slices 0..taken-1 went to children
+        self.children: list[_Formatter] = []
+        for stale in self.out_dir.glob("solution.csv.part*"):
+            stale.unlink()
+
+    def __enter__(self) -> CsvWriter:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def store(self, t, u, ux, ut) -> None:
+        self.backlog.append((t, u, ux, ut))
+        if (len(self.backlog) * u.size >= SPLIT_MIN_ROWS and hasattr(os, "fork")
+                and (not self.children or _reap(self.children[-1], os.WNOHANG))):
+            self.fork(self.taken, self.backlog)
+            self.taken += len(self.backlog)
+            self.backlog = []
+
+    def part(self, first: int) -> Path:
+        return self.out_dir / f"solution.csv.part{first}"
+
+    def fork(self, first: int, slices: list) -> None:
+        """Fork a child that writes the CSV rows of ``slices``, slices
+        ``first`` onwards, to its part file and exits 0, or 1 on any error."""
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # lowest priority: where the host gives both processes one
+                # CPU, the solver keeps it and this child fills the gaps
+                os.nice(19)
+                with open(self.part(first), "w", encoding="utf-8") as fh:
+                    _write_csv_slices(fh, self.nodes, slices)
+                code = 0
+            finally:
+                os._exit(code)  # never return into the caller's stack
+        self.children.append(_Formatter(pid, first, first + len(slices) - 1))
+
+    def append(self, fh, child: _Formatter) -> None:
+        """Wait for ``child`` and copy its part to the end of ``fh``."""
+        _reap(child)
+        if child.status:
+            raise OSError(f"solution.csv: the process formatting slices {child.first}.."
+                          f"{child.last} exited with status "
+                          f"{os.waitstatus_to_exitcode(child.status)}")
+        fh.flush()
+        with open(self.part(child.first), "rb") as src:
+            shutil.copyfileobj(src, fh.buffer)
+
+    def close(self) -> None:
+        try:
+            for child in self.children:
+                _reap(child)
+        finally:
+            for child in self.children:
+                self.part(child.first).unlink(missing_ok=True)
+
+
+def write_solution(sol: Solution, out_dir: Path, *, writer: CsvWriter | None = None) -> None:
     """Write ``summary.json``, ``solution.csv`` and ``solution.npy``; all
     three are complete on return.
 
     ``solution.csv``: one ``t,x,u,ux,ut`` row per node and stored time,
     every float at 17 significant digits (``%.17g``, which prints ``nan``,
     ``inf`` and ``-0`` as Python does), written one time slice at a time.
-    When the table has at least ``SPLIT_MIN_ROWS`` rows and ``os.fork``
-    exists, a child process formats the second half of the slices into
-    ``solution.csv.part`` while this process writes the summary, whose
-    Hölder block is the costly part, the first half and the ``.npy``; the
-    part is then appended and removed.  The bytes are the same either way.
-    A child that fails raises ``OSError`` here and leaves no part file.
+    ``writer`` is the live ``CsvWriter`` whose children formatted the first
+    slices while ``sol`` was solved; without one, no slice is formatted
+    yet.  When the slices left hold at least ``SPLIT_MIN_ROWS`` rows and
+    ``os.fork`` exists, a child formats the second half of them while this
+    process writes the summary, whose Hölder block is the costly part, and
+    the ``.npy``.  This process then writes the CSV: the header, each
+    child's part in slice order, its own half in between.  The bytes are
+    the same however the slices were shared.  Every child is reaped and
+    every part removed on return, and a child that failed raises
+    ``OSError`` here.
 
     ``solution.npy`` holds the same rows as one float64 array of shape
     (times * nodes, 5), the bytes ``np.save`` writes, and equals the CSV's
@@ -332,28 +442,25 @@ def write_solution(sol: Solution, out_dir: Path) -> None:
     NaN is stored as the one NaN that ``nan`` reads back as.  Writing it a
     slice at a time keeps the whole table out of memory.
     """
-    csv_path, part = out_dir / "solution.csv", out_dir / "solution.csv.part"
-    n = sol.grid.times.size
-    split = sol.grid.values.size >= SPLIT_MIN_ROWS and hasattr(os, "fork")
-    mid = n // 2 if split else n
-    pid = _fork_csv_writer(sol, part, mid) if mid < n else 0
-    try:
-        try:
-            _write(out_dir / "summary.json", json_dumps(_summary(sol)))
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write("t,x,u,ux,ut\n")
-                _write_csv_slices(fh, sol, 0, mid)
-            _write_npy(sol, out_dir / "solution.npy")
-        finally:
-            status = os.waitpid(pid, 0)[1] if pid else 0
-        if status:
-            raise OSError(f"{csv_path}: the process formatting slices {mid}..{n - 1} "
-                          f"exited with status {os.waitstatus_to_exitcode(status)}")
-        if pid:
-            with open(part, "rb") as src, open(csv_path, "ab") as dst:
-                shutil.copyfileobj(src, dst)
-    finally:
-        part.unlink(missing_ok=True)
+    if writer is None:
+        writer = CsvWriter(out_dir, sol.grid.nodes)
+    with writer:
+        writer.backlog = []  # sol holds those slices
+        n, first = sol.grid.times.size, writer.taken
+        split = (n - first) * sol.grid.nodes.size >= SPLIT_MIN_ROWS and hasattr(os, "fork")
+        mid = (first + n) // 2 if split else n
+        streamed = len(writer.children)
+        if mid < n:
+            writer.fork(mid, list(_slices(sol, mid, n)))
+        _write(out_dir / "summary.json", json_dumps(_summary(sol)))
+        _write_npy(sol, out_dir / "solution.npy")
+        with open(out_dir / "solution.csv", "w", encoding="utf-8") as fh:
+            fh.write("t,x,u,ux,ut\n")
+            for child in writer.children[:streamed]:
+                writer.append(fh, child)
+            _write_csv_slices(fh, sol.grid.nodes, _slices(sol, first, mid))
+            for child in writer.children[streamed:]:
+                writer.append(fh, child)
 
 
 def _summary(sol: Solution) -> dict:
@@ -375,30 +482,20 @@ def _summary(sol: Solution) -> dict:
     }
 
 
-def _fork_csv_writer(sol: Solution, part: Path, start: int) -> int:
-    """Fork a child that writes the CSV rows of slices ``start`` onwards
-    to ``part`` and exits 0, or 1 on any error; return its pid."""
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            with open(part, "w", encoding="utf-8") as fh:
-                _write_csv_slices(fh, sol, start, sol.grid.times.size)
-            code = 0
-        finally:
-            os._exit(code)  # never return into the caller's stack
-    return pid
+def _slices(sol: Solution, start: int, stop: int):
+    """(t, u, ux, ut) of time slices ``start`` to ``stop - 1``."""
+    return zip(sol.grid.times[start:stop].tolist(), sol.grid.values[start:stop],
+               sol.ux[start:stop], sol.ut[start:stop])
 
 
-def _write_csv_slices(fh, sol: Solution, start: int, stop: int) -> None:
-    """Write the CSV rows of time slices ``start`` to ``stop - 1``.  The x
+def _write_csv_slices(fh, nodes: np.ndarray, slices) -> None:
+    """Write the CSV rows of each (t, u, ux, ut) slice on ``nodes``.  The x
     cells are formatted once into a row template; each slice adds its t
     cell and fills the u, ux and ut cells with one ``%`` format."""
-    rows = [",%.17g,%%.17g,%%.17g,%%.17g\n" % x for x in sol.grid.nodes.tolist()]
-    times = sol.grid.times.tolist()
-    for i in range(start, stop):
-        t_cell = "%.17g" % times[i]
-        cells = np.column_stack((sol.grid.values[i], sol.ux[i], sol.ut[i]))
+    rows = [",%.17g,%%.17g,%%.17g,%%.17g\n" % x for x in nodes.tolist()]
+    for t, u, ux, ut in slices:
+        t_cell = "%.17g" % t
+        cells = np.column_stack((u, ux, ut))
         fh.write((t_cell + t_cell.join(rows)) % tuple(cells.ravel().tolist()))
 
 
@@ -453,12 +550,13 @@ def cmd_solve(manifest: RunManifest) -> int:
         raw = manifest.load_spec()
         problem = ProblemSpec.from_dict(raw)
         cfg = _solver_config(raw, manifest)
-        sol = solve(problem, cfg)
-    except (DynbcError, KeyError, ValueError) as exc:
+        # no child and no part file outlives the block, whatever it raises
+        with CsvWriter(manifest.out_dir, grid_nodes(problem.ell, cfg.nx)) as writer:
+            sol = solve(problem, cfg, on_store=writer.store)
+            write_solution(sol, manifest.out_dir, writer=writer)
+    except (DynbcError, OSError, KeyError, ValueError) as exc:
         print(f"solve: {exc}", file=sys.stderr)
         return 1
-
-    write_solution(sol, manifest.out_dir)
 
     if isinstance(sol.status, Completed):
         return 0
@@ -528,17 +626,21 @@ def cmd_verify(manifest: RunManifest) -> int:
         "tolerance_used": tolerance,
         "passed": ok,
     }
-    _write(manifest.out_dir / "verification.json", json_dumps(doc))
-    if manifest.report_format == "csv":
-        lines = ["quantity,value"]
-        for k, v in report.as_dict().items():
-            if isinstance(v, (int, float)):
-                lines.append(_csv_row((k, float(v))))
-        for kind, wit in report.witnesses.items():
-            for fld, v in wit.items():
+    try:
+        _write(manifest.out_dir / "verification.json", json_dumps(doc))
+        if manifest.report_format == "csv":
+            lines = ["quantity,value"]
+            for k, v in report.as_dict().items():
                 if isinstance(v, (int, float)):
-                    lines.append(_csv_row((f"witness.{kind}.{fld}", float(v))))
-        _write(manifest.out_dir / "verification.csv", "\n".join(lines))
+                    lines.append(_csv_row((k, float(v))))
+            for kind, wit in report.witnesses.items():
+                for fld, v in wit.items():
+                    if isinstance(v, (int, float)):
+                        lines.append(_csv_row((f"witness.{kind}.{fld}", float(v))))
+            _write(manifest.out_dir / "verification.csv", "\n".join(lines))
+    except OSError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 1
     if not ok:
         for k, v in slacks.items():
             if v < -tolerance:
@@ -601,8 +703,12 @@ def cmd_sweep(manifest: RunManifest) -> int:
         return 1
 
     rows = [_sweep_point(p, q, M, K_est) for p in psis for q in q0s for M in Ms]
-    _write(manifest.out_dir / "sweep.csv",
-           "\n".join(["psi,q0,M,status,q1,kappa0,q0_covers_K,detail", *rows]))
+    try:
+        _write(manifest.out_dir / "sweep.csv",
+               "\n".join(["psi,q0,M,status,q1,kappa0,q0_covers_K,detail", *rows]))
+    except OSError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

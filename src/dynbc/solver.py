@@ -44,7 +44,7 @@ from .problem import BoundaryCondition, DirichletBC, DynamicBC, End, ProblemSpec
 
 __all__ = [
     "SolverConfig", "Completed", "BlowUpDetected", "StepFailure", "Solution",
-    "SemiDiscretization", "solve",
+    "SemiDiscretization", "grid_nodes", "solve",
     "ProblemSpec", "BoundaryCondition", "DynamicBC", "DirichletBC",
 ]
 
@@ -198,6 +198,11 @@ class _DirichletEnd:
         return 0.0, 0.0
 
 
+def grid_nodes(ell: float, nx: int) -> np.ndarray:
+    """The nx uniform nodes on [-ell, ell] that solve stores its states on."""
+    return np.linspace(-ell, ell, nx)
+
+
 class SemiDiscretization:
     """Spatial discretization: node set, right-hand side, Jacobian stencils.
 
@@ -209,7 +214,7 @@ class SemiDiscretization:
         if nx < 5:
             raise ConfigError(f"nx must be at least 5, got {nx}")
         self.problem = problem
-        self.nodes = np.linspace(-problem.ell, problem.ell, nx)
+        self.nodes = grid_nodes(problem.ell, nx)
         self.dx = float(self.nodes[1] - self.nodes[0])
 
         (self.a,), (self.a_z,), (self.a_p,) = _compile_terms(problem.a)
@@ -438,11 +443,18 @@ def _validate_upc(problem: ProblemSpec, nx_probe: int = 17) -> None:
 # driver
 
 @np.errstate(all="ignore")
-def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
+def solve(problem: ProblemSpec, cfg: SolverConfig | None = None, *,
+          on_store=None) -> Solution:
     """Run the problem to T, to gradient blow-up, or to step failure.
 
     Strict mode (default) refuses to start when the zero-time compatibility
     residuals exceed cfg.compat_tol or the sampled parabolicity check fails.
+
+    ``on_store(t, u, ux, ut)``, when given, is called each time a state is
+    stored, the initial state first, with the arrays that become that
+    state's rows of the Solution.  It may keep them but must not write into
+    them, since the solver goes on reading them; whatever it raises ends
+    the run and propagates.
     """
     cfg = cfg or SolverConfig()
     disc = SemiDiscretization(problem, cfg.nx)
@@ -465,6 +477,8 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
     states = [u]
     slopes = [f0]
     grads = [disc.gradient(u)]
+    if on_store is not None:
+        on_store(t, u, grads[-1], f0)
     accepted = 0
     rejected = 0
     newton_failures = 0
@@ -525,6 +539,8 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
         states.append(u)
         slopes.append(f0)
         grads.append(disc.gradient(u))
+        if on_store is not None:
+            on_store(t, u, grads[-1], f0)
         dt = min(max(dt * factor, cfg.dt_min), cfg.dt_max)
 
     return Solution(

@@ -18,3 +18,13 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process behind (waitpid gave pid {pid}, status {status})")
+
+
+@pytest.fixture(autouse=True)
+def no_part_file_left(request):
+    """Fail a test that leaves a ``solution.csv.part*`` file under its tmp_path."""
+    tmp = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    left = sorted(str(p) for p in tmp.rglob("solution.csv.part*")) if tmp else []
+    if left:
+        pytest.fail(f"the test left part files behind: {left}")

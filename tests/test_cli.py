@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dynbc.certificate as certificate
+import dynbc.cli as cli
 import dynbc.verify as verify
 from dynbc.certificate import BarrierCertificate, PsiSpec, check_hypotheses
 from dynbc.cli import (
@@ -560,3 +561,29 @@ def test_preset_paths_exist():
     for name in ("steady", "manufactured", "burgers", "blowup_270",
                  "weakened_nagumo", "cubic_damping"):
         assert preset_path(name).is_file()
+
+
+@pytest.mark.parametrize("command, report", [
+    ("certify", "certificate.json"), ("certify", "h_table.csv"),
+    ("solve", "solution.csv"), ("solve", "summary.json"), ("solve", "solution.npy"),
+    ("verify", "verification.json"), ("sweep", "sweep.csv"),
+])
+def test_a_report_that_cannot_be_written_exits_1_with_one_line(
+        tmp_path, monkeypatch, capsys, command, report):
+    # solve forks a formatter for every stored slice, so children are live
+    # when the write fails; the fixtures check that none and no part is left
+    monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
+    doc = json.loads(preset_path("burgers").read_text())
+    doc["solver"] = {"strict": False, "nx": 33}
+    doc["sweep"] = {"psi": ["1"], "q0": [1.0], "M": [1.0]}
+    spec = _write_spec(tmp_path, doc)
+    out = tmp_path / "out"
+    if command == "verify":
+        for stage in ("certify", "solve"):
+            assert main([stage, "--spec", str(spec), "--out", str(out)]) == 0
+    (out / report).mkdir(parents=True)
+    capsys.readouterr()
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"{command}: [Errno ") and err[0].endswith(f"{report}'")

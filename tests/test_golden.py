@@ -33,9 +33,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dynbc.cli as cli
 from dynbc.cli import (
     RunManifest, cmd_certify, cmd_solve, cmd_verify, preset_path, read_solution,
 )
+from dynbc.solver import SolverConfig
 
 PRESETS = ("steady", "manufactured", "burgers", "blowup_270",
            "weakened_nagumo", "cubic_damping")
@@ -95,6 +97,18 @@ def scattered_grids(data: np.ndarray) -> list[np.ndarray]:
 @pytest.mark.parametrize("name", PRESETS + tuple(GRIDS))
 def test_preset_reports_match_golden_digests(name, tmp_path, monkeypatch):
     monkeypatch.delenv("DYNBC_TOL", raising=False)
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    assert run_chain(name, tmp_path / name) == want
+
+
+@pytest.mark.parametrize("name", PRESETS + tuple(GRIDS))
+def test_reports_match_golden_digests_when_each_slice_goes_to_a_formatter(
+        name, tmp_path, monkeypatch):
+    """The same digests when solve forks a CSV formatter as soon as one
+    slice is stored and the one before has ended."""
+    monkeypatch.delenv("DYNBC_TOL", raising=False)
+    raw = json.loads(problem_file(name, tmp_path / name).read_text(encoding="utf-8"))
+    monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", raw.get("solver", {}).get("nx", SolverConfig.nx))
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     assert run_chain(name, tmp_path / name) == want
 
