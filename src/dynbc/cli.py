@@ -11,17 +11,12 @@ workflow parameters.  Reports are written with fixed field order and floats
 at 17 significant digits, so identical inputs produce byte-identical files.
 solve writes the solution twice: ``solution.csv`` to read, and
 ``solution.npy``, the same numbers as one float64 array, which verify reads.
-Where ``os.fork`` exists, the CSV is formatted while the solver runs: each
-time the stored slices that no child has taken reach ``SPLIT_MIN_ROWS``
-(2**14) rows and no formatter child still runs, a forked child formats
-them, at the lowest priority, into ``solution.csv.part<i>`` (i its first
-slice); at the end, a backlog of that size is split between this process
-and one more child.  solve then
-joins the header and the parts in slice order into ``solution.csv`` and
-removes every part.  The CSV bytes are the same as one process writes; no
-child and no part outlives solve, and a solve killed outright can leave
-parts, which the next solve into that directory removes.  A report that
-cannot be written exits 1.  Sweeps evaluate their points serially.
+Where ``os.fork`` exists, the CSV is formatted while the solver runs, by
+one forked child that solve sends the slices through a pipe (``CsvWriter``);
+the bytes are the same as one process writes.  certify and solve remove
+their reports when they start and write ``certificate.json`` and
+``summary.json`` last, so verify refuses a directory where one exited 1.
+A report that cannot be written exits 1.  Sweeps run serially.
 
 Exit codes: 0 success / all conditions satisfied; 1 input or artifact error,
 command-line usage errors included; 2 condition violations or negative
@@ -35,8 +30,10 @@ import dataclasses
 import json
 import math
 import os
-import shutil
+import signal
 import sys
+import threading
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -192,8 +189,13 @@ def _solver_config(raw: dict, manifest: RunManifest) -> SolverConfig:
 # ---------------------------------------------------------------------------
 # certify
 
+CERTIFY_REPORTS = ("certificate.json", "h_table.csv", "conditions.csv")
+
+
 def cmd_certify(manifest: RunManifest) -> int:
     try:
+        for name in CERTIFY_REPORTS:  # none outlives a failed certify
+            (manifest.out_dir / name).unlink(missing_ok=True)
         raw = manifest.load_spec()
         problem = ProblemSpec.from_dict(raw)
         blk = raw.get("certificate")
@@ -247,7 +249,7 @@ def cmd_certify(manifest: RunManifest) -> int:
         report = check_hypotheses(
             problem, M=M, q0=q0, psi=psi, pmax=pmax, n_samples=n_samples,
             phi=phi, B=B, compat_tol=default_tol())
-    except (DynbcError, KeyError, ValueError) as exc:
+    except (DynbcError, OSError, KeyError, ValueError) as exc:
         print(f"certify: {exc}", file=sys.stderr)
         return 1
 
@@ -265,13 +267,13 @@ def cmd_certify(manifest: RunManifest) -> int:
         "h_table": "h_table.csv" if cert else None,
     }
     try:
-        _write(manifest.out_dir / "certificate.json", json_dumps(doc))
         if cert is not None:
             write_h_table(cert, manifest.out_dir)
         if manifest.report_format == "csv":
             lines = ["name,satisfied,worst_violation"]
             lines += [_csv_row((e.name, e.satisfied, e.worst_violation)) for e in report.entries]
             _write(manifest.out_dir / "conditions.csv", "\n".join(lines))
+        _write(manifest.out_dir / "certificate.json", json_dumps(doc))  # last: verify reads it
     except OSError as exc:
         print(f"certify: {exc}", file=sys.stderr)
         return 1
@@ -315,107 +317,108 @@ def _status_from_dict(d: dict):
     return StepFailure(time=float(d["time"]), reason=str(d.get("reason", "")))
 
 
-# Once the slices that no child has taken hold this many rows, a forked child
-# formats them.  On a 2-vCPU Xeon, a fork costs a 50-75 MB solving process
-# about 3-4 ms, its copy-on-write faults included, and 2**14 rows take about
+# Once the stored slices hold this many rows, a forked child formats the
+# CSV.  On a 2-vCPU Xeon, a fork costs a 50-75 MB solving process about
+# 3-4 ms, its copy-on-write faults included, and 2**14 rows take about
 # 40 ms to format, so a smaller table is formatted in-process.
 SPLIT_MIN_ROWS = 2 ** 14
 
+# The formatter's pipe where Linux allows it: about 40 slices at nx = 1025,
+# so the sender thread seldom waits on the child.
+PIPE_BYTES = 2 ** 20
 
-@dataclass
-class _Formatter:
-    """A child formatting slices ``first`` to ``last`` of solution.csv."""
-
-    pid: int
-    first: int
-    last: int
-    status: int | None = None  # its wait status, once reaped
-
-
-def _reap(child: _Formatter, flags: int = 0) -> bool:
-    """Reap ``child`` once it has ended, waiting for it unless ``flags`` is
-    ``os.WNOHANG``; return whether it has ended."""
-    if child.status is None:
-        pid, status = os.waitpid(child.pid, flags)
-        if pid:
-            child.status = status
-    return child.status is not None
+SOLVE_REPORTS = ("summary.json", "solution.csv", "solution.npy")
 
 
 class CsvWriter:
     """The time slices of ``solution.csv``, formatted while solve runs.
 
-    ``store`` is solve's ``on_store`` hook.  Once the slices that no child
-    has taken hold ``SPLIT_MIN_ROWS`` rows, no child is still running (a
-    ``WNOHANG`` wait, so the solver never waits) and ``os.fork`` exists, a
-    forked child formats them from its copy-on-write snapshot into
-    ``solution.csv.part<i>``, i the first slice it holds, at the lowest
-    priority (nice 19), and the writer drops them.  ``write_solution`` finishes the file.  ``close`` reaps
-    every child, in order, and removes every part; leaving a ``with`` block
-    calls it.  A new writer removes the parts an interrupted solve left in
-    ``out_dir``.
+    ``store`` is solve's ``on_store`` hook.  When the stored slices first
+    reach ``SPLIT_MIN_ROWS`` rows and ``os.fork`` exists, it opens
+    ``solution.csv`` and forks one child at the lowest priority (nice 19),
+    which writes to that file the header, the slices stored so far, then
+    each later slice, which a sender thread writes to a pipe as raw float64
+    bytes, so every float, NaN payloads included, arrives bit for bit; the
+    solver never waits for a child that falls behind.  ``finish`` waits for
+    both; a child that failed leaves no ``solution.csv`` and raises
+    ``OSError`` with its exit status, from ``store`` or ``finish``.
+    ``close`` kills a child still running and removes its partial CSV.
     """
 
     def __init__(self, out_dir: Path, nodes: np.ndarray):
-        self.out_dir, self.nodes = Path(out_dir), nodes
-        self.backlog: list[tuple] = []  # (t, u, ux, ut) of slices no child has taken
-        self.taken = 0                  # slices 0..taken-1 went to children
-        self.children: list[_Formatter] = []
-        for stale in self.out_dir.glob("solution.csv.part*"):
-            stale.unlink()
-
-    def __enter__(self) -> CsvWriter:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        self.path, self.nodes = Path(out_dir) / "solution.csv", nodes
+        self.stored: list[tuple] | None = []  # (t, u, ux, ut) of each slice, until the fork
+        self.child: int | None = None         # the formatter's pid, until it is reaped
 
     def store(self, t, u, ux, ut) -> None:
-        self.backlog.append((t, u, ux, ut))
-        if (len(self.backlog) * u.size >= SPLIT_MIN_ROWS and hasattr(os, "fork")
-                and (not self.children or _reap(self.children[-1], os.WNOHANG))):
-            self.fork(self.taken, self.backlog)
-            self.taken += len(self.backlog)
-            self.backlog = []
+        if self.stored is None:  # forked: the slice goes to the child
+            if not self.sender.is_alive():  # the child has ended: finish says how
+                self.finish()
+            self.queue.put(([t], u, ux, ut))
+            return
+        self.stored.append((t, u, ux, ut))
+        if len(self.stored) * u.size >= SPLIT_MIN_ROWS and hasattr(os, "fork"):
+            self.fork()
 
-    def part(self, first: int) -> Path:
-        return self.out_dir / f"solution.csv.part{first}"
+    def fork(self) -> None:
+        """Fork the formatter child, which exits 0, or 1 on any error."""
+        import fcntl  # POSIX, as os.fork is
+        import queue  # 2 ms to import, which a solve that never forks does not pay
 
-    def fork(self, first: int, slices: list) -> None:
-        """Fork a child that writes the CSV rows of ``slices``, slices
-        ``first`` onwards, to its part file and exits 0, or 1 on any error."""
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                # lowest priority: where the host gives both processes one
-                # CPU, the solver keeps it and this child fills the gaps
-                os.nice(19)
-                with open(self.part(first), "w", encoding="utf-8") as fh:
-                    _write_csv_slices(fh, self.nodes, slices)
-                code = 0
-            finally:
-                os._exit(code)  # never return into the caller's stack
-        self.children.append(_Formatter(pid, first, first + len(slices) - 1))
+        read_end, write_end = os.pipe()
+        try:
+            if hasattr(fcntl, "F_SETPIPE_SZ"):
+                with suppress(OSError):  # refused above pipe-max-size: slower, not wrong
+                    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+            with open(self.path, "w", encoding="utf-8") as csv:  # the child writes it
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        # lowest priority: where the host gives both processes
+                        # one CPU, the solver keeps it and this child fills the gaps
+                        os.nice(19)
+                        os.close(write_end)
+                        with csv, open(read_end, "rb") as pipe:
+                            csv.write("t,x,u,ux,ut\n")
+                            _write_csv_slices(csv, self.nodes, self.stored)
+                            _write_csv_slices(csv, self.nodes,
+                                              _piped_slices(pipe, self.nodes.size))
+                        code = 0
+                    finally:
+                        os._exit(code)  # never return into the caller's stack
+        except BaseException:
+            os.close(write_end)
+            raise
+        finally:
+            os.close(read_end)
+        self.child, self.stored, self.queue = pid, None, queue.SimpleQueue()
+        self.sender = threading.Thread(target=self._send, args=(open(write_end, "wb"),),
+                                       daemon=True)
+        self.sender.start()
 
-    def append(self, fh, child: _Formatter) -> None:
-        """Wait for ``child`` and copy its part to the end of ``fh``."""
-        _reap(child)
-        if child.status:
-            raise OSError(f"solution.csv: the process formatting slices {child.first}.."
-                          f"{child.last} exited with status "
-                          f"{os.waitstatus_to_exitcode(child.status)}")
-        fh.flush()
-        with open(self.part(child.first), "rb") as src:
-            shutil.copyfileobj(src, fh.buffer)
+    def _send(self, pipe) -> None:
+        """Write each queued slice to the pipe until ``None`` is queued."""
+        with suppress(BrokenPipeError), pipe:  # a child that ended early: its status says why
+            while (state := self.queue.get()) is not None:
+                pipe.write(np.concatenate(state).tobytes())
+                pipe.flush()  # each slice now: a child that has ended is seen at once
+
+    def finish(self) -> None:
+        """Wait for the sender and for the child to write the rest."""
+        self.queue.put(None)
+        self.sender.join()
+        pid, self.child = self.child, None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            self.path.unlink(missing_ok=True)
+            raise OSError(f"solution.csv: the formatting process exited with status {code}")
 
     def close(self) -> None:
-        try:
-            for child in self.children:
-                _reap(child)
-        finally:
-            for child in self.children:
-                self.part(child.first).unlink(missing_ok=True)
+        if self.child is not None:
+            os.kill(self.child, signal.SIGKILL)
+            with suppress(OSError):  # its status: killed
+                self.finish()
 
 
 def write_solution(sol: Solution, out_dir: Path, *, writer: CsvWriter | None = None) -> None:
@@ -425,16 +428,11 @@ def write_solution(sol: Solution, out_dir: Path, *, writer: CsvWriter | None = N
     ``solution.csv``: one ``t,x,u,ux,ut`` row per node and stored time,
     every float at 17 significant digits (``%.17g``, which prints ``nan``,
     ``inf`` and ``-0`` as Python does), written one time slice at a time.
-    ``writer`` is the live ``CsvWriter`` whose children formatted the first
-    slices while ``sol`` was solved; without one, no slice is formatted
-    yet.  When the slices left hold at least ``SPLIT_MIN_ROWS`` rows and
-    ``os.fork`` exists, a child formats the second half of them while this
-    process writes the summary, whose Hölder block is the costly part, and
-    the ``.npy``.  This process then writes the CSV: the header, each
-    child's part in slice order, its own half in between.  The bytes are
-    the same however the slices were shared.  Every child is reaped and
-    every part removed on return, and a child that failed raises
-    ``OSError`` here.
+    ``writer`` is the live ``CsvWriter`` that ``sol``'s slices were stored
+    in.  If it forked a formatter, the summary (its Hölder block is the
+    costly part) is computed while the child drains the pipe; otherwise
+    this process writes the CSV, with the same bytes.  The ``.npy`` and
+    then ``summary.json`` are written once the CSV is complete.
 
     ``solution.npy`` holds the same rows as one float64 array of shape
     (times * nodes, 5), the bytes ``np.save`` writes, and equals the CSV's
@@ -442,25 +440,15 @@ def write_solution(sol: Solution, out_dir: Path, *, writer: CsvWriter | None = N
     NaN is stored as the one NaN that ``nan`` reads back as.  Writing it a
     slice at a time keeps the whole table out of memory.
     """
-    if writer is None:
-        writer = CsvWriter(out_dir, sol.grid.nodes)
-    with writer:
-        writer.backlog = []  # sol holds those slices
-        n, first = sol.grid.times.size, writer.taken
-        split = (n - first) * sol.grid.nodes.size >= SPLIT_MIN_ROWS and hasattr(os, "fork")
-        mid = (first + n) // 2 if split else n
-        streamed = len(writer.children)
-        if mid < n:
-            writer.fork(mid, list(_slices(sol, mid, n)))
-        _write(out_dir / "summary.json", json_dumps(_summary(sol)))
-        _write_npy(sol, out_dir / "solution.npy")
+    summary = json_dumps(_summary(sol))
+    if writer is not None and writer.child is not None:
+        writer.finish()
+    else:
         with open(out_dir / "solution.csv", "w", encoding="utf-8") as fh:
             fh.write("t,x,u,ux,ut\n")
-            for child in writer.children[:streamed]:
-                writer.append(fh, child)
-            _write_csv_slices(fh, sol.grid.nodes, _slices(sol, first, mid))
-            for child in writer.children[streamed:]:
-                writer.append(fh, child)
+            _write_csv_slices(fh, sol.grid.nodes, _slices(sol))
+    _write_npy(sol, out_dir / "solution.npy")
+    _write(out_dir / "summary.json", summary)
 
 
 def _summary(sol: Solution) -> dict:
@@ -482,10 +470,17 @@ def _summary(sol: Solution) -> dict:
     }
 
 
-def _slices(sol: Solution, start: int, stop: int):
-    """(t, u, ux, ut) of time slices ``start`` to ``stop - 1``."""
-    return zip(sol.grid.times[start:stop].tolist(), sol.grid.values[start:stop],
-               sol.ux[start:stop], sol.ut[start:stop])
+def _slices(sol: Solution):
+    """(t, u, ux, ut) of each time slice."""
+    return zip(sol.grid.times.tolist(), sol.grid.values, sol.ux, sol.ut)
+
+
+def _piped_slices(pipe, n: int):
+    """(t, u, ux, ut) of each slice ``CsvWriter.store`` sent on ``n`` nodes."""
+    size = 8 * (1 + 3 * n)
+    while block := pipe.read(size):
+        t, u, ux, ut = np.split(np.frombuffer(block, float), (1, 1 + n, 1 + 2 * n))
+        yield t[0], u, ux, ut
 
 
 def _write_csv_slices(fh, nodes: np.ndarray, slices) -> None:
@@ -505,7 +500,7 @@ def _write_npy(sol: Solution, path: Path) -> None:
               "shape": (sol.grid.values.size, 5)}
     with open(path, "wb") as fb:
         np.lib.format.write_array_header_1_0(fb, header)
-        for t, u, ux, ut in zip(sol.grid.times.tolist(), sol.grid.values, sol.ux, sol.ut):
+        for t, u, ux, ut in _slices(sol):
             block = np.column_stack((np.full(nodes.size, t), nodes, u, ux, ut))
             block[np.isnan(block)] = np.nan
             fb.write(block.tobytes())
@@ -547,11 +542,13 @@ def _time_slices(data: np.ndarray) -> np.ndarray:
 
 def cmd_solve(manifest: RunManifest) -> int:
     try:
+        for name in SOLVE_REPORTS:  # none outlives a failed solve
+            (manifest.out_dir / name).unlink(missing_ok=True)
         raw = manifest.load_spec()
         problem = ProblemSpec.from_dict(raw)
         cfg = _solver_config(raw, manifest)
-        # no child and no part file outlives the block, whatever it raises
-        with CsvWriter(manifest.out_dir, grid_nodes(problem.ell, cfg.nx)) as writer:
+        # no child and no partial solution.csv outlives the block, whatever it raises
+        with closing(CsvWriter(manifest.out_dir, grid_nodes(problem.ell, cfg.nx))) as writer:
             sol = solve(problem, cfg, on_store=writer.store)
             write_solution(sol, manifest.out_dir, writer=writer)
     except (DynbcError, OSError, KeyError, ValueError) as exc:

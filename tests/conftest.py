@@ -22,7 +22,8 @@ def no_child_process_left():
 
 @pytest.fixture(autouse=True)
 def no_part_file_left(request):
-    """Fail a test that leaves a ``solution.csv.part*`` file under its tmp_path."""
+    """Fail a test that leaves a ``solution.csv.part*`` file under its
+    tmp_path: solve writes ``solution.csv`` directly and never a part."""
     tmp = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
     yield
     left = sorted(str(p) for p in tmp.rglob("solution.csv.part*")) if tmp else []

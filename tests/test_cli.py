@@ -570,8 +570,8 @@ def test_preset_paths_exist():
 ])
 def test_a_report_that_cannot_be_written_exits_1_with_one_line(
         tmp_path, monkeypatch, capsys, command, report):
-    # solve forks a formatter for every stored slice, so children are live
-    # when the write fails; the fixtures check that none and no part is left
+    # solve forks its formatter when the first slice is stored; the fixtures
+    # check that no child and no part file is left
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
     doc = json.loads(preset_path("burgers").read_text())
     doc["solver"] = {"strict": False, "nx": 33}
@@ -587,3 +587,33 @@ def test_a_report_that_cannot_be_written_exits_1_with_one_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"{command}: [Errno ") and err[0].endswith(f"{report}'")
+
+
+def _burgers_run(tmp_path):
+    """The burgers preset certified and solved into ``tmp_path / "out"``."""
+    doc = json.loads(preset_path("burgers").read_text())
+    doc["solver"] = {"strict": False, "nx": 33}
+    out = tmp_path / "out"
+    for stage in ("certify", "solve"):
+        assert main([stage, "--spec", str(_write_spec(tmp_path, doc)), "--out", str(out)]) == 0
+    return doc, out
+
+
+def test_a_failed_solve_leaves_no_report_of_the_run_before(tmp_path):
+    doc, out = _burgers_run(tmp_path)
+    doc["solver"]["nx"] = 4
+    spec = _write_spec(tmp_path, doc)
+    assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["certificate.json", "h_table.csv"]
+    # verify refuses the directory instead of checking the earlier solution
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
+
+
+def test_a_failed_certify_leaves_no_report_of_the_run_before(tmp_path):
+    doc, out = _burgers_run(tmp_path)
+    doc["certificate"]["psi"] = "p^"
+    spec = _write_spec(tmp_path, doc)
+    assert main(["certify", "--spec", str(spec), "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "solution.csv", "solution.npy", "summary.json"]
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1

@@ -104,8 +104,8 @@ def test_preset_reports_match_golden_digests(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", PRESETS + tuple(GRIDS))
 def test_reports_match_golden_digests_when_each_slice_goes_to_a_formatter(
         name, tmp_path, monkeypatch):
-    """The same digests when solve forks a CSV formatter as soon as one
-    slice is stored and the one before has ended."""
+    """The same digests when solve forks its CSV formatter as soon as one
+    slice is stored, so every later slice crosses the pipe."""
     monkeypatch.delenv("DYNBC_TOL", raising=False)
     raw = json.loads(problem_file(name, tmp_path / name).read_text(encoding="utf-8"))
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", raw.get("solver", {}).get("nx", SolverConfig.nx))

@@ -1,6 +1,7 @@
 """solution.csv and solution.npy: the slice writer's bytes, the binary
-table against the CSV parsed back, the write/read round trip, and the split
-path, where forked children format the slices, during solve and at the end."""
+table against the CSV parsed back, the write/read round trip, and the
+streamed path, where one forked child formats the slices that solve stores
+and sends it through a pipe."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import math
 import os
 import tempfile
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -94,10 +96,19 @@ def test_write_read_round_trip(times, nodes, data):
 def test_write_read_round_trip_on_the_split_path(times, nodes, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "SPLIT_MIN_ROWS", 1)
-        check_round_trip(times, nodes, data)
+        check_round_trip(times, nodes, data, streamed=True)
 
 
-def check_round_trip(times, nodes, data):
+def stream(sol: Solution, out: Path) -> cli.CsvWriter:
+    """A writer given every slice of ``sol`` as solve gives them: it forks
+    its formatter once they reach ``SPLIT_MIN_ROWS`` rows."""
+    writer = cli.CsvWriter(out, sol.grid.nodes)
+    for state in zip(sol.grid.times.tolist(), sol.grid.values, sol.ux, sol.ut):
+        writer.store(*state)
+    return writer
+
+
+def check_round_trip(times, nodes, data, streamed=False):
     shape = (len(times), len(nodes))
     u = data.draw(hnp.arrays(np.float64, shape, elements=_finite))
     ux, ut = (data.draw(hnp.arrays(np.float64, shape, elements=_slope)) for _ in range(2))
@@ -105,7 +116,9 @@ def check_round_trip(times, nodes, data):
     with tempfile.TemporaryDirectory() as work:
         out = Path(work)
         (out / "summary.json").write_text('{"status": {"kind": "completed"}}')
-        write_solution(sol, out)
+        with closing(stream(sol, out)) as writer:
+            assert (writer.child is not None) == streamed
+            write_solution(sol, out, writer=writer)
         assert (out / "solution.csv").read_text(encoding="utf-8") == per_cell_rendering(sol)
         parsed = parse_csv(out)
         assert same_bits(np.load(out / "solution.npy"), parsed)
@@ -139,12 +152,13 @@ def step_failure_solution(n_times: int) -> Solution:
 
 def written(sol: Solution, out: Path) -> dict:
     out.mkdir()
-    write_solution(sol, out)
+    with closing(stream(sol, out)) as writer:
+        write_solution(sol, out, writer=writer)
     assert sorted(p.name for p in out.iterdir()) == ["solution.csv", "solution.npy", "summary.json"]
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
-@pytest.mark.parametrize("n_times", [1, 2, 5, 8])
+@pytest.mark.parametrize("n_times", [1, 2, 5, 8, 181])
 def test_the_split_path_writes_the_bytes_of_the_in_process_path(tmp_path, monkeypatch, n_times):
     sol = step_failure_solution(n_times)
     in_process = written(sol, tmp_path / "serial")
@@ -156,17 +170,15 @@ def test_the_split_path_writes_the_bytes_of_the_in_process_path(tmp_path, monkey
 
 
 def test_a_table_below_the_threshold_never_forks(tmp_path, monkeypatch):
-    def no_fork():
-        raise AssertionError("os.fork called")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+    log = ForkLog(monkeypatch)
     sol = step_failure_solution(5)  # 35 rows
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 36)
-    written(sol, tmp_path / "below")
-    # at the threshold it forks
+    in_process = written(sol, tmp_path / "below")
+    assert log.forks == []
+    # at the threshold it forks, once, when the last slice is stored
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 35)
-    with pytest.raises(AssertionError, match="os.fork called"):
-        write_solution(sol, tmp_path / "below")
+    assert written(sol, tmp_path / "at") == in_process
+    assert log.forks == [(False, 0)]
 
 
 def test_a_failing_child_raises_and_leaves_no_part_file(tmp_path, monkeypatch):
@@ -179,9 +191,11 @@ def test_a_failing_child_raises_and_leaves_no_part_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_csv_slices", failing_in_the_child)
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
-    with pytest.raises(OSError, match=r"slices 2\.\.3 exited with status 1"):
-        write_solution(step_failure_solution(4), tmp_path)
-    assert not list(tmp_path.glob("solution.csv.part*"))
+    sol = step_failure_solution(4)
+    with pytest.raises(OSError, match=r"^solution\.csv: the formatting process exited "
+                                      r"with status 1$"):
+        write_solution(sol, tmp_path, writer=stream(sol, tmp_path))
+    assert not list(tmp_path.iterdir())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -293,57 +307,75 @@ def test_streamed_formatters_write_the_bytes_of_the_in_process_path(
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 3 * BURGERS_33)
     assert solve_into(spec, tmp_path / "streamed") == code
     assert files(tmp_path / "streamed") == files(tmp_path / "serial")
-    during = [live for in_solve, live in log.forks if in_solve]
-    at_end = [live for in_solve, live in log.forks if not in_solve]
-    # a child forks only once the one before it is reaped; at the end the
-    # last streamed child may still run next to the one for the backlog
-    assert len(during) >= 2 and max(during) == 0
-    assert len(at_end) <= 1 and max(at_end, default=0) <= 1
+    # one child, forked from inside solve when the third slice is stored
+    assert log.forks == [(True, 0)]
 
 
-def test_the_backlog_splits_while_the_last_streamed_child_still_runs(tmp_path, monkeypatch):
-    sol = step_failure_solution(12)
-    in_process = written(sol, tmp_path / "serial")
-    real, parent = cli._write_csv_slices, os.getpid()
-
-    def slow_in_the_child(fh, nodes, slices):
-        if os.getpid() != parent and slices[0][0] == 0.0:
-            time.sleep(0.5)  # the first child still runs when the solve ends
-        real(fh, nodes, slices)
-
-    monkeypatch.setattr(cli, "_write_csv_slices", slow_in_the_child)
-    monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 2 * 7)
+@pytest.mark.parametrize("threshold", [1, BURGERS_33, 3 * BURGERS_33])
+def test_a_solve_forks_at_most_once(tmp_path, monkeypatch, threshold):
     log = ForkLog(monkeypatch)
-    out = tmp_path / "streamed"
-    out.mkdir()
-    writer = cli.CsvWriter(out, sol.grid.nodes)
-    for state in zip(sol.grid.times.tolist(), sol.grid.values, sol.ux, sol.ut):
-        writer.store(*state)
-    assert writer.taken == 2 and len(writer.backlog) == 10
-    write_solution(sol, out, writer=writer)
-    # slices 0..1 went to the first child, 2..6 to this process, 7..11 to the last
-    assert [(c.first, c.last) for c in writer.children] == [(0, 1), (7, 11)]
-    assert [live for _, live in log.forks] == [0, 1]
-    assert files(out) == in_process
+    monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", threshold)
+    assert solve_into(burgers_spec(tmp_path, STEP_FAILURE), tmp_path / "out") == 4
+    assert log.forks == [(True, 0)]
 
 
-def test_a_failing_child_during_solve_exits_1_and_leaves_no_part_file(
-        tmp_path, monkeypatch, capsys):
+def solve_with_a_failing_child(tmp_path, monkeypatch, capsys, mid_run: bool) -> list:
+    """Solve burgers with a formatter child that writes a row and fails:
+    after it has read the pipe to its end, or mid-run, before the pipe.
+    Check that solve exits 1 with one line and leaves no report; return
+    the errors that ``store`` raised."""
     real, parent = cli._write_csv_slices, os.getpid()
 
     def failing_in_the_child(fh, nodes, slices):
-        if os.getpid() != parent:
-            fh.write("0,1,2,3,4\n")
-            fh.flush()
-            raise OSError("no space left on device")
-        real(fh, nodes, slices)
+        if os.getpid() == parent or (not mid_run and isinstance(slices, list)):
+            return real(fh, nodes, slices)
+        fh.write("0,1,2,3,4\n")
+        fh.flush()
+        for _ in slices if not mid_run else ():  # the pipe, read to its end
+            pass
+        raise OSError("no space left on device")
 
     monkeypatch.setattr(cli, "_write_csv_slices", failing_in_the_child)
+    raised_in_store, real_store, sent_after_the_end = [], cli.CsvWriter.store, []
+
+    def store(self, *state):
+        # mid-run, each later slice is stored only once the child has ended
+        # and the sender has written a slice into the broken pipe
+        deadline = time.monotonic() + 30
+        while (mid_run and self.child is not None and time.monotonic() < deadline
+               and not os.waitid(os.P_PID, self.child, os.WEXITED | os.WNOHANG | os.WNOWAIT)):
+            time.sleep(0.01)
+        if mid_run and self.child is not None:
+            if sent_after_the_end:
+                self.sender.join(timeout=30)
+            sent_after_the_end.append(True)
+        try:
+            real_store(self, *state)
+        except OSError as exc:
+            raised_in_store.append(exc)
+            raise
+
+    monkeypatch.setattr(cli.CsvWriter, "store", store)
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 2 * BURGERS_33)
     capsys.readouterr()
     assert solve_into(burgers_spec(tmp_path, {}), tmp_path / "out") == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["solve: solution.csv: the process formatting slices 0..1 exited with status 1"]
+    assert err == ["solve: solution.csv: the formatting process exited with status 1"]
+    assert not list((tmp_path / "out").iterdir())
+    return raised_in_store
+
+
+def test_a_failing_child_during_solve_exits_1_and_leaves_no_part_file(
+        tmp_path, monkeypatch, capsys):
+    # the child fails once solve has sent every slice: finish reports it
+    assert solve_with_a_failing_child(tmp_path, monkeypatch, capsys, mid_run=False) == []
+
+
+def test_a_child_that_dies_mid_run_is_reported_by_its_status_not_as_a_broken_pipe(
+        tmp_path, monkeypatch, capsys):
+    raised = solve_with_a_failing_child(tmp_path, monkeypatch, capsys, mid_run=True)
+    assert [str(exc) for exc in raised] == [
+        "solution.csv: the formatting process exited with status 1"]
 
 
 def test_a_hook_that_raises_after_a_fork_leaves_no_child_and_no_part_file(
@@ -352,26 +384,16 @@ def test_a_hook_that_raises_after_a_fork_leaves_no_child_and_no_part_file(
 
     def store(self, *state):
         real(self, *state)
-        if self.children:
+        if self.child is not None:
             raise RuntimeError("hook failed")
 
     monkeypatch.setattr(cli.CsvWriter, "store", store)
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
     with pytest.raises(RuntimeError, match="hook failed"):
         solve_into(burgers_spec(tmp_path, {}), tmp_path / "out")
-    assert not list((tmp_path / "out").glob("solution.csv.part*"))
+    assert not list((tmp_path / "out").iterdir())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_the_next_solve_removes_stale_part_files(tmp_path):
-    spec, out = burgers_spec(tmp_path, {}), tmp_path / "out"
-    assert solve_into(spec, out) == 0
-    want = files(out)
-    for name in ("solution.csv.part", "solution.csv.part0", "solution.csv.part12"):
-        (out / name).write_text("0,1,2,3,4\n")
-    assert solve_into(spec, out) == 0
-    assert files(out) == want
 
 
 def test_a_solve_below_the_threshold_never_forks(tmp_path, monkeypatch):
