@@ -13,9 +13,10 @@ solve writes the solution twice: ``solution.csv`` to read, and
 ``solution.npy``, the same numbers as one float64 array, which verify reads.
 Where ``os.fork`` exists, the CSV is formatted while the solver runs, by
 one forked child that solve sends the slices through a pipe (``CsvWriter``);
-the bytes are the same as one process writes.  certify and solve remove
-their reports when they start and write ``certificate.json`` and
-``summary.json`` last, so verify refuses a directory where one exited 1.
+the bytes are the same as one process writes.  Every command removes its
+reports when it starts, so none from an earlier run outlives one that exits
+1; certify and solve write ``certificate.json`` and ``summary.json`` last,
+so verify refuses a directory where one exited 1.
 A report that cannot be written exits 1.  Sweeps run serially.
 
 Exit codes: 0 success / all conditions satisfied; 1 input or artifact error,
@@ -597,6 +598,8 @@ def read_certificate(out_dir: Path) -> tuple[BarrierCertificate, SupBoundCertifi
 
 def cmd_verify(manifest: RunManifest) -> int:
     try:
+        for name in ("verification.json", "verification.csv"):  # none outlives a failed verify
+            (manifest.out_dir / name).unlink(missing_ok=True)
         sol = read_solution(manifest.out_dir)
         if isinstance(sol.status, BlowUpDetected):
             # only the growth gauge matters for a blow-up run; a barrier
@@ -678,6 +681,7 @@ def _sweep_point(psi_text: str, q0: float, M: float, K_est: float) -> str:
 
 def cmd_sweep(manifest: RunManifest) -> int:
     try:
+        (manifest.out_dir / "sweep.csv").unlink(missing_ok=True)  # none outlives a failed sweep
         raw = manifest.load_spec()
         blk = raw.get("sweep")
         if not blk:
@@ -695,15 +699,10 @@ def cmd_sweep(manifest: RunManifest) -> int:
         # per row so q0 choices can be screened against it
         problem = ProblemSpec.from_dict(raw)
         K_est = estimate_lipschitz(problem.u0, problem.ell)
-    except (DynbcError, ValueError) as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 1
-
-    rows = [_sweep_point(p, q, M, K_est) for p in psis for q in q0s for M in Ms]
-    try:
+        rows = [_sweep_point(p, q, M, K_est) for p in psis for q in q0s for M in Ms]
         _write(manifest.out_dir / "sweep.csv",
                "\n".join(["psi,q0,M,status,q1,kappa0,q0_covers_K,detail", *rows]))
-    except OSError as exc:
+    except (DynbcError, OSError, ValueError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 1
     return 0

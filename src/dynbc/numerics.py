@@ -51,9 +51,9 @@ def thomas(lower, diag, upper, rhs) -> np.ndarray:
     """Solve a tridiagonal system.
 
     lower[i] multiplies x[i-1] in row i (lower[0] unused); upper[i]
-    multiplies x[i+1] (upper[-1] unused).  No pivoting: rows must be
-    diagonally usable, which the implicit-step matrices here are; a zero
-    pivot raises ZeroDivisionError.
+    multiplies x[i+1] (upper[-1] unused).  No pivoting: rows are taken in
+    the order given, two end rows perhaps swapped by the stage solve's
+    corner removal, and a zero pivot raises ZeroDivisionError.
 
     The bands may be numpy arrays or lists of floats.  The sweep runs over
     Python floats: the same IEEE double operations, in the same order, as

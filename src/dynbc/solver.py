@@ -14,15 +14,15 @@ identity row of the stage system.
 
 Time: theta-scheme (trapezoidal by default) with damped Newton on the stage
 system; Jacobian entries come from the exact derivatives, assembled into a
-tridiagonal-plus-two-corners matrix.  A corner is eliminated against its
-adjacent row before the Thomas sweep when the multiplier is at most 1;
-otherwise the stage system is solved densely.  Step size adapts on a
-step-doubling error estimate, one factor rescaling dt after a rejection and
-an acceptance alike; Newton failure first retries the step fully implicitly
-(theta = 1), then shrinks dt.  The slope rhs(t, u) and the gradient of each
-stored state are evaluated once: the slope starts every attempt from that
-state (the full step and the first half step alike) and is its row of u_t;
-the gradient meets the cutoff and is its row of u_x.
+tridiagonal-plus-two-corners matrix.  Each corner is removed against its
+adjacent row, the two rows trading places when the corner is the larger
+entry, and one Thomas sweep solves the result: O(n) for every stage system.
+Step size adapts on a step-doubling error estimate, one factor rescaling dt
+after a rejection and an acceptance alike; Newton failure first retries the
+step fully implicitly (theta = 1), then shrinks dt.  The slope rhs(t, u) and
+the gradient of each stored state are evaluated once: the slope starts every
+attempt from that state (the full step and the first half step alike) and is
+its row of u_t; the gradient meets the cutoff and is its row of u_x.
 
 Every run ends in exactly one of three states: Completed at T, BlowUpDetected
 once max |u_x| crosses the cutoff, or StepFailure when dt hits its floor.
@@ -293,38 +293,39 @@ class SemiDiscretization:
 # ---------------------------------------------------------------------------
 # linear algebra for the stage system
 
-def _solve_bordered(lower, diag, upper, corner_right, corner_left, rhs):
-    """Solve the tridiagonal system with two optional corner entries by
-    eliminating them against the adjacent rows, then a Thomas sweep.
+def _eliminate_corner(away, diag, toward, rhs, corner, i, j):
+    """Make end row i tridiagonal in place, with multipliers of at most 1.
 
-    The elimination runs on Python-float copies of the bands, which the
-    sweep then uses as they are.  A corner is eliminated only when the
-    adjacent band entry is at least as large in magnitude, so the
-    multiplier is at most 1; otherwise the system goes to a dense solve,
-    with any corner already eliminated left out of it.
+    The bands are named from row i: (lower, diag, upper) with j = 1 and
+    (upper, diag, lower) with j = -2.  Row i is reduced against row j or,
+    when the corner outweighs toward[j], row j against row i: the reduced
+    row takes row i's place, and row j's goes to row i plus or minus it, so
+    that their diagonals add (row i alone leaves a small last-row pivot).
     """
+    if abs(toward[j]) >= abs(corner):
+        fac = corner / toward[j]
+        diag[i] -= fac * away[j]
+        toward[i] -= fac * diag[j]
+        rhs[i] -= fac * rhs[j]
+    else:
+        fac = toward[j] / corner
+        red = away[j] - fac * diag[i], diag[j] - fac * toward[i], rhs[j] - fac * rhs[i]
+        s = math.copysign(1.0, red[1] * toward[i])
+        away[j], diag[j], toward[j], rhs[j] = (
+            diag[i] + s * red[0], toward[i] + s * red[1], corner, rhs[i] + s * red[2])
+        diag[i], toward[i], rhs[i] = red
+
+
+def _solve_bordered(lower, diag, upper, corner_right, corner_left, rhs):
+    """Solve the tridiagonal system with two optional corners: each is removed
+    on Python-float copies of the bands, which may swap rows 0 and 1 or n-1
+    and n-2, then one Thomas sweep; it does not pivot, so a zero pivot raises
+    ZeroDivisionError."""
     lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
-    n = len(diag)
-    if corner_right != 0.0 and abs(upper[1]) >= abs(corner_right):
-        fac = float(corner_right) / upper[1]
-        diag[0] -= fac * lower[1]
-        upper[0] -= fac * diag[1]
-        rhs[0] -= fac * rhs[1]
-        corner_right = 0.0
-    if corner_left != 0.0 and abs(lower[n - 2]) >= abs(corner_left):
-        fac = float(corner_left) / lower[n - 2]
-        lower[-1] -= fac * diag[n - 2]
-        diag[-1] -= fac * upper[n - 2]
-        rhs[-1] -= fac * rhs[n - 2]
-        corner_left = 0.0
-    if corner_right != 0.0 or corner_left != 0.0:
-        dense = np.zeros((n, n))
-        dense[np.arange(1, n), np.arange(n - 1)] = lower[1:]
-        dense[np.arange(n), np.arange(n)] = diag
-        dense[np.arange(n - 1), np.arange(1, n)] = upper[:-1]
-        dense[0, 2] += corner_right
-        dense[-1, -3] += corner_left
-        return np.linalg.solve(dense, rhs)
+    if corner_right != 0.0:
+        _eliminate_corner(lower, diag, upper, rhs, float(corner_right), 0, 1)
+    if corner_left != 0.0:
+        _eliminate_corner(upper, diag, lower, rhs, float(corner_left), -1, -2)
     return thomas(lower, diag, upper, rhs)
 
 
@@ -374,7 +375,7 @@ def _theta_step(disc: SemiDiscretization, t: float, u: np.ndarray, f0: np.ndarra
             raise _NewtonFailure("jacobian not finite")
         try:
             dU = _solve_bordered(Jl, Jd, Ju, Jcr, Jcl, -R)
-        except Exception as exc:
+        except ZeroDivisionError as exc:
             raise _NewtonFailure(f"linear solve failed: {exc}") from None
         if not np.all(np.isfinite(dU)):
             raise _NewtonFailure("update not finite")

@@ -617,3 +617,25 @@ def test_a_failed_certify_leaves_no_report_of_the_run_before(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "solution.csv", "solution.npy", "summary.json"]
     assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
+
+
+def test_a_failed_verify_leaves_no_report_of_the_run_before(tmp_path):
+    doc, out = _burgers_run(tmp_path)
+    spec = _write_spec(tmp_path, doc)
+    assert main(["verify", "--spec", str(spec), "--out", str(out), "--format", "csv"]) == 0
+    assert json.loads((out / "verification.json").read_text())["passed"] is True
+    doc["solver"]["nx"] = 4
+    spec = _write_spec(tmp_path, doc)
+    assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 1
+    assert main(["verify", "--spec", str(spec), "--out", str(out), "--format", "csv"]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["certificate.json", "h_table.csv"]
+
+
+def test_a_failed_sweep_leaves_no_report_of_the_run_before(tmp_path):
+    doc = dict(STEADY, sweep={"psi": ["1"], "q0": [1.0], "M": [2.0]})
+    out = tmp_path / "run"
+    assert main(["sweep", "--spec", str(_write_spec(tmp_path, doc)), "--out", str(out)]) == 0
+    assert (out / "sweep.csv").is_file()
+    doc["sweep"] = dict(doc["sweep"], q0=[])
+    assert main(["sweep", "--spec", str(_write_spec(tmp_path, doc)), "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []

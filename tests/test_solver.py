@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dynbc.cli import preset_path
+from dynbc.cli import main, preset_path
 from dynbc.errors import ConfigError, PreconditionFailed
 from dynbc.expr import parse
 from dynbc.problem import DirichletBC, DynamicBC, ProblemSpec
@@ -443,3 +443,57 @@ def test_split_rhs_terms_enter_the_equations():
     exact = 0.5 / math.sqrt(1 + 4 * 0.25 * 1.0)
     assert np.max(np.abs(sol.grid.values[-1] - exact)) <= 1e-6
     assert np.max(np.abs(sol.grid.values[-1] - sol.grid.values[-1][0])) <= 1e-9
+
+
+def test_a_convective_burgers_solve_makes_no_dense_solve(tmp_path, monkeypatch):
+    """At a = 0.01 both corners outweigh the band entries next to them in
+    every stage system, so each swaps its end rows; nothing calls
+    np.linalg.solve, and the run takes the steps the dense solves took."""
+    dense_calls, swaps = [], []
+    dense, eliminate = np.linalg.solve, solver._eliminate_corner
+
+    def counted_dense(*args, **kw):
+        dense_calls.append(args)
+        return dense(*args, **kw)
+
+    def counted_eliminate(away, diag, toward, rhs, corner, i, j):
+        swaps.append(abs(toward[j]) < abs(corner))
+        eliminate(away, diag, toward, rhs, corner, i, j)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_dense)
+    monkeypatch.setattr(solver, "_eliminate_corner", counted_eliminate)
+    raw = json.loads(preset_path("burgers").read_text())
+    raw["a"] = "0.01"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw))
+    assert main(["solve", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == {"kind": "completed"}
+    assert summary["step_log"] == {"accepted": 239, "rejected": 0, "newton_failures": 0}
+    assert dense_calls == []
+    assert len(swaps) == 2 * 717 and all(swaps)
+
+
+def _burgers_with_a_failing_sweep(monkeypatch, error):
+    """A fixed-step burgers run whose every Thomas sweep raises error."""
+    def sweep(*args):
+        raise error("from the sweep")
+
+    monkeypatch.setattr(solver, "thomas", sweep)
+    prob = ProblemSpec.from_json(preset_path("burgers").read_text())
+    return prob, SolverConfig(nx=33, dt_min=1e-3, dt_max=1e-3)
+
+
+def test_a_zero_pivot_fails_the_newton_attempt(monkeypatch):
+    """A zero pivot fails the attempt at theta and at the fully implicit
+    fallback; the fixed-step run then ends in step failure."""
+    sol = solve(*_burgers_with_a_failing_sweep(monkeypatch, ZeroDivisionError))
+    assert sol.status == StepFailure(time=0.0, reason="newton failure at minimal step")
+    assert sol.step_log == {"accepted": 0, "rejected": 0, "newton_failures": 1}
+
+
+def test_an_error_other_than_a_zero_pivot_propagates(monkeypatch):
+    """Only a zero pivot is a failed linear solve; any other error from
+    the stage solve is a fault and ends the run."""
+    with pytest.raises(TypeError, match="from the sweep"):
+        solve(*_burgers_with_a_failing_sweep(monkeypatch, TypeError))
