@@ -9,14 +9,14 @@ The problem file is JSON with expression strings (see docs/formats.md); the
 optional blocks "certificate", "sup_bound", "solver" and "sweep" carry the
 workflow parameters.  Reports are written with fixed field order and floats
 at 17 significant digits, so identical inputs produce byte-identical files.
-solve writes the solution twice: ``solution.csv`` to read, and
-``solution.npy``, the same numbers as one float64 array, which verify reads.
-Where ``os.fork`` exists, the CSV is formatted while the solver runs, by
-one forked child that solve sends the slices through a pipe (``CsvWriter``);
-the bytes are the same as one process writes.  Every command removes its
-reports when it starts, so none from an earlier run outlives one that exits
-1; certify and solve write ``certificate.json`` and ``summary.json`` last,
-so verify refuses a directory where one exited 1.
+solve writes the solution twice: ``solution.npy``, one float64 array that
+verify reads, filled as the solver stores each slice, and ``solution.csv``,
+formatted from it to read; where ``os.fork`` exists, by one forked child
+while the solver runs (``SolutionWriter``), with the bytes one process
+writes.  Every command removes its reports when it starts, so none from an
+earlier run outlives one that exits 1; certify and solve write
+``certificate.json`` and ``summary.json`` last, so verify refuses a
+directory where one exited 1.
 A report that cannot be written exits 1.  Sweeps run serially.
 
 Exit codes: 0 success / all conditions satisfied; 1 input or artifact error,
@@ -33,7 +33,6 @@ import math
 import os
 import signal
 import sys
-import threading
 from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from importlib import resources
@@ -324,54 +323,58 @@ def _status_from_dict(d: dict):
 # 40 ms to format, so a smaller table is formatted in-process.
 SPLIT_MIN_ROWS = 2 ** 14
 
-# The formatter's pipe where Linux allows it: about 40 slices at nx = 1025,
-# so the sender thread seldom waits on the child.
-PIPE_BYTES = 2 ** 20
-
 SOLVE_REPORTS = ("summary.json", "solution.csv", "solution.npy")
 
 
-class CsvWriter:
-    """The time slices of ``solution.csv``, formatted while solve runs.
+class SolutionWriter:
+    """``solution.npy`` and ``solution.csv``, written while solve runs.
 
-    ``store`` is solve's ``on_store`` hook.  When the stored slices first
-    reach ``SPLIT_MIN_ROWS`` rows and ``os.fork`` exists, it opens
-    ``solution.csv`` and forks one child at the lowest priority (nice 19),
-    which writes to that file the header, the slices stored so far, then
-    each later slice, which a sender thread writes to a pipe as raw float64
-    bytes, so every float, NaN payloads included, arrives bit for bit; the
-    solver never waits for a child that falls behind.  ``finish`` waits for
-    both; a child that failed leaves no ``solution.csv`` and raises
+    ``store`` is solve's ``on_store`` hook: it appends each slice's rows to
+    ``solution.npy``, whose header ``finish`` writes last.  When the stored
+    slices first reach ``SPLIT_MIN_ROWS`` rows and ``os.fork`` exists, it
+    opens ``solution.csv`` and forks one child at the lowest priority
+    (nice 19), which formats the rows stored so far, then a slice more for
+    each byte ``store`` writes to a pipe once that slice's rows are in the
+    file, so the solver never waits for a child that falls behind.
+    ``finish`` writes the header, then waits for the child, or formats the
+    CSV itself, with the same bytes.  A child that failed raises
     ``OSError`` with its exit status, from ``store`` or ``finish``.
-    ``close`` kills a child still running and removes its partial CSV.
+    ``close`` kills a child still running and removes unfinished files.
     """
 
     def __init__(self, out_dir: Path, nodes: np.ndarray):
-        self.path, self.nodes = Path(out_dir) / "solution.csv", nodes
-        self.stored: list[tuple] | None = []  # (t, u, ux, ut) of each slice, until the fork
-        self.child: int | None = None         # the formatter's pid, until it is reaped
+        self.csv_path, self.nodes = Path(out_dir) / "solution.csv", nodes
+        self.npy = open(Path(out_dir) / "solution.npy", "wb")
+        self.unfinished = [Path(self.npy.name)]  # removed by close
+        self._header(0)  # a placeholder of the final header's length
+        self.start, self.slices = self.npy.tell(), 0
+        self.child = self.pipe = None  # the formatter's pid and pipe, until it is reaped
+
+    def _header(self, rows: int) -> None:
+        np.lib.format.write_array_header_1_0(
+            self.npy, {"descr": np.dtype(float).str, "fortran_order": False, "shape": (rows, 5)})
 
     def store(self, t, u, ux, ut) -> None:
-        if self.stored is None:  # forked: the slice goes to the child
-            if not self.sender.is_alive():  # the child has ended: finish says how
-                self.finish()
-            self.queue.put(([t], u, ux, ut))
-            return
-        self.stored.append((t, u, ux, ut))
-        if len(self.stored) * u.size >= SPLIT_MIN_ROWS and hasattr(os, "fork"):
+        block = np.column_stack((np.full(u.size, t), self.nodes, u, ux, ut))
+        block[np.isnan(block)] = np.nan  # the one NaN that the CSV's nan reads back as
+        self.npy.write(block.tobytes())
+        self.npy.flush()  # the rows are in the file before the child hears of them
+        self.slices += 1
+        if self.pipe is not None:
+            try:
+                os.write(self.pipe, b"\1")
+            except BrokenPipeError:  # the child has ended: its status says why
+                self._reap()
+                raise
+        elif self.slices * u.size >= SPLIT_MIN_ROWS and hasattr(os, "fork"):
             self.fork()
 
     def fork(self) -> None:
         """Fork the formatter child, which exits 0, or 1 on any error."""
-        import fcntl  # POSIX, as os.fork is
-        import queue  # 2 ms to import, which a solve that never forks does not pay
-
         read_end, write_end = os.pipe()
         try:
-            if hasattr(fcntl, "F_SETPIPE_SZ"):
-                with suppress(OSError):  # refused above pipe-max-size: slower, not wrong
-                    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-            with open(self.path, "w", encoding="utf-8") as csv:  # the child writes it
+            with open(self.csv_path, "w", encoding="utf-8") as csv:  # the child writes it
+                self.unfinished.append(self.csv_path)
                 pid = os.fork()
                 if pid == 0:
                     code = 1
@@ -380,11 +383,8 @@ class CsvWriter:
                         # one CPU, the solver keeps it and this child fills the gaps
                         os.nice(19)
                         os.close(write_end)
-                        with csv, open(read_end, "rb") as pipe:
-                            csv.write("t,x,u,ux,ut\n")
-                            _write_csv_slices(csv, self.nodes, self.stored)
-                            _write_csv_slices(csv, self.nodes,
-                                              _piped_slices(pipe, self.nodes.size))
+                        with csv, open(read_end, "rb", buffering=0) as pipe:
+                            self._write_csv(csv, self.slices, pipe)
                         code = 0
                     finally:
                         os._exit(code)  # never return into the caller's stack
@@ -393,62 +393,87 @@ class CsvWriter:
             raise
         finally:
             os.close(read_end)
-        self.child, self.stored, self.queue = pid, None, queue.SimpleQueue()
-        self.sender = threading.Thread(target=self._send, args=(open(write_end, "wb"),),
-                                       daemon=True)
-        self.sender.start()
-
-    def _send(self, pipe) -> None:
-        """Write each queued slice to the pipe until ``None`` is queued."""
-        with suppress(BrokenPipeError), pipe:  # a child that ended early: its status says why
-            while (state := self.queue.get()) is not None:
-                pipe.write(np.concatenate(state).tobytes())
-                pipe.flush()  # each slice now: a child that has ended is seen at once
+        self.child, self.pipe = pid, write_end
 
     def finish(self) -> None:
-        """Wait for the sender and for the child to write the rest."""
-        self.queue.put(None)
-        self.sender.join()
-        pid, self.child = self.child, None
+        """Complete both files: the ``.npy`` header, then the CSV's rest."""
+        self.npy.seek(0)
+        self._header(self.slices * self.nodes.size)
+        if self.npy.tell() != self.start:  # 128 bytes for any (rows, 5) float64 table
+            raise OSError("solution.npy: the header outgrew its placeholder")
+        self.npy.close()
+        if self.child is not None:
+            self._reap()
+        else:
+            with open(self.csv_path, "w", encoding="utf-8") as csv:
+                self.unfinished.append(self.csv_path)
+                self._write_csv(csv, self.slices)
+        self.unfinished = []
+
+    def _write_csv(self, csv, slices: int, pipe=None) -> None:
+        """Write to ``csv`` the header and the rows of ``solution.npy``, one
+        slice at a time: the first ``slices``, then one more for each byte
+        read from ``pipe`` until ``store``'s end of it is closed.  The x
+        cells are formatted once into a row template; each slice adds its t
+        cell and fills the u, ux and ut cells with one ``%`` format."""
+        n = self.nodes.size
+        rows = [",%.17g,%%.17g,%%.17g,%%.17g\n" % x for x in self.nodes.tolist()]
+        csv.write("t,x,u,ux,ut\n")
+        with open(self.npy.name, "rb") as npy:
+            npy.seek(self.start)
+            while slices:
+                for _ in range(slices):
+                    block = np.frombuffer(npy.read(40 * n), float).reshape(n, 5)
+                    t_cell = "%.17g" % block[0, 0]
+                    csv.write((t_cell + t_cell.join(rows)) % tuple(block[:, 2:].ravel().tolist()))
+                slices = len(pipe.read(2 ** 16)) if pipe else 0
+
+    def _reap(self) -> None:
+        """Close the pipe, so the child formats the rest, and wait for it."""
+        os.close(self.pipe)
+        pid, self.child, self.pipe = self.child, None, None
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code:
-            self.path.unlink(missing_ok=True)
             raise OSError(f"solution.csv: the formatting process exited with status {code}")
 
     def close(self) -> None:
         if self.child is not None:
             os.kill(self.child, signal.SIGKILL)
             with suppress(OSError):  # its status: killed
-                self.finish()
+                self._reap()
+        self.npy.close()
+        for path in self.unfinished:
+            path.unlink(missing_ok=True)
+        self.unfinished = []
 
 
-def write_solution(sol: Solution, out_dir: Path, *, writer: CsvWriter | None = None) -> None:
+def write_solution(sol: Solution, out_dir: Path, *,
+                   writer: SolutionWriter | None = None) -> None:
     """Write ``summary.json``, ``solution.csv`` and ``solution.npy``; all
     three are complete on return.
 
+    ``writer`` is the live ``SolutionWriter`` that ``sol``'s slices were
+    stored in; without one, the slices are stored in a new writer here.
+    If it forked a formatter, the summary (its Hölder block is the costly
+    part) is computed while the child formats the rest of the CSV.
+    ``summary.json`` is written once the other two are complete.
+
     ``solution.csv``: one ``t,x,u,ux,ut`` row per node and stored time,
     every float at 17 significant digits (``%.17g``, which prints ``nan``,
-    ``inf`` and ``-0`` as Python does), written one time slice at a time.
-    ``writer`` is the live ``CsvWriter`` that ``sol``'s slices were stored
-    in.  If it forked a formatter, the summary (its Hölder block is the
-    costly part) is computed while the child drains the pipe; otherwise
-    this process writes the CSV, with the same bytes.  The ``.npy`` and
-    then ``summary.json`` are written once the CSV is complete.
+    ``inf`` and ``-0`` as Python does), formatted from ``solution.npy``.
 
     ``solution.npy`` holds the same rows as one float64 array of shape
     (times * nodes, 5), the bytes ``np.save`` writes, and equals the CSV's
     numbers read back bit for bit: 17 digits round-trip every float, and
-    NaN is stored as the one NaN that ``nan`` reads back as.  Writing it a
-    slice at a time keeps the whole table out of memory.
+    NaN is stored as the one NaN that ``nan`` reads back as.
     """
-    summary = json_dumps(_summary(sol))
-    if writer is not None and writer.child is not None:
-        writer.finish()
-    else:
-        with open(out_dir / "solution.csv", "w", encoding="utf-8") as fh:
-            fh.write("t,x,u,ux,ut\n")
-            _write_csv_slices(fh, sol.grid.nodes, _slices(sol))
-    _write_npy(sol, out_dir / "solution.npy")
+    with closing(writer if writer is not None else
+                 SolutionWriter(out_dir, sol.grid.nodes)) as live:
+        if writer is None:
+            for state in _slices(sol):
+                live.store(*state)
+        summary = json_dumps(_summary(sol))
+        live.finish()
     _write(out_dir / "summary.json", summary)
 
 
@@ -474,37 +499,6 @@ def _summary(sol: Solution) -> dict:
 def _slices(sol: Solution):
     """(t, u, ux, ut) of each time slice."""
     return zip(sol.grid.times.tolist(), sol.grid.values, sol.ux, sol.ut)
-
-
-def _piped_slices(pipe, n: int):
-    """(t, u, ux, ut) of each slice ``CsvWriter.store`` sent on ``n`` nodes."""
-    size = 8 * (1 + 3 * n)
-    while block := pipe.read(size):
-        t, u, ux, ut = np.split(np.frombuffer(block, float), (1, 1 + n, 1 + 2 * n))
-        yield t[0], u, ux, ut
-
-
-def _write_csv_slices(fh, nodes: np.ndarray, slices) -> None:
-    """Write the CSV rows of each (t, u, ux, ut) slice on ``nodes``.  The x
-    cells are formatted once into a row template; each slice adds its t
-    cell and fills the u, ux and ut cells with one ``%`` format."""
-    rows = [",%.17g,%%.17g,%%.17g,%%.17g\n" % x for x in nodes.tolist()]
-    for t, u, ux, ut in slices:
-        t_cell = "%.17g" % t
-        cells = np.column_stack((u, ux, ut))
-        fh.write((t_cell + t_cell.join(rows)) % tuple(cells.ravel().tolist()))
-
-
-def _write_npy(sol: Solution, path: Path) -> None:
-    nodes = sol.grid.nodes
-    header = {"descr": np.dtype(float).str, "fortran_order": False,
-              "shape": (sol.grid.values.size, 5)}
-    with open(path, "wb") as fb:
-        np.lib.format.write_array_header_1_0(fb, header)
-        for t, u, ux, ut in _slices(sol):
-            block = np.column_stack((np.full(nodes.size, t), nodes, u, ux, ut))
-            block[np.isnan(block)] = np.nan
-            fb.write(block.tobytes())
 
 
 def read_solution(out_dir: Path) -> Solution:
@@ -548,8 +542,8 @@ def cmd_solve(manifest: RunManifest) -> int:
         raw = manifest.load_spec()
         problem = ProblemSpec.from_dict(raw)
         cfg = _solver_config(raw, manifest)
-        # no child and no partial solution.csv outlives the block, whatever it raises
-        with closing(CsvWriter(manifest.out_dir, grid_nodes(problem.ell, cfg.nx))) as writer:
+        # no child and no unfinished solution file outlives the block, whatever it raises
+        with closing(SolutionWriter(manifest.out_dir, grid_nodes(problem.ell, cfg.nx))) as writer:
             sol = solve(problem, cfg, on_store=writer.store)
             write_solution(sol, manifest.out_dir, writer=writer)
     except (DynbcError, OSError, KeyError, ValueError) as exc:

@@ -16,6 +16,7 @@ the solution value and p its gradient.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -81,10 +82,10 @@ class ProblemSpec:
     f1: Expr | None = None
 
     def __post_init__(self):
-        if not (self.ell > 0):
-            raise ConfigError(f"ell must be positive, got {self.ell}")
-        if not (self.T > 0):
-            raise ConfigError(f"T must be positive, got {self.T}")
+        if not (math.isfinite(self.ell) and self.ell > 0):
+            raise ConfigError(f"ell must be positive and finite, got {self.ell}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ConfigError(f"T must be positive and finite, got {self.T}")
         bad = free_variables(self.u0) - {"x"}
         if bad:
             raise ConfigError(f"u0 may depend on x only, found {sorted(bad)}")

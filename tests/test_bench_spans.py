@@ -21,7 +21,7 @@ def test_the_solution_csv_bytes_counter_reads_the_written_file(tmp_path, monkeyp
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    # every slice after the first goes through the formatter's pipe
+    # the formatter forks at the first slice and is told of each later one
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 33)
     tracer = spans.Tracer()
     with spans.instrument(tracer):

@@ -83,6 +83,9 @@ def test_invalid_json_spec(tmp_path):
 
 @pytest.mark.parametrize("command, changes", [
     ("certify", {"ell": None}),
+    ("certify", {"T": math.inf}),
+    ("solve", {"T": math.inf}),
+    ("certify", {"ell": math.inf}),
     ("solve", {"a": 1}),
     ("solve", {"bc_plus": "x"}),
     ("certify", []),
@@ -571,7 +574,7 @@ def test_preset_paths_exist():
 def test_a_report_that_cannot_be_written_exits_1_with_one_line(
         tmp_path, monkeypatch, capsys, command, report):
     # solve forks its formatter when the first slice is stored; the fixtures
-    # check that no child and no part file is left
+    # check that no child, no part file and no unfinished solution.npy is left
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
     doc = json.loads(preset_path("burgers").read_text())
     doc["solver"] = {"strict": False, "nx": 33}

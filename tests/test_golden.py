@@ -105,7 +105,8 @@ def test_preset_reports_match_golden_digests(name, tmp_path, monkeypatch):
 def test_reports_match_golden_digests_when_each_slice_goes_to_a_formatter(
         name, tmp_path, monkeypatch):
     """The same digests when solve forks its CSV formatter as soon as one
-    slice is stored, so every later slice crosses the pipe."""
+    slice is stored, so the child formats every later slice as it is
+    stored."""
     monkeypatch.delenv("DYNBC_TOL", raising=False)
     raw = json.loads(problem_file(name, tmp_path / name).read_text(encoding="utf-8"))
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", raw.get("solver", {}).get("nx", SolverConfig.nx))

@@ -1,7 +1,7 @@
 """solution.csv and solution.npy: the slice writer's bytes, the binary
 table against the CSV parsed back, the write/read round trip, and the
-streamed path, where one forked child formats the slices that solve stores
-and sends it through a pipe."""
+streamed path, where one forked child formats the rows that solve appends
+to solution.npy, told of each slice by one byte on a pipe."""
 
 from __future__ import annotations
 
@@ -99,10 +99,10 @@ def test_write_read_round_trip_on_the_split_path(times, nodes, data):
         check_round_trip(times, nodes, data, streamed=True)
 
 
-def stream(sol: Solution, out: Path) -> cli.CsvWriter:
+def stream(sol: Solution, out: Path) -> cli.SolutionWriter:
     """A writer given every slice of ``sol`` as solve gives them: it forks
     its formatter once they reach ``SPLIT_MIN_ROWS`` rows."""
-    writer = cli.CsvWriter(out, sol.grid.nodes)
+    writer = cli.SolutionWriter(out, sol.grid.nodes)
     for state in zip(sol.grid.times.tolist(), sol.grid.values, sol.ux, sol.ut):
         writer.store(*state)
     return writer
@@ -182,19 +182,20 @@ def test_a_table_below_the_threshold_never_forks(tmp_path, monkeypatch):
 
 
 def test_a_failing_child_raises_and_leaves_no_part_file(tmp_path, monkeypatch):
-    real, parent = cli._write_csv_slices, os.getpid()
+    real, parent = cli.SolutionWriter._write_csv, os.getpid()
 
-    def failing_in_the_child(fh, nodes, slices):
+    def failing_in_the_child(self, csv, slices, pipe=None):
         if os.getpid() != parent:
             raise OSError("no space left on device")
-        real(fh, nodes, slices)
+        real(self, csv, slices, pipe)
 
-    monkeypatch.setattr(cli, "_write_csv_slices", failing_in_the_child)
+    monkeypatch.setattr(cli.SolutionWriter, "_write_csv", failing_in_the_child)
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
     sol = step_failure_solution(4)
+    # the writer stores every slice, so the failure shows in store or in finish
     with pytest.raises(OSError, match=r"^solution\.csv: the formatting process exited "
                                       r"with status 1$"):
-        write_solution(sol, tmp_path, writer=stream(sol, tmp_path))
+        write_solution(sol, tmp_path)
     assert not list(tmp_path.iterdir())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -324,38 +325,34 @@ def solve_with_a_failing_child(tmp_path, monkeypatch, capsys, mid_run: bool) -> 
     after it has read the pipe to its end, or mid-run, before the pipe.
     Check that solve exits 1 with one line and leaves no report; return
     the errors that ``store`` raised."""
-    real, parent = cli._write_csv_slices, os.getpid()
+    real, parent = cli.SolutionWriter._write_csv, os.getpid()
 
-    def failing_in_the_child(fh, nodes, slices):
-        if os.getpid() == parent or (not mid_run and isinstance(slices, list)):
-            return real(fh, nodes, slices)
-        fh.write("0,1,2,3,4\n")
-        fh.flush()
-        for _ in slices if not mid_run else ():  # the pipe, read to its end
+    def failing_in_the_child(self, csv, slices, pipe=None):
+        if os.getpid() == parent:
+            return real(self, csv, slices, pipe)
+        csv.write("0,1,2,3,4\n")
+        csv.flush()
+        while not mid_run and pipe.read(2 ** 16):  # the pipe, read to its end
             pass
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(cli, "_write_csv_slices", failing_in_the_child)
-    raised_in_store, real_store, sent_after_the_end = [], cli.CsvWriter.store, []
+    monkeypatch.setattr(cli.SolutionWriter, "_write_csv", failing_in_the_child)
+    raised_in_store, real_store = [], cli.SolutionWriter.store
 
     def store(self, *state):
-        # mid-run, each later slice is stored only once the child has ended
-        # and the sender has written a slice into the broken pipe
+        # mid-run, each later slice is stored only once the child has ended,
+        # so its notification byte meets a pipe that no process reads
         deadline = time.monotonic() + 30
         while (mid_run and self.child is not None and time.monotonic() < deadline
                and not os.waitid(os.P_PID, self.child, os.WEXITED | os.WNOHANG | os.WNOWAIT)):
             time.sleep(0.01)
-        if mid_run and self.child is not None:
-            if sent_after_the_end:
-                self.sender.join(timeout=30)
-            sent_after_the_end.append(True)
         try:
             real_store(self, *state)
         except OSError as exc:
             raised_in_store.append(exc)
             raise
 
-    monkeypatch.setattr(cli.CsvWriter, "store", store)
+    monkeypatch.setattr(cli.SolutionWriter, "store", store)
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 2 * BURGERS_33)
     capsys.readouterr()
     assert solve_into(burgers_spec(tmp_path, {}), tmp_path / "out") == 1
@@ -380,19 +377,50 @@ def test_a_child_that_dies_mid_run_is_reported_by_its_status_not_as_a_broken_pip
 
 def test_a_hook_that_raises_after_a_fork_leaves_no_child_and_no_part_file(
         tmp_path, monkeypatch):
-    real = cli.CsvWriter.store
+    real = cli.SolutionWriter.store
 
     def store(self, *state):
         real(self, *state)
         if self.child is not None:
             raise RuntimeError("hook failed")
 
-    monkeypatch.setattr(cli.CsvWriter, "store", store)
+    monkeypatch.setattr(cli.SolutionWriter, "store", store)
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 1)
     with pytest.raises(RuntimeError, match="hook failed"):
         solve_into(burgers_spec(tmp_path, {}), tmp_path / "out")
     assert not list((tmp_path / "out").iterdir())
     with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_hook_that_raises_before_a_fork_leaves_no_solution_file(tmp_path, monkeypatch):
+    log = ForkLog(monkeypatch)
+    real = cli.SolutionWriter.store
+
+    def store(self, *state):
+        real(self, *state)  # the first slice's rows are in solution.npy
+        raise RuntimeError("hook failed")
+
+    monkeypatch.setattr(cli.SolutionWriter, "store", store)
+    with pytest.raises(RuntimeError, match="hook failed"):
+        solve_into(burgers_spec(tmp_path, {}), tmp_path / "out")
+    assert not list((tmp_path / "out").iterdir())
+    assert log.forks == []
+
+
+def test_without_fork_a_large_table_is_formatted_in_process_with_the_same_bytes(
+        tmp_path, monkeypatch):
+    spec = burgers_spec(tmp_path, STEP_FAILURE)
+    monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 3 * BURGERS_33)
+    log = ForkLog(monkeypatch)
+    assert solve_into(spec, tmp_path / "forked") == 4
+    assert log.forks == [(True, 0)]
+    monkeypatch.delattr(os, "fork")
+    assert solve_into(spec, tmp_path / "in-process") == 4
+    assert files(tmp_path / "in-process") == files(tmp_path / "forked")
+    rows = (tmp_path / "in-process" / "solution.csv").read_bytes().count(b"\n") - 1
+    assert rows > cli.SPLIT_MIN_ROWS
+    with pytest.raises(ChildProcessError):  # no child was started, so none is left
         os.waitpid(-1, os.WNOHANG)
 
 
