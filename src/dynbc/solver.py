@@ -245,25 +245,29 @@ class SemiDiscretization:
         return p
 
     def _stencil(self, t: float, u: np.ndarray):
-        """Slopes at every node, interior u_xx, and the interior kernel arguments."""
+        """What rhs and rhs_jacobian at (t, u) share: the slopes at every
+        node, interior u_xx, the interior kernel arguments and a there."""
         p = self.gradient(u)
         uxx = (u[2:] - 2 * u[1:-1] + u[:-2]) / self.dx ** 2
-        return p, uxx, dict(t=np.float64(t), x=self.nodes[1:-1], z=u[1:-1], p=p[1:-1])
+        kw = dict(t=np.float64(t), x=self.nodes[1:-1], z=u[1:-1], p=p[1:-1])
+        return p, uxx, kw, self.a(**kw)
 
-    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
-        """du/dt of every node; pinned nodes report the pin's rate."""
-        p, uxx, kw = self._stencil(t, u)
+    def rhs(self, t: float, u: np.ndarray, stencil=None) -> np.ndarray:
+        """du/dt of every node; pinned nodes report the pin's rate.
+        ``stencil`` is ``_stencil(t, u)``, when the caller has it."""
+        p, uxx, kw, a = self._stencil(t, u) if stencil is None else stencil
         out = np.empty_like(u)
-        out[1:-1] = _sum_terms(self.f, kw, self.a(**kw) * uxx)
+        out[1:-1] = _sum_terms(self.f, kw, a * uxx)
         out[0] = self.end_minus.law(t, u[0], p[0])
         out[-1] = self.end_plus.law(t, u[-1], p[-1])
         return out
 
-    def rhs_jacobian(self, t: float, u: np.ndarray):
+    def rhs_jacobian(self, t: float, u: np.ndarray, stencil=None):
         """dF/du as (lower, diag, upper, corner_right, corner_left).
 
         corner_right couples row 0 to u[2]; corner_left couples the last
         row to u[-3]; both come from the one-sided boundary stencils.
+        ``stencil`` is as in rhs.
         """
         dx = self.dx
         n = u.size
@@ -271,8 +275,7 @@ class SemiDiscretization:
         diag = np.zeros(n)
         upper = np.zeros(n)
 
-        p, uxx, kw = self._stencil(t, u)
-        a = self.a(**kw)
+        p, uxx, kw, a = self._stencil(t, u) if stencil is None else stencil
         ap = self.a_p(**kw)
         fp = _sum_terms(self.f_p, kw)
         diag[1:-1] = self.a_z(**kw) * uxx - 2 * a / dx ** 2 + _sum_terms(self.f_z, kw)
@@ -333,35 +336,44 @@ def _solve_bordered(lower, diag, upper, corner_right, corner_left, rhs):
 # implicit stepping
 
 def _theta_step(disc: SemiDiscretization, t: float, u: np.ndarray, f0: np.ndarray,
-                dt: float, theta: float, cfg: SolverConfig) -> np.ndarray:
+                dt: float, theta: float, cfg: SolverConfig, log: dict, start=None):
     """One theta-scheme step from u, whose slope is f0 = rhs(t, u), with
-    damped Newton; raises _NewtonFailure.  Each pin's rows are those of
-    U[i] = value(t + dt), and the predictor takes that value."""
+    damped Newton; raises _NewtonFailure.  Newton starts from ``start``, or
+    from the explicit Euler predictor u + dt f0 when it is None; the start's
+    pinned entries are set in place to the pins' values at t + dt, and each
+    pin's rows are those of U[i] = value(t + dt).  Returns U with its slope
+    rhs(t + dt, U) and its gradient, both from the last residual evaluation.
+    ``log`` counts the stage solve and its Jacobians."""
     t1 = t + dt
     explicit = u + dt * (1.0 - theta) * f0 if theta < 1.0 else u.copy()
     pins = [(i, end.at(t1)) for i, end in disc.pins]
 
-    def residual(U: np.ndarray) -> np.ndarray:
-        R = U - explicit - dt * theta * disc.rhs(t1, U)
+    def residual(U: np.ndarray):
+        """R(U), with the slope and the stencil it was built from."""
+        stencil = disc._stencil(t1, U)
+        F = disc.rhs(t1, U, stencil)
+        R = U - explicit - dt * theta * F
         for i, value in pins:
             R[i] = U[i] - value
-        return R
+        return R, F, stencil
 
-    # explicit Euler predictor keeps Newton in its quadratic basin
-    U = u + dt * f0
+    # a predictor keeps Newton in its quadratic basin
+    U = u + dt * f0 if start is None else start
     for i, value in pins:
         U[i] = value
 
+    log["stage_solves"] += 1
     scale = 1.0 + float(np.max(np.abs(u)))
     tol = cfg.newton_tol * scale
-    R = residual(U)
+    R, F, stencil = residual(U)
     if not np.all(np.isfinite(R)):
         raise _NewtonFailure("residual not finite")
     nrm = float(np.max(np.abs(R)))
     for _ in range(cfg.newton_max_iter):
         if nrm <= tol:
-            return U
-        lower, diag, upper, c_r, c_l = disc.rhs_jacobian(t1, U)
+            return U, F, stencil[0]
+        lower, diag, upper, c_r, c_l = disc.rhs_jacobian(t1, U, stencil)
+        log["jacobians"] += 1
         Jl = -dt * theta * lower
         Jd = 1.0 - dt * theta * diag
         Ju = -dt * theta * upper
@@ -382,30 +394,55 @@ def _theta_step(disc: SemiDiscretization, t: float, u: np.ndarray, f0: np.ndarra
         lam = 1.0
         while True:
             U_try = U + lam * dU
-            R_try = residual(U_try)
+            R_try, F_try, stencil_try = residual(U_try)
             finite = np.all(np.isfinite(R_try))
             nrm_try = float(np.max(np.abs(R_try))) if finite else math.inf
             if finite and (nrm_try <= (1.0 - 0.25 * lam) * nrm or nrm_try <= tol):
-                U, R, nrm = U_try, R_try, nrm_try
+                U, R, F, stencil, nrm = U_try, R_try, F_try, stencil_try, nrm_try
                 break
             lam *= 0.5
             if lam < 1.0 / 64.0:
                 raise _NewtonFailure("damping exhausted")
     if nrm <= 10.0 * tol:  # accept a nearly-converged iterate
-        return U
+        return U, F, stencil[0]
     raise _NewtonFailure(f"no convergence, |R| = {nrm:.3e}")
 
 
-def _attempt(disc, t, u, f0, dt, theta, cfg):
-    """Step-doubled pair: full step and two half steps (the accepted value).
+def _attempt(disc, t, u, f0, dt, theta, cfg, log):
+    """Step doubling: two half steps (the accepted value), each from its
+    explicit Euler predictor, and on an adaptive run one full step, whose
+    distance to them over 2^order - 1 is the error estimate (0 on a
+    fixed-step run).  Returns (U, err, f_mid, f_end, p_end): the slopes at
+    the mid and end states and the end state's gradient."""
+    err = 0.0
+    if not cfg.fixed_step:
+        big, _, _ = _theta_step(disc, t, u, f0, dt, theta, cfg, log)
+    mid, f_mid, _ = _theta_step(disc, t, u, f0, dt / 2, theta, cfg, log)
+    half, f_end, p_end = _theta_step(disc, t + dt / 2, mid, f_mid, dt / 2, theta, cfg, log)
+    if not cfg.fixed_step:
+        order = 2.0 if theta == 0.5 else 1.0
+        err = float(np.max(np.abs(big - half))) / (2.0 ** order - 1.0)
+    return half, err, f_mid, f_end, p_end
 
-    The full step and the first half step share the start slope f0 = rhs(t, u).
-    """
-    big = _theta_step(disc, t, u, f0, dt, theta, cfg)
-    half = _theta_step(disc, t, u, f0, dt / 2, theta, cfg)
-    t_mid = t + dt / 2
-    half = _theta_step(disc, t_mid, half, disc.rhs(t_mid, half), dt / 2, theta, cfg)
-    return big, half
+
+def _tr_ab2(disc, t, u, f0, dt, f_prev, h_prev, cfg, log):
+    """Two trapezoidal half steps, each started by Newton from its
+    second-order Adams-Bashforth predictor, with the same return as
+    _attempt.  f_prev is the slope at t - h_prev.  Each half step's Milne
+    estimate is its distance from its predictor over 3 (1 + h_prev / h),
+    h_prev being the step before it; err is the largest entry of their sum.
+    A pinned node's predictor is the pin, so it adds 0 to the estimate."""
+    h = dt / 2
+    d = 0.0
+    slopes = []
+    for _ in range(2):
+        r = h / h_prev
+        start = u + (h / 2) * ((2.0 + r) * f0 - r * f_prev)
+        U, F, p = _theta_step(disc, t, u, f0, h, 0.5, cfg, log, start)
+        d = d + (U - start) / (3.0 * (1.0 + h_prev / h))
+        t, u, f0, f_prev, h_prev = t + h, U, F, f0, h
+        slopes.append(F)
+    return u, float(np.max(np.abs(d))), slopes[0], f0, p
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +510,18 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None, *,
     u = disc.initial_state()
     # each stored state's slope rhs(t, u), the start slope of every attempt
     # from it, and its gradient; nothing writes into a stored state
-    f0 = disc.rhs(t, u)
+    stencil = disc._stencil(t, u)
+    f0 = disc.rhs(t, u, stencil)
     times = [t]
     states = [u]
     slopes = [f0]
-    grads = [disc.gradient(u)]
+    grads = [stencil[0]]
     if on_store is not None:
         on_store(t, u, grads[-1], f0)
-    accepted = 0
-    rejected = 0
-    newton_failures = 0
+    log = dict(accepted=0, rejected=0, newton_failures=0, stage_solves=0, jacobians=0)
+    # (slope, half step) at the mid state of the last accepted step: the
+    # AB2 predictor's history; theta = 1 steps and rejections keep it
+    history = None
     dt = min(max(cfg.dt0, cfg.dt_min), cfg.dt_max, problem.T)
 
     eps_t = 1e-12 * problem.T
@@ -494,34 +533,38 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None, *,
         if t >= problem.T - eps_t:
             status = Completed()
             break
-        if accepted + rejected > cfg.max_steps:
+        if log["accepted"] + log["rejected"] > cfg.max_steps:
             status = StepFailure(time=t, reason="step budget exhausted")
             break
         dt = min(dt, cfg.dt_max, problem.T - t)
-        # the configured theta, then the fully implicit fallback, before any dt reduction
+        # the configured theta, then the fully implicit fallback, before any
+        # dt reduction; trapezoidal steps after the first are TR-AB2 pairs
         for theta_used in dict.fromkeys((cfg.theta, 1.0)):
             try:
-                big, half = _attempt(disc, t, u, f0, dt, theta_used, cfg)
+                if theta_used == 0.5 and history is not None:
+                    step = _tr_ab2(disc, t, u, f0, dt, *history, cfg, log)
+                else:
+                    step = _attempt(disc, t, u, f0, dt, theta_used, cfg, log)
                 break
             except _NewtonFailure:
                 if theta_used == cfg.theta:
-                    newton_failures += 1
+                    log["newton_failures"] += 1
         else:
             if dt <= cfg.dt_min * (1 + 1e-9) or cfg.fixed_step:
                 status = StepFailure(time=t, reason="newton failure at minimal step")
                 break
             dt = max(dt * 0.25, cfg.dt_min)
-            rejected += 1
+            log["rejected"] += 1
             continue
 
+        half, err, f_mid, f_end, p_end = step
         order = 2.0 if theta_used == 0.5 else 1.0
-        err = float(np.max(np.abs(big - half))) / (2.0 ** order - 1.0)
         # below 0.9 whenever err > tol; a fixed-step run keeps its step and
         # never evaluates the power, which would be complex for its tol < 0
         factor = 1.0 if cfg.fixed_step else min(max(
             0.9 * (cfg.local_error_tol / max(err, 1e-300)) ** (1.0 / (order + 1.0)), 0.2), 5.0)
         if not cfg.fixed_step and err > cfg.local_error_tol:
-            rejected += 1
+            log["rejected"] += 1
             if dt <= cfg.dt_min * (1 + 1e-9):
                 status = StepFailure(time=t, reason="error control at minimal step")
                 break
@@ -532,14 +575,19 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None, *,
             # do not store it: the grid carrier keeps finite states only
             status = StepFailure(time=t + dt, reason="solution not finite")
             break
+        history = f_mid, dt / 2
+        # the last half step's slope is rhs(t + dt, half) unless its end
+        # time rounded elsewhere; the gradient does not depend on t
+        if (t + dt / 2) + dt / 2 != t + dt:
+            f_end = disc.rhs(t + dt, half)
         u = half
         t += dt
-        f0 = disc.rhs(t, u)
-        accepted += 1
+        f0 = f_end
+        log["accepted"] += 1
         times.append(t)
         states.append(u)
         slopes.append(f0)
-        grads.append(disc.gradient(u))
+        grads.append(p_end)
         if on_store is not None:
             on_store(t, u, grads[-1], f0)
         dt = min(max(dt * factor, cfg.dt_min), cfg.dt_max)
@@ -549,6 +597,5 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None, *,
         ux=np.vstack(grads),
         ut=np.vstack(slopes),
         status=status,
-        step_log={"accepted": accepted, "rejected": rejected,
-                  "newton_failures": newton_failures},
+        step_log={k: log[k] for k in ("accepted", "rejected", "newton_failures")},
     )

@@ -9,7 +9,9 @@ at nx = 257 and amplitude 0.47 is a grid where the verify scans' oscillation
 bound skips most pairs.  ``burgers_newton_retry`` caps Newton at two
 iterations from a large first step, so both the configured theta and the
 theta = 1 retry fail and dt shrinks; ``burgers_implicit_fixed`` runs the
-fully implicit scheme at a fixed step.  ``burgers_pinned`` pins both ends:
+fully implicit scheme at a fixed step, and ``burgers_theta06`` an adaptive
+theta = 0.6: both step-double, where a trapezoidal run pairs TR-AB2 half
+steps after its first step.  ``burgers_pinned`` pins both ends:
 a moving pin at +ell and a pin at exactly -0.0 at -ell, so the digests
 also fix the sign of each zero the stage solve stores there.  For every problem ``solution.npy``
 must also equal ``solution.csv`` parsed back, ``read_solution`` must build
@@ -52,6 +54,8 @@ GRIDS = {
     "burgers_pinned": ("burgers", {"bc_minus": {"kind": "dirichlet", "value": "-0.0*t"},
                                    "bc_plus": {"kind": "dirichlet",
                                                "value": "0.05*sin(3*t)"}}),
+    "burgers_theta06": ("burgers", {"solver": {"nx": 33, "theta": 0.6,
+                                               "local_error_tol": 1e-6}}),
 }
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 

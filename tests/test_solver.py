@@ -110,55 +110,75 @@ def test_rhs_jacobian_matches_difference_quotients():
         assert np.allclose(dense[:, j], column, rtol=1e-6, atol=1e-5)
 
 
+def _attempts(disc, t, u, dt, cfg, log):
+    """The two kinds of attempt from (t, u): step doubling, and a TR-AB2
+    pair whose history slope is taken at the previous mid state."""
+    f0 = disc.rhs(t, u)
+    f_prev = disc.rhs(t - dt / 2, u - dt / 2 * f0)
+    return {"step_doubling": lambda: solver._attempt(disc, t, u, f0, dt, cfg.theta, cfg, log),
+            "tr_ab2": lambda: solver._tr_ab2(disc, t, u, f0, dt, f_prev, dt / 2, cfg, log)}
+
+
 def test_attempt_evaluates_each_start_slope_once(monkeypatch):
-    """The full step and the first half step share the slope passed in; the
-    second half step evaluates its start slope once more."""
+    """Neither kind of attempt evaluates the slope passed in.  Each stage
+    solve evaluates its end state once, by its last Newton residual, and
+    that value is the slope the attempt hands on: the next stage's start
+    slope, and the mid and end slopes it returns."""
     prob = ProblemSpec.from_json(preset_path("burgers").read_text())
     disc = SemiDiscretization(prob, nx=33)
     cfg = SolverConfig(nx=33)
     t, dt = 0.1, 0.05
     u = disc.initial_state()
-    f0 = disc.rhs(t, u)
-    mid, _ = solver._attempt(disc, t, u, f0, dt / 2, cfg.theta, cfg)
-    calls = []
-    rhs = SemiDiscretization.rhs
+    log = {"stage_solves": 0, "jacobians": 0}
+    attempts = _attempts(disc, t, u, dt, cfg, log)
+    calls, stages = [], []
+    rhs, theta_step = SemiDiscretization.rhs, solver._theta_step
 
-    def recording_rhs(self, tk, uk):
-        calls.append((tk, uk.copy()))
-        return rhs(self, tk, uk)
+    def recording_rhs(self, tk, uk, stencil=None):
+        out = rhs(self, tk, uk, stencil)
+        calls.append((tk, uk.copy(), out.copy()))
+        return out
+
+    def recording_theta_step(disc, tk, uk, fk, h, *args):
+        U, F, p = theta_step(disc, tk, uk, fk, h, *args)
+        stages.append((tk + h, U, F))
+        return U, F, p
 
     monkeypatch.setattr(SemiDiscretization, "rhs", recording_rhs)
-    solver._attempt(disc, t, u, f0, dt, cfg.theta, cfg)
+    monkeypatch.setattr(solver, "_theta_step", recording_theta_step)
+    for name, attempt in attempts.items():
+        calls.clear()
+        stages.clear()
+        half, _, f_mid, f_end, p_end = attempt()
+        assert not any(tc == t and np.array_equal(uc, u) for tc, uc, _ in calls), name
+        assert len(stages) == (3 if name == "step_doubling" else 2)
+        for t1, U, F in stages:
+            hits = [out for tc, uc, out in calls if tc == t1 and np.array_equal(uc, U)]
+            assert len(hits) == 1, (name, t1)
+            assert np.array_equal(hits[0], F) and np.array_equal(F, rhs(disc, t1, U))
+        (_, _, F_mid), (_, end, F_end) = stages[-2:]
+        assert f_mid is F_mid and f_end is F_end and half is end
+        assert np.array_equal(p_end, disc.gradient(half))
 
-    def count(tk, uk):
-        return sum(tc == tk and np.array_equal(uc, uk) for tc, uc in calls)
 
-    assert count(t, u) == 0
-    # the first half step's residual at its converged iterate, then the slope
-    assert count(t + dt / 2, mid) == 2
-
-
-def test_solve_evaluates_each_stored_slope_once(monkeypatch):
-    """On a run where Newton fails at both thetas and steps are rejected,
-    rhs(t_k, u_k) is evaluated exactly once at every stored state outside
-    the Newton iterations, and that value is the state's row of u_t.
-
-    Calls from inside ``_theta_step`` are Newton residuals.  The second half
-    step's residual at its converged iterate is an rhs call at (t_k, u_k)
-    too, whenever (t + dt/2) + dt/2 rounds to t + dt, so it is not counted.
-    """
-    raw = json.loads(preset_path("burgers").read_text())
-    prob = ProblemSpec.from_dict(raw)
-    cfg = SolverConfig(nx=65, dt0=0.05, newton_max_iter=2)
-    calls = []
+def _record_outside_newton(monkeypatch):
+    """Record rhs and gradient calls made outside the Newton iterations of
+    ``_theta_step``, as (t or None, u, value) in two lists."""
+    slopes, grads = [], []
     newton = [0]
-    rhs = SemiDiscretization.rhs
+    rhs, gradient = SemiDiscretization.rhs, SemiDiscretization.gradient
     theta_step = solver._theta_step
 
-    def recording_rhs(self, tk, uk):
-        out = rhs(self, tk, uk)
+    def recording_rhs(self, tk, uk, stencil=None):
+        out = rhs(self, tk, uk, stencil)
         if not newton[0]:
-            calls.append((tk, uk.copy(), out.copy()))
+            slopes.append((tk, uk.copy(), out.copy()))
+        return out
+
+    def recording_gradient(self, uk):
+        out = gradient(self, uk)
+        if not newton[0]:
+            grads.append((None, uk.copy(), out.copy()))
         return out
 
     def marked_theta_step(*args):
@@ -169,40 +189,113 @@ def test_solve_evaluates_each_stored_slope_once(monkeypatch):
             newton[0] -= 1
 
     monkeypatch.setattr(SemiDiscretization, "rhs", recording_rhs)
+    monkeypatch.setattr(SemiDiscretization, "gradient", recording_gradient)
     monkeypatch.setattr(solver, "_theta_step", marked_theta_step)
-    sol = solve(prob, cfg)
-    assert sol.step_log["newton_failures"] > 0 and sol.step_log["rejected"] > 0
-    for k, tk in enumerate(sol.grid.times):
-        uk = sol.grid.values[k]
-        hits = [out for tc, uc, out in calls if tc == tk and np.array_equal(uc, uk)]
-        assert len(hits) == 1, (k, tk, len(hits))
-        assert np.array_equal(hits[0], sol.ut[k])
+    return slopes, grads
+
+
+def _retry_and_blowup_runs():
+    """A burgers run where Newton fails at both thetas and steps are
+    rejected, a plain burgers run, and a blow-up run."""
+    burgers = ProblemSpec.from_json(preset_path("burgers").read_text())
+    blowup = ProblemSpec.from_json(preset_path("blowup_270").read_text())
+    return [(burgers, SolverConfig(nx=65, dt0=0.05, newton_max_iter=2)),
+            (burgers, SolverConfig(nx=33)),
+            (blowup, SolverConfig(nx=33, strict_compatibility=False,
+                                  gradient_cutoff=25.0, dt_max=0.05))]
+
+
+def test_solve_evaluates_each_stored_slope_once(monkeypatch):
+    """Outside the Newton iterations, rhs(t_k, u_k) is evaluated at most
+    once at every stored state, and the state's row of u_t equals a fresh
+    rhs(t_k, u_k) bit for bit: the slope is the last Newton residual's
+    evaluation, or the one evaluation outside Newton where the second half
+    step's end time (t + dt/2) + dt/2 does not round to t + dt."""
+    slopes, _ = _record_outside_newton(monkeypatch)
+    fresh = SemiDiscretization.rhs
+    runs = _retry_and_blowup_runs()
+    for prob, cfg in runs:
+        slopes.clear()
+        sol = solve(prob, cfg)
+        disc = SemiDiscretization(prob, cfg.nx)
+        for k, tk in enumerate(sol.grid.times):
+            uk = sol.grid.values[k]
+            hits = [out for tc, uc, out in slopes if tc == tk and np.array_equal(uc, uk)]
+            assert len(hits) <= 1, (k, tk, len(hits))
+            assert np.array_equal(sol.ut[k], fresh(disc, tk, uk)), (k, tk)
+        if cfg.newton_max_iter == 2:
+            assert sol.step_log["newton_failures"] > 0 and sol.step_log["rejected"] > 0
+    assert isinstance(sol.status, BlowUpDetected)
 
 
 def test_solve_takes_each_stored_gradient_once(monkeypatch):
-    """Outside the stencil, solve takes the gradient of each stored state
-    exactly once, and that value is both what the cutoff reads and the
-    state's row of u_x; on a blow-up run as well."""
-    calls = []
-    gradient = SemiDiscretization.gradient
-
-    def recording_gradient(self, uk):
-        out = gradient(self, uk)
-        if sys._getframe(1).f_code.co_name != "_stencil":
-            calls.append((uk.copy(), out.copy()))
-        return out
-
-    monkeypatch.setattr(SemiDiscretization, "gradient", recording_gradient)
-    for name, cfg in (("burgers", SolverConfig(nx=33)),
-                      ("blowup_270", SolverConfig(nx=33, strict_compatibility=False,
-                                                  gradient_cutoff=25.0, dt_max=0.05))):
-        calls.clear()
-        sol = solve(ProblemSpec.from_json(preset_path(name).read_text()), cfg)
-        assert len(calls) == sol.grid.times.size
-        for (uc, out), uk, uxk in zip(calls, sol.grid.values, sol.ux, strict=True):
-            assert np.array_equal(uc, uk) and np.array_equal(out, uxk)
+    """Outside the Newton iterations, solve takes the gradient of each
+    stored state at most once, and the state's row of u_x, which is what
+    the cutoff reads, equals a fresh gradient(u_k) bit for bit; on a
+    retry run and a blow-up run as well."""
+    _, grads = _record_outside_newton(monkeypatch)
+    fresh = SemiDiscretization.gradient
+    for prob, cfg in _retry_and_blowup_runs():
+        grads.clear()
+        sol = solve(prob, cfg)
+        disc = SemiDiscretization(prob, cfg.nx)
+        for uk, uxk in zip(sol.grid.values, sol.ux, strict=True):
+            assert sum(np.array_equal(uc, uk) for _, uc, _ in grads) <= 1
+            assert np.array_equal(uxk, fresh(disc, uk))
     assert isinstance(sol.status, BlowUpDetected)
     assert sol.status.max_gradient == np.max(np.abs(sol.ux[-1])) > 25.0
+
+
+def test_each_plain_step_after_the_first_makes_two_stage_solves(monkeypatch):
+    """The first step is step-doubled: a full step and two half steps.
+    After it, an accepted step that took one attempt, with no rejection and
+    no theta = 1 retry, makes exactly two stage solves, the TR-AB2 half
+    steps; and step_log counts every stage solve."""
+    events = []
+    wrapped = {"_theta_step": "stage", "_attempt": "doubling", "_tr_ab2": "pair"}
+    for name, event in wrapped.items():
+        def recording(*args, _fn=getattr(solver, name), _event=event):
+            events.append(_event)
+            return _fn(*args)
+        monkeypatch.setattr(solver, name, recording)
+
+    for prob, cfg in _retry_and_blowup_runs():
+        events.clear()
+        sol = solve(prob, cfg, on_store=lambda *_: events.append("store"))
+        # the events between one stored state and the next
+        steps = [s.split() for s in " ".join(events).split("store")[1:-1]]
+        assert len(steps) == sol.step_log["accepted"]
+        if cfg.newton_max_iter > 2:
+            assert steps[0] == ["doubling", "stage", "stage", "stage"]
+        plain = [s for s in steps[1:] if s.count("pair") + s.count("doubling") == 1]
+        assert all(s == ["pair", "stage", "stage"] for s in plain)
+        assert len(plain) >= 0.9 * len(steps)
+        assert sol.step_log["stage_solves"] == events.count("stage")
+
+
+def test_the_milne_estimate_tracks_the_one_step_error():
+    """u = exp(-t) (1 + x^2/2) is exact on the grid, so one TR-AB2 step
+    from the exact state, with the exact slope history, errs by the time
+    integrator's error alone.  The step's estimate, the sum of its two
+    half steps' Milne estimates, is within 10% of that error (it tends to
+    it as dt shrinks), at equal and unequal previous steps."""
+    disc = SemiDiscretization(quadratic_time_problem(), nx=21)
+    cfg = SolverConfig(nx=21)
+    log = {"stage_solves": 0, "jacobians": 0}
+
+    def exact(t):
+        return np.exp(-t) * (1 + disc.nodes ** 2 / 2)
+
+    ratios = []
+    for t in (0.0, 0.3, 0.7):
+        for dt, dt_prev in ((0.2, 0.2), (0.2, 0.04), (0.1, 0.05), (0.05, 0.1), (0.02, 0.02)):
+            h_prev = dt_prev / 2
+            u = exact(t)
+            half, err, *_ = solver._tr_ab2(disc, t, u, disc.rhs(t, u), dt,
+                                           disc.rhs(t - h_prev, exact(t - h_prev)), h_prev,
+                                           cfg, log)
+            ratios.append(err / float(np.max(np.abs(half - exact(t + dt)))))
+    assert 1.0 <= min(ratios) and max(ratios) <= 1.1, ratios
 
 
 def test_config_validation():
