@@ -17,12 +17,21 @@ system; Jacobian entries come from the exact derivatives, assembled into a
 tridiagonal-plus-two-corners matrix.  Each corner is removed against its
 adjacent row, the two rows trading places when the corner is the larger
 entry, and one Thomas sweep solves the result: O(n) for every stage system.
-Step size adapts on a step-doubling error estimate, one factor rescaling dt
-after a rejection and an acceptance alike; Newton failure first retries the
-step fully implicitly (theta = 1), then shrinks dt.  The slope rhs(t, u) and
-the gradient of each stored state are evaluated once: the slope starts every
-attempt from that state (the full step and the first half step alike) and is
-its row of u_t; the gradient meets the cutoff and is its row of u_x.
+Each stored step is two half steps.  On a trapezoidal run, after the
+first step, each half step starts Newton from its second-order
+Adams-Bashforth (AB2) predictor, and the step's error estimate is the sum
+of the two half steps' Milne estimates, the distance from the predictor
+over 3 (1 + h_prev/h) (Gresho, Griffiths & Silvester, SIAM J. Sci. Comput.
+30 (2008) 2018-2054).  The first step, a run at theta != 0.5 and the
+theta = 1 retry step-double instead: one more stage solve, the full step,
+gives the estimate, and a fixed-step run, which needs none, skips it.  One
+factor rescales dt after a rejection and an acceptance alike; Newton
+failure first retries the step fully implicitly (theta = 1), then shrinks
+dt.  Each Newton iterate's stencil serves its residual and its Jacobian,
+and the last residual of each half step gives the slope rhs(t, u) and the
+gradient of its end state: the slope starts the next half step and is the
+stored state's row of u_t, unless (t + dt/2) + dt/2 rounds away from the
+stored time t + dt; the gradient meets the cutoff and is its row of u_x.
 
 Every run ends in exactly one of three states: Completed at T, BlowUpDetected
 once max |u_x| crosses the cutoff, or StepFailure when dt hits its floor.
@@ -597,5 +606,5 @@ def solve(problem: ProblemSpec, cfg: SolverConfig | None = None, *,
         ux=np.vstack(grads),
         ut=np.vstack(slopes),
         status=status,
-        step_log={k: log[k] for k in ("accepted", "rejected", "newton_failures")},
+        step_log=log,
     )
