@@ -192,6 +192,15 @@ def _solver_config(raw: dict, manifest: RunManifest) -> SolverConfig:
 CERTIFY_REPORTS = ("certificate.json", "h_table.csv", "conditions.csv")
 
 
+def _finite(value, name: str) -> float:
+    """A finite number read from the spec as ``name``, or a ConfigError
+    naming it: a bound of inf or nan certifies nothing."""
+    number = spec_value(value, float, name)
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {json.dumps(number)}")
+    return number
+
+
 def cmd_certify(manifest: RunManifest) -> int:
     try:
         for name in CERTIFY_REPORTS:  # none outlives a failed certify
@@ -202,7 +211,7 @@ def cmd_certify(manifest: RunManifest) -> int:
         if not isinstance(blk, dict) or "psi" not in blk or "q0" not in blk:
             raise ConfigError('spec needs a "certificate" block with "psi" and "q0"')
         psi = PsiSpec.from_text(spec_value(blk["psi"], str, "certificate.psi"))
-        q0 = spec_value(blk["q0"], float, "certificate.q0")
+        q0 = _finite(blk["q0"], "certificate.q0")
 
         sup_blk = raw.get("sup_bound")
         supc: SupBoundCertificate | None = None
@@ -211,13 +220,13 @@ def cmd_certify(manifest: RunManifest) -> int:
         if sup_blk is not None:
             sup_blk = spec_value(sup_blk, dict, "sup_bound")
             phi = parse(spec_value(sup_blk["Phi"], str, "sup_bound.Phi"))
-            B = spec_value(sup_blk["B"], float, "sup_bound.B")
+            B = _finite(sup_blk["B"], "sup_bound.B")
             try:
                 supc = sup_bound(phi, B, u0_sup=_u0_sup(problem), T=problem.T)
             except ConditionViolated as exc:
                 sup_error = str(exc)
         if "M" in blk:
-            M = spec_value(blk["M"], float, "certificate.M")
+            M = _finite(blk["M"], "certificate.M")
             m_source = "given"
         elif supc is not None:
             M = supc.M_proof
@@ -682,11 +691,12 @@ def cmd_sweep(manifest: RunManifest) -> int:
             raise ConfigError('spec needs a non-empty "sweep" block')
         blk = spec_value(blk, dict, "sweep")
 
-        def axis(name: str, kind: type) -> list:
-            return [spec_value(v, kind, f"sweep.{name} entry")
+        def axis(name: str, read) -> list:
+            return [read(v, f"sweep.{name} entry")
                     for v in spec_value(blk.get(name, []), list, f"sweep.{name}")]
 
-        psis, q0s, Ms = axis("psi", str), axis("q0", float), axis("M", float)
+        psis = axis("psi", lambda v, name: spec_value(v, str, name))
+        q0s, Ms = axis("q0", _finite), axis("M", _finite)
         if not (psis and q0s and Ms):
             raise ConfigError('sweep block needs non-empty "psi", "q0" and "M" axes')
         # sampled Lipschitz constant of the problem's initial data, reported

@@ -81,6 +81,18 @@ def test_invalid_json_spec(tmp_path):
         assert main([command, "--spec", str(p), "--out", str(tmp_path / "out")]) == 1
 
 
+# a bound of inf or nan, and the field the refusal names: each must be an
+# input error, not certified as inf
+NON_FINITE_BOUNDS = [
+    ("certify", {"sup_bound": {"Phi": "1", "B": math.inf}}, "sup_bound.B"),
+    ("certify", {"certificate": {"psi": "1", "q0": 1.0, "M": math.inf}}, "certificate.M"),
+    ("certify", {"certificate": {"psi": "1", "q0": math.inf, "M": 2.0}}, "certificate.q0"),
+    ("certify", {"certificate": {"psi": "1", "q0": math.nan, "M": 2.0}}, "certificate.q0"),
+    ("sweep", {"sweep": {"psi": ["1"], "q0": [1.0, math.inf], "M": [2.0]}}, "sweep.q0 entry"),
+    ("sweep", {"sweep": {"psi": ["1"], "q0": [1.0], "M": [2.0, math.nan]}}, "sweep.M entry"),
+]
+
+
 @pytest.mark.parametrize("command, changes", [
     ("certify", {"ell": None}),
     ("certify", {"T": math.inf}),
@@ -108,6 +120,7 @@ def test_invalid_json_spec(tmp_path):
     ("certify", {"certificate": {"psi": "1+0*1e400", "q0": 1.0, "M": 2.0}}),
     ("solve", {"solver": {"nxx": 17}}),
     ("solve", {"solver": {"gradient_cutoff": 25.0}}),
+    *[(command, changes) for command, changes, _ in NON_FINITE_BOUNDS],
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_a_malformed_spec_is_an_input_error(tmp_path, capsys, command, changes):
     # changes replace top-level fields of STEADY; a list is the whole file
@@ -117,6 +130,15 @@ def test_a_malformed_spec_is_an_input_error(tmp_path, capsys, command, changes):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{command}: "), err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, changes, name", NON_FINITE_BOUNDS,
+                         ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_a_non_finite_bound_is_an_input_error_naming_it(tmp_path, capsys, command, changes, name):
+    spec = _write_spec(tmp_path, STEADY | changes)
+    assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{command}: {name} must be a finite number"), err
 
 
 @pytest.mark.parametrize("argv, env", [
