@@ -110,15 +110,6 @@ def test_rhs_jacobian_matches_difference_quotients():
         assert np.allclose(dense[:, j], column, rtol=1e-6, atol=1e-5)
 
 
-def _attempts(disc, t, u, dt, cfg, log):
-    """The two kinds of attempt from (t, u): step doubling, and a TR-AB2
-    pair whose history slope is taken at the previous mid state."""
-    f0 = disc.rhs(t, u)
-    f_prev = disc.rhs(t - dt / 2, u - dt / 2 * f0)
-    return {"step_doubling": lambda: solver._attempt(disc, t, u, f0, dt, cfg.theta, cfg, log),
-            "tr_ab2": lambda: solver._tr_ab2(disc, t, u, f0, dt, f_prev, dt / 2, cfg, log)}
-
-
 def test_attempt_evaluates_each_start_slope_once(monkeypatch):
     """Neither kind of attempt evaluates the slope passed in.  Each stage
     solve evaluates its end state once, by its last Newton residual, and
@@ -130,7 +121,10 @@ def test_attempt_evaluates_each_start_slope_once(monkeypatch):
     t, dt = 0.1, 0.05
     u = disc.initial_state()
     log = {"stage_solves": 0, "jacobians": 0}
-    attempts = _attempts(disc, t, u, dt, cfg, log)
+    f0 = disc.rhs(t, u)
+    f_prev = disc.rhs(t - dt / 2, u - dt / 2 * f0)  # a slope history for the pair
+    attempts = {"step_doubling": lambda: solver._attempt(disc, t, u, f0, dt, cfg.theta, cfg, log),
+                "tr_ab2": lambda: solver._tr_ab2(disc, t, u, f0, dt, f_prev, dt / 2, cfg, log)}
     calls, stages = [], []
     rhs, theta_step = SemiDiscretization.rhs, solver._theta_step
 
