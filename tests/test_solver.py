@@ -156,8 +156,8 @@ def test_attempt_evaluates_each_start_slope_once(monkeypatch):
 
 
 def _record_outside_newton(monkeypatch):
-    """Record rhs and gradient calls made outside the Newton iterations of
-    ``_theta_step``, as (t or None, u, value) in two lists."""
+    """Record rhs calls, as (t, u, value), and gradient calls, as
+    (u, value), made outside the Newton iterations of ``_theta_step``."""
     slopes, grads = [], []
     newton = [0]
     rhs, gradient = SemiDiscretization.rhs, SemiDiscretization.gradient
@@ -172,7 +172,7 @@ def _record_outside_newton(monkeypatch):
     def recording_gradient(self, uk):
         out = gradient(self, uk)
         if not newton[0]:
-            grads.append((None, uk.copy(), out.copy()))
+            grads.append((uk.copy(), out.copy()))
         return out
 
     def marked_theta_step(*args):
@@ -207,8 +207,7 @@ def test_solve_evaluates_each_stored_slope_once(monkeypatch):
     step's end time (t + dt/2) + dt/2 does not round to t + dt."""
     slopes, _ = _record_outside_newton(monkeypatch)
     fresh = SemiDiscretization.rhs
-    runs = _retry_and_blowup_runs()
-    for prob, cfg in runs:
+    for prob, cfg in _retry_and_blowup_runs():
         slopes.clear()
         sol = solve(prob, cfg)
         disc = SemiDiscretization(prob, cfg.nx)
@@ -234,7 +233,7 @@ def test_solve_takes_each_stored_gradient_once(monkeypatch):
         sol = solve(prob, cfg)
         disc = SemiDiscretization(prob, cfg.nx)
         for uk, uxk in zip(sol.grid.values, sol.ux, strict=True):
-            assert sum(np.array_equal(uc, uk) for _, uc, _ in grads) <= 1
+            assert sum(np.array_equal(uc, uk) for uc, _ in grads) <= 1
             assert np.array_equal(uxk, fresh(disc, uk))
     assert isinstance(sol.status, BlowUpDetected)
     assert sol.status.max_gradient == np.max(np.abs(sol.ux[-1])) > 25.0
@@ -242,10 +241,9 @@ def test_solve_takes_each_stored_gradient_once(monkeypatch):
 
 def test_each_plain_step_after_the_first_makes_two_stage_solves(monkeypatch):
     """The first step is step-doubled: a full step and two half steps per
-    attempt.
-    After it, an accepted step that took one attempt, with no rejection and
-    no theta = 1 retry, makes exactly two stage solves, the TR-AB2 half
-    steps; and step_log counts every stage solve."""
+    attempt.  After it, an accepted step that took one attempt, with no
+    rejection and no theta = 1 retry, makes exactly two stage solves, the
+    TR-AB2 half steps; and step_log counts every stage solve."""
     events = []
     wrapped = {"_theta_step": "stage", "_attempt": "doubling", "_tr_ab2": "pair"}
     for name, event in wrapped.items():
