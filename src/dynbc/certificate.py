@@ -21,7 +21,9 @@ one slope-space quadrature: five-point Gauss-Legendre sums over cells,
 accumulated, with the kernel called on arrays of nodes.  Every integral over
 [a, inf) is read once, by ``tail_integral``, and decided from that reading:
 find_q1 finds q1 in it, (9) and (266) share one, sup_bound inverts its
-reading of 1/Phi as G, and blowup_inequality halves one.  Cells halve on
+reading of 1/Phi as G, and blowup_inequality halves one.  A sweep shares one
+reading of rho/psi over its M axis, and takes kappa0 from a reading of 1/psi
+up to q1 (``TailReading.upto``) instead of building the arc.  Cells halve on
 their own, so no sum depends on the call, and no two readings disagree.
 
 Hypothesis checks are dense-sampling falsifiers over the stated boxes, not
@@ -47,7 +49,7 @@ from .problem import DirichletBC, DynamicBC, ProblemSpec
 
 __all__ = [
     "PsiSpec", "BarrierCertificate", "ConditionCheck", "ConditionReport", "SupBoundCertificate",
-    "TailIntegral", "TailReading", "tail_integral", "find_q1", "build_barrier",
+    "TailIntegral", "TailReading", "tail_integral", "budget_reading", "find_q1", "build_barrier",
     "estimate_lipschitz", "check_compatibility", "check_hypotheses", "sup_bound",
 ]
 
@@ -69,7 +71,7 @@ class PsiSpec:
         bad = free_variables(self.expr) - {"p"}
         if bad:
             raise PreconditionFailed(f"psi may depend on p only, found {sorted(bad)}")
-        fn = compile_expr(self.expr)
+        fn = self._compiled
         dfn = compile_expr(diff(self.expr, "p"))
         rho = np.concatenate([np.linspace(0.0, 10.0, 401), np.geomspace(10.0, 1e3, 101)])
         with np.errstate(all="ignore"):
@@ -86,15 +88,26 @@ class PsiSpec:
     def from_text(cls, text: str) -> "PsiSpec":
         return cls(parse(text))
 
+    @functools.cached_property
+    def _compiled(self):
+        """psi compiled once; every kernel and integrand of the gauge calls it."""
+        return compile_expr(self.expr)
+
     def kernel(self):
         """psi on an array of slopes."""
-        f = compile_expr(self.expr)
+        f = self._compiled
         return lambda rho: np.broadcast_to(f(p=rho), rho.shape)
 
     def budget_integrand(self):
         """rho / psi(rho) on an array of slopes, the slope budget's integrand."""
         kernel = self.kernel()
         return lambda rho: rho / kernel(rho)
+
+    def width_integrand(self):
+        """1 / psi(rho) on an array of slopes, the integrand of the barrier's
+        width: kappa0 is its integral over [q0, q1]."""
+        kernel = self.kernel()
+        return lambda rho: 1.0 / kernel(rho)
 
     @property
     def text(self) -> str:
@@ -318,6 +331,12 @@ class TailReading(NamedTuple):
             k, classified = -1, "divergent"
         return TailIntegral(float(at[k]), float(ends[k]), classified)
 
+    def upto(self, fn, y: float) -> float:
+        """The integral of fn, the integrand read, from edges[0] to y <= edges[-1]:
+        the sum to the last edge at or below y, plus the cell from that edge to y."""
+        k = int(np.searchsorted(self.edges, y, side="right")) - 1
+        return float(self.sums[k] + _gauss_sums(fn, self.edges[k:k + 1], np.array([y]))[-1])
+
 
 @np.errstate(all="ignore")  # cells far out may overflow the integrand
 def tail_integral(fn, a: float) -> TailReading:
@@ -364,21 +383,29 @@ def _top_slope(integrand, budget: TailReading, q0: float, M: float) -> float:
         f" <= 2M = {target:.6g}; no finite q1 exists")
 
 
+def budget_reading(psi: PsiSpec, q0: float) -> TailReading:
+    """The ``tail_integral`` reading of rho/psi that ``find_q1`` decides from;
+    a q0 that is not positive is read from 0, and refused by ``find_q1``."""
+    return tail_integral(psi.budget_integrand(), q0 if q0 > 0 else 0.0)
+
+
 @np.errstate(all="ignore")  # cells past q1 may overflow the gauge
-def find_q1(psi: PsiSpec, q0: float, M: float) -> float:
+def find_q1(psi: PsiSpec, q0: float, M: float, budget: TailReading | None = None) -> float:
     """Top slope q1 > q0 with integral_{q0}^{q1} rho/psi = 2M.
 
-    One ``tail_integral`` reading decides whether q1 exists.  When the
-    integral passes 2M at a window end, q1 is found inside the cell of that
-    reading where its sum passes 2M, by repeated sectioning.
+    One ``tail_integral`` reading decides whether q1 exists: ``budget``,
+    ``budget_reading(psi, q0)`` when it is given (a sweep shares one over
+    its M axis), else read here.  When the integral passes 2M at a window
+    end, q1 is found inside the cell of that reading where its sum passes
+    2M, by repeated sectioning.
 
     Raises ConditionViolated when the integral stays <= 2M: it converges to
     a value <= 2M, so no finite q1 meets the budget, or it is still short
     at max(1, q0) 2^61, the last window end.
     """
-    integrand = psi.budget_integrand()
-    # a q0 that is not positive is read from 0 and refused by _top_slope
-    return _top_slope(integrand, tail_integral(integrand, q0 if q0 > 0 else 0.0), q0, M)
+    if budget is None:
+        budget = budget_reading(psi, q0)
+    return _top_slope(psi.budget_integrand(), budget, q0, M)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +579,7 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     ps = np.linspace(-pmax, pmax, n if n % 2 else n + 1)  # symmetric about 0
     pos = np.linspace(q0, pmax, n)
 
-    a_fn, f_fn, psi_fn = compile_expr(problem.a), compile_expr(problem.f), compile_expr(psi.expr)
+    a_fn, f_fn, psi_fn = compile_expr(problem.a), compile_expr(problem.f), psi._compiled
     entries: list[ConditionCheck | None] = []
 
     # (6): |f| <= a psi(|p|) on [0,T] x [-ell,ell] x [-M,M] x [-pmax,pmax]
@@ -795,10 +822,7 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
     phi0 = float(phi_fn(t=0.0, x=0.0, z=0.0, p=0.0))
 
     def G(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        k = int(np.searchsorted(edges, y, side="right")) - 1
-        return float(sums[k] + _gauss_sums(inv_phi, edges[k:k + 1], np.array([y]))[-1])
+        return reading.upto(inv_phi, y) if y > 0.0 else 0.0
 
     def G_inv(c: float) -> float:
         if c <= 0.0:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -41,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import (
-    K_SLACK, BarrierCertificate, PsiSpec, SupBoundCertificate, build_barrier,
-    check_hypotheses, estimate_lipschitz, sup_bound,
+    K_SLACK, BarrierCertificate, PsiSpec, SupBoundCertificate, budget_reading, build_barrier,
+    check_hypotheses, estimate_lipschitz, find_q1, sup_bound, tail_integral,
 )
 from .errors import (
     ConditionViolated, ConfigError, DivergentIntegral, DynbcError, PreconditionFailed,
@@ -672,14 +673,39 @@ def _verify_blowup(manifest: RunManifest, sol: Solution, psi_text: str) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_point(psi_text: str, q0: float, M: float, K_est: float) -> str:
-    """The ``sweep.csv`` row of one point: its barrier, or the error it raised."""
-    try:
-        cert = build_barrier(PsiSpec.from_text(psi_text), q0=q0, M=M, K=min(K_est, q0))
-        cells, detail = ("ok", cert.q1, cert.kappa0, K_est <= q0 * (1.0 + K_SLACK)), ""
-    except DynbcError as exc:
-        cells, detail = (type(exc).__name__, math.nan, math.nan, False), str(exc)
-    return _csv_row((json.dumps(psi_text), q0, M, *cells, json.dumps(detail)))
+def _sweep_rows(psis: list, q0s: list, Ms: list, K_est: float) -> list[str]:
+    """The ``sweep.csv`` rows of the grid, psi-major: each point's q1 and
+    kappa0, or the error it raised.
+
+    Each gauge is parsed once, and each (psi, q0) reads its tail of rho/psi
+    once, shared by the M axis, and its tail of 1/psi once: q1 is
+    ``find_q1`` on the first reading, and kappa0 the second read up to q1,
+    the width of the barrier arc, which is not built.  Errors are not
+    cached, so a failing gauge or reading fails each of its rows alike.
+    """
+    gauge = functools.cache(PsiSpec.from_text)
+
+    @functools.cache
+    def budget(text: str, q0: float):
+        return budget_reading(gauge(text), q0)
+
+    @functools.cache
+    def width(text: str, q0: float):
+        return tail_integral(gauge(text).width_integrand(), q0)
+
+    def row(text: str, q0: float, M: float) -> str:
+        # build_barrier's K > q0 check has no sweep counterpart: with
+        # K = min(K_est, q0) it cannot fire
+        try:
+            psi = gauge(text)
+            q1 = find_q1(psi, q0, M, budget=budget(text, q0))
+            kappa0 = width(text, q0).upto(psi.width_integrand(), q1)
+            cells, detail = ("ok", q1, kappa0, K_est <= q0 * (1.0 + K_SLACK)), ""
+        except DynbcError as exc:
+            cells, detail = (type(exc).__name__, math.nan, math.nan, False), str(exc)
+        return _csv_row((json.dumps(text), q0, M, *cells, json.dumps(detail)))
+
+    return [row(p, q, M) for p in psis for q in q0s for M in Ms]
 
 
 def cmd_sweep(manifest: RunManifest) -> int:
@@ -703,9 +729,8 @@ def cmd_sweep(manifest: RunManifest) -> int:
         # per row so q0 choices can be screened against it
         problem = ProblemSpec.from_dict(raw)
         K_est = estimate_lipschitz(problem.u0, problem.ell)
-        rows = [_sweep_point(p, q, M, K_est) for p in psis for q in q0s for M in Ms]
-        _write(manifest.out_dir / "sweep.csv",
-               "\n".join(["psi,q0,M,status,q1,kappa0,q0_covers_K,detail", *rows]))
+        _write(manifest.out_dir / "sweep.csv", "\n".join(
+            ["psi,q0,M,status,q1,kappa0,q0_covers_K,detail", *_sweep_rows(psis, q0s, Ms, K_est)]))
     except (DynbcError, OSError, ValueError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 1

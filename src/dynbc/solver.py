@@ -85,6 +85,9 @@ class SolverConfig:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if not (0 < self.dt_min <= self.dt_max):
             raise ConfigError("need 0 < dt_min <= dt_max")
+        # a cutoff <= 0 would flag blow-up at t = 0; inf never flags one
+        if not (self.gradient_cutoff > 0):
+            raise ConfigError(f"gradient_cutoff must be positive, got {self.gradient_cutoff}")
         if not (self.local_error_tol > 0 or self.fixed_step):
             raise ConfigError(
                 f"an adaptive run needs local_error_tol > 0, got {self.local_error_tol}")

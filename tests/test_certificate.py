@@ -51,6 +51,25 @@ def test_psi_must_be_at_least_one():
         PsiSpec.from_text("0.5+p^2")
 
 
+def test_psi_is_compiled_once_for_every_kernel_and_integrand(monkeypatch):
+    import dynbc.certificate as certificate
+    compiled = []
+    compile_expr = certificate.compile_expr
+    monkeypatch.setattr(certificate, "compile_expr",
+                        lambda e: compiled.append(e) or compile_expr(e))
+    psi = PsiSpec.from_text("1+p^2")
+    rho = np.linspace(0.0, 2.0, 5)
+    for fn in (psi.kernel(), psi.budget_integrand(), psi.width_integrand()):
+        fn(rho)
+    build_barrier(psi, 1.0, 1.0, K=1.0)
+    check_hypotheses(ProblemSpec.from_dict({
+        "ell": 1.0, "T": 1.0, "a": "1", "f": "0", "u0": "x",
+        "bc_minus": {"kind": "dynamic", "b": "1", "g": "-1"},
+        "bc_plus": {"kind": "dynamic", "b": "1", "g": "1"}}), M=1.0, q0=1.0, psi=psi)
+    assert compiled.count(psi.expr) == 1
+    assert np.array_equal(psi.width_integrand()(rho), 1.0 / (1.0 + rho * rho))
+
+
 def test_psi_single_variable():
     with pytest.raises(PreconditionFailed):
         PsiSpec.from_text("1+z^2")

@@ -113,6 +113,9 @@ NON_FINITE_BOUNDS = [
     ("solve", {"solver": {"local_error_tol": -1e-8}}),
     ("solve", {"solver": {"dt0": math.nan}}),
     ("solve", {"solver": {"cutoff": math.nan}}),
+    ("solve", {"solver": {"cutoff": -math.inf}}),
+    ("solve", {"solver": {"cutoff": 0.0}}),
+    ("solve", {"solver": {"cutoff": -1.0}}),
     ("solve", {"solver": {"newton_tol": math.nan}}),
     ("sweep", {"ell": None, "sweep": {"psi": ["1"], "q0": [1.0], "M": [2.0]}}),
     ("certify", {"f": "exp(z)", "u0": "800"}),
@@ -139,6 +142,19 @@ def test_a_non_finite_bound_is_an_input_error_naming_it(tmp_path, capsys, comman
     assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{command}: {name} must be a finite number"), err
+
+
+@pytest.mark.parametrize("cutoff, code", [(0.0, 1), (-1.0, 1), (-math.inf, 1), (math.inf, 0)])
+def test_a_cutoff_must_be_positive_and_may_be_infinite(tmp_path, capsys, cutoff, code):
+    # a cutoff <= 0 used to flag blow-up at t = 0 (exit 3); inf detects none
+    for argv in ([], [f"--cutoff={cutoff}"]):  # from the solver block, then the flag
+        doc = STEADY if argv else dict(STEADY, solver={"nx": 33, "cutoff": cutoff})
+        spec = _write_spec(tmp_path, doc)
+        out = tmp_path / f"out{len(argv)}"
+        assert main(["solve", "--spec", str(spec), "--out", str(out), *argv]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == f"solve: gradient_cutoff must be positive, got {cutoff}\n"
 
 
 @pytest.mark.parametrize("argv, env", [
