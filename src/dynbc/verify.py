@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 MAX_TIME_SLICES = 128
+# bounds_check reports no gradient or modulus witness when sup|u_x| is at
+# most ROUNDOFF_GRADIENT (1 + q1): the witness would only locate roundoff
+ROUNDOFF_GRADIENT = 1e-12
+FLAT_NOTE = "sup|u_x| at roundoff level; no witness"
 
 
 @dataclass
@@ -229,9 +233,12 @@ def bounds_check(sol: Solution, cert: BarrierCertificate,
     witnesses: dict = {}
 
     it, ix = np.unravel_index(int(np.argmax(np.abs(sol.ux))), sol.ux.shape)
-    gradient_slack = cert.q1 - float(np.abs(sol.ux[it, ix]))
-    witnesses["gradient"] = {"t": float(times[it]), "x": float(nodes[ix]),
-                             "ux": float(sol.ux[it, ix])}
+    sup_ux = float(np.abs(sol.ux[it, ix]))
+    gradient_slack = cert.q1 - sup_ux
+    # where sup|u_x| is roundoff, so is where it and the modulus peak
+    flat = sup_ux <= ROUNDOFF_GRADIENT * (1.0 + cert.q1)
+    witnesses["gradient"] = {"note": FLAT_NOTE} if flat else {
+        "t": float(times[it]), "x": float(nodes[ix]), "ux": float(sol.ux[it, ix])}
 
     # every stored slice enters the modulus scan (the slice cap applies
     # only to the doubled scan); the wide guard is for pathological runs
@@ -240,7 +247,7 @@ def bounds_check(sol: Solution, cert: BarrierCertificate,
     if scan is not None:
         ((modulus_slack, wit),) = scan
         if wit:     # none when every slice's slack has a NaN
-            witnesses["modulus"] = wit
+            witnesses["modulus"] = {"note": FLAT_NOTE} if flat else wit
     else:
         modulus_slack = 0.0
         witnesses["modulus"] = {"note": "kappa0 below grid spacing; diagonal only"}

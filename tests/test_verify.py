@@ -161,6 +161,22 @@ def test_bounds_check_zero_state():
     assert rep.modulus_slack >= 0.0
 
 
+@pytest.mark.parametrize("scale, flat", [(0.0, True), (1e-13, True), (1e-11, False),
+                                         (1.0, False)])
+def test_a_roundoff_gradient_has_no_witness(scale, flat):
+    # q1 = 3: the floor is 1e-12 (1 + q1) = 4e-12
+    times = np.linspace(0, 1, 5)
+    nodes = np.linspace(-1, 1, 17)
+    sol = _synthetic_solution(lambda t, x: 0.5 + scale * np.sin(x + t), times, nodes)
+    cert = build_barrier(PSI_ONE, q0=1.0, M=2.0, K=1.0)
+    rep = bounds_check(sol, cert)
+    note = {"note": "sup|u_x| at roundoff level; no witness"}
+    assert (rep.witnesses["gradient"] == note) is flat
+    assert (rep.witnesses["modulus"] == note) is flat
+    assert set(rep.witnesses) == {"gradient", "modulus", "sup", "w", "w1"}
+    assert rep.gradient_slack == cert.q1 - np.abs(sol.ux).max()
+
+
 def test_bounds_check_records_negative_slack_without_error():
     times = np.linspace(0, 1, 5)
     nodes = np.linspace(-1, 1, 17)
