@@ -127,7 +127,9 @@ def scan_cases(draw):
     grid = GridFunction(times, nodes, values)
     for _ in range(draw(st.integers(0, 2))):
         grid.values[rng.integers(nt), rng.integers(nx)] = draw(st.sampled_from(SPECIALS))
-    sol = Solution(grid=grid, ux=np.zeros_like(values), ut=np.zeros_like(values),
+    # a stored gradient clear of roundoff, so that bounds_check reports the
+    # modulus witness (it writes a note where sup|u_x| is roundoff)
+    sol = Solution(grid=grid, ux=np.ones_like(values), ut=np.zeros_like(values),
                    status=Completed())
 
     shape = draw(st.sampled_from(("concave", "linear", "steps", "constant")))
@@ -192,8 +194,8 @@ def test_pruned_scan_skips_pairs_and_keeps_the_first_witness(monkeypatch):
     times = np.linspace(0.0, 1.0, 9)
     values = 0.1 * np.cos(np.pi * nodes / 2) ** 2 + 0.0 * times[:, None]
     grid = GridFunction(times, nodes, values)
-    sol = Solution(grid=grid, ux=np.zeros_like(values), ut=np.zeros_like(values),
-                   status=Completed())
+    sol = Solution(grid=grid, ux=np.ones_like(values), ut=np.zeros_like(values),
+                   status=Completed())  # sup|u_x| clear of roundoff: a modulus witness
     cert = SimpleNamespace(kappa0=2.0, M=1.0, q1=1.0, h_curve=lambda: lambda q: np.asarray(q))
     want = reference_doubling(sol, cert)
     slack, witnesses = reference_modulus(sol, cert)
