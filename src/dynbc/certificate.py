@@ -393,11 +393,11 @@ def budget_reading(psi: PsiSpec, q0: float) -> TailReading:
 def find_q1(psi: PsiSpec, q0: float, M: float, budget: TailReading | None = None) -> float:
     """Top slope q1 > q0 with integral_{q0}^{q1} rho/psi = 2M.
 
-    One ``tail_integral`` reading decides whether q1 exists: ``budget``,
-    ``budget_reading(psi, q0)`` when it is given (a sweep shares one over
-    its M axis), else read here.  When the integral passes 2M at a window
-    end, q1 is found inside the cell of that reading where its sum passes
-    2M, by repeated sectioning.
+    One reading of rho/psi, ``budget_reading(psi, q0)``, decides whether q1
+    exists; a caller that holds it already (a sweep, over its M axis) passes
+    it as ``budget``.  When the integral passes 2M at a window end, q1 is
+    found inside the cell of that reading where its sum passes 2M, by
+    repeated sectioning.
 
     Raises ConditionViolated when the integral stays <= 2M: it converges to
     a value <= 2M, so no finite q1 meets the budget, or it is still short
