@@ -62,11 +62,9 @@ __all__ = ["RunManifest", "cmd_certify", "cmd_solve", "cmd_verify", "cmd_sweep",
 
 def default_tol() -> float:
     """Base tolerance; the DYNBC_TOL environment variable overrides it.
-    Raises ValueError when it is not a number, nan included."""
-    tol = float(os.environ.get("DYNBC_TOL", "1e-8"))
-    if math.isnan(tol):  # every slack would pass a nan tolerance
-        raise ValueError("DYNBC_TOL must be a number, got nan")
-    return tol
+    Raises ValueError when it is not a number, and ConfigError when it is
+    not finite: every slack would pass an inf or nan tolerance."""
+    return spec_value(float(os.environ.get("DYNBC_TOL", "1e-8")), float, "DYNBC_TOL")
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +135,9 @@ class RunManifest:
     def __post_init__(self):
         self.spec_path = Path(self.spec_path)
         self.out_dir = Path(self.out_dir)
+
+    def prepare(self) -> None:
+        """Check the spec file and format, and create the output directory."""
         if not self.spec_path.is_file():
             raise ConfigError(f"spec file not found: {self.spec_path}")
         if self.report_format not in ("json", "csv"):
@@ -162,6 +163,27 @@ def preset_path(name: str) -> Path:
     return p
 
 
+def _command(name: str, reports: tuple[str, ...]):
+    """Decorate a command's body, which takes a RunManifest and returns the
+    exit code.  The command prepares the manifest and removes ``reports``,
+    so none of an earlier run outlives one that exits 1; an input or
+    artifact error, raised anywhere in the body, prints one
+    ``<name>: ...`` line and exits 1."""
+    def decorate(body):
+        @functools.wraps(body)
+        def command(manifest: RunManifest) -> int:
+            try:
+                manifest.prepare()
+                for report in reports:
+                    (manifest.out_dir / report).unlink(missing_ok=True)
+                return body(manifest)
+            except (DynbcError, OSError, KeyError, ValueError) as exc:
+                print(f"{name}: {exc}", file=sys.stderr)
+                return 1
+        return command
+    return decorate
+
+
 # the solver block's keys, each with its SolverConfig field and JSON type
 _SOLVER_KEYS = {
     "nx": ("nx", int), "dt0": ("dt0", float), "theta": ("theta", float),
@@ -170,20 +192,20 @@ _SOLVER_KEYS = {
     "local_error_tol": ("local_error_tol", float), "newton_tol": ("newton_tol", float),
     "newton_max_iter": ("newton_max_iter", int),
 }
+# the only numbers that may be infinite: inf is no blow-up detection and no
+# step cap; SolverConfig refuses -inf and nan for both
+_INFINITE_KEYS = ("cutoff", "dt_max")
 
 
 def _solver_config(raw: dict, manifest: RunManifest) -> SolverConfig:
     blk = spec_value(raw.get("solver", {}), dict, "solver")
+    flags = {key: value for key, value in manifest.overrides.items() if value is not None}
     kwargs = {}
-    for key, value in blk.items():
+    for key, value in (blk | flags).items():  # a solve flag is read as the key it overrides
         if key not in _SOLVER_KEYS:
             raise ConfigError(f"unknown solver key {key!r}; the keys are {' '.join(_SOLVER_KEYS)}")
         target, kind = _SOLVER_KEYS[key]
-        kwargs[target] = spec_value(value, kind, f"solver.{key}")
-    # solve's flags, named as the keys they override
-    for key, value in manifest.overrides.items():
-        if value is not None:
-            kwargs[_SOLVER_KEYS[key][0]] = value
+        kwargs[target] = spec_value(value, kind, f"solver.{key}", infinite=key in _INFINITE_KEYS)
     return SolverConfig(compat_tol=default_tol(), **kwargs)
 
 
@@ -193,75 +215,67 @@ def _solver_config(raw: dict, manifest: RunManifest) -> SolverConfig:
 CERTIFY_REPORTS = ("certificate.json", "h_table.csv", "conditions.csv")
 
 
-def _finite(value, name: str) -> float:
-    """A finite number read from the spec as ``name``, or a ConfigError
-    naming it: a bound of inf or nan certifies nothing."""
-    number = spec_value(value, float, name)
-    if not math.isfinite(number):
-        raise ConfigError(f"{name} must be a finite number, got {json.dumps(number)}")
-    return number
-
-
+@_command("certify", CERTIFY_REPORTS)
 def cmd_certify(manifest: RunManifest) -> int:
-    try:
-        for name in CERTIFY_REPORTS:  # none outlives a failed certify
-            (manifest.out_dir / name).unlink(missing_ok=True)
-        raw = manifest.load_spec()
-        problem = ProblemSpec.from_dict(raw)
-        blk = raw.get("certificate")
-        if not isinstance(blk, dict) or "psi" not in blk or "q0" not in blk:
-            raise ConfigError('spec needs a "certificate" block with "psi" and "q0"')
-        psi = PsiSpec.from_text(spec_value(blk["psi"], str, "certificate.psi"))
-        q0 = _finite(blk["q0"], "certificate.q0")
+    raw = manifest.load_spec()
+    problem = ProblemSpec.from_dict(raw)
+    blk = raw.get("certificate")
+    if not isinstance(blk, dict) or "psi" not in blk or "q0" not in blk:
+        raise ConfigError('spec needs a "certificate" block with "psi" and "q0"')
+    psi = PsiSpec.from_text(spec_value(blk["psi"], str, "certificate.psi"))
+    q0 = spec_value(blk["q0"], float, "certificate.q0")
+    M = spec_value(blk["M"], float, "certificate.M") if "M" in blk else None
+    pmax = spec_value(blk["pmax"], float, "certificate.pmax") if "pmax" in blk else None
+    if pmax is not None and not pmax > q0:  # the sampled conditions need slopes past q0
+        raise ConfigError(f"certificate.pmax must exceed certificate.q0 = {q0!r}, got {pmax!r}")
+    n_samples = spec_value(blk.get("n_samples", 33), int, "certificate.n_samples")
+    if n_samples < 2:
+        raise ConfigError(f"certificate.n_samples must be at least 2, got {n_samples}")
+    sup_blk = raw.get("sup_bound")
+    phi = B = None
+    if sup_blk is not None:
+        sup_blk = spec_value(sup_blk, dict, "sup_bound")
+        phi = parse(spec_value(sup_blk["Phi"], str, "sup_bound.Phi"))
+        B = spec_value(sup_blk["B"], float, "sup_bound.B")
+    compat_tol = default_tol()
 
-        sup_blk = raw.get("sup_bound")
-        supc: SupBoundCertificate | None = None
-        sup_error: str | None = None
-        phi = B = None
-        if sup_blk is not None:
-            sup_blk = spec_value(sup_blk, dict, "sup_bound")
-            phi = parse(spec_value(sup_blk["Phi"], str, "sup_bound.Phi"))
-            B = _finite(sup_blk["B"], "sup_bound.B")
-            try:
-                supc = sup_bound(phi, B, u0_sup=_u0_sup(problem), T=problem.T)
-            except ConditionViolated as exc:
-                sup_error = str(exc)
-        if "M" in blk:
-            M = _finite(blk["M"], "certificate.M")
-            m_source = "given"
-        elif supc is not None:
-            M = supc.M_proof
-            m_source = "sup_bound.M_proof"
-        elif sup_error is not None:
-            print(f"certify: sup bound unavailable: {sup_error}", file=sys.stderr)
-            return 2
-        else:
-            raise ConfigError('certificate block needs "M" (or a "sup_bound" block to derive it)')
-
-        pmax = spec_value(blk["pmax"], float, "certificate.pmax") if "pmax" in blk else None
-        n_samples = spec_value(blk.get("n_samples", 33), int, "certificate.n_samples")
-        # the barrier goes first: its q1 gives the default pmax = 4 q1 that
-        # check_hypotheses would otherwise find again
-        cert: BarrierCertificate | None = None
-        barrier_error = None
+    supc: SupBoundCertificate | None = None
+    sup_error: str | None = None
+    if phi is not None:
         try:
-            cert = build_barrier(psi, q0=q0, M=M,
-                                 K=estimate_lipschitz(problem.u0, problem.ell))
-        except (ConditionViolated, PreconditionFailed) as exc:
-            barrier_error = str(exc)
-            # ConditionViolated is find_q1's "no finite q1", where
-            # check_hypotheses uses pmax = 100; after a PreconditionFailed
-            # it refuses the same q0 or M itself and raises, as before
-            if pmax is None and isinstance(exc, ConditionViolated):
-                pmax = 100.0
-        if pmax is None and cert is not None:
-            pmax = 4.0 * cert.q1
-        report = check_hypotheses(
-            problem, M=M, q0=q0, psi=psi, pmax=pmax, n_samples=n_samples,
-            phi=phi, B=B, compat_tol=default_tol())
-    except (DynbcError, OSError, KeyError, ValueError) as exc:
-        print(f"certify: {exc}", file=sys.stderr)
-        return 1
+            supc = sup_bound(phi, B, u0_sup=_u0_sup(problem), T=problem.T)
+        except ConditionViolated as exc:
+            sup_error = str(exc)
+    if M is not None:
+        m_source = "given"
+    elif supc is not None:
+        M = supc.M_proof
+        m_source = "sup_bound.M_proof"
+    elif sup_error is not None:
+        print(f"certify: sup bound unavailable: {sup_error}", file=sys.stderr)
+        return 2
+    else:
+        raise ConfigError('certificate block needs "M" (or a "sup_bound" block to derive it)')
+
+    # the barrier goes first: its q1 gives the default pmax = 4 q1 that
+    # check_hypotheses would otherwise find again
+    cert: BarrierCertificate | None = None
+    barrier_error = None
+    try:
+        cert = build_barrier(psi, q0=q0, M=M,
+                             K=estimate_lipschitz(problem.u0, problem.ell))
+    except (ConditionViolated, PreconditionFailed) as exc:
+        barrier_error = str(exc)
+        # ConditionViolated is find_q1's "no finite q1", where
+        # check_hypotheses uses pmax = 100; after a PreconditionFailed
+        # it refuses the same q0 or M itself and raises, as before
+        if pmax is None and isinstance(exc, ConditionViolated):
+            pmax = 100.0
+    if pmax is None and cert is not None:
+        pmax = 4.0 * cert.q1
+    report = check_hypotheses(
+        problem, M=M, q0=q0, psi=psi, pmax=pmax, n_samples=n_samples,
+        phi=phi, B=B, compat_tol=compat_tol)
 
     doc = {
         "command": "certify",
@@ -276,17 +290,13 @@ def cmd_certify(manifest: RunManifest) -> int:
         "conditions": report.as_dict(),
         "h_table": "h_table.csv" if cert else None,
     }
-    try:
-        if cert is not None:
-            write_h_table(cert, manifest.out_dir)
-        if manifest.report_format == "csv":
-            lines = ["name,satisfied,worst_violation"]
-            lines += [_csv_row((e.name, e.satisfied, e.worst_violation)) for e in report.entries]
-            _write(manifest.out_dir / "conditions.csv", "\n".join(lines))
-        _write(manifest.out_dir / "certificate.json", json_dumps(doc))  # last: verify reads it
-    except OSError as exc:
-        print(f"certify: {exc}", file=sys.stderr)
-        return 1
+    if cert is not None:
+        write_h_table(cert, manifest.out_dir)
+    if manifest.report_format == "csv":
+        lines = ["name,satisfied,worst_violation"]
+        lines += [_csv_row((e.name, e.satisfied, e.worst_violation)) for e in report.entries]
+        _write(manifest.out_dir / "conditions.csv", "\n".join(lines))
+    _write(manifest.out_dir / "certificate.json", json_dumps(doc))  # last: verify reads it
 
     if not report.all_satisfied or cert is None:
         for name in report.violated:
@@ -545,20 +555,15 @@ def _time_slices(data: np.ndarray) -> np.ndarray:
     raise ConfigError("solution.npy is not a full rectangular grid")
 
 
+@_command("solve", SOLVE_REPORTS)
 def cmd_solve(manifest: RunManifest) -> int:
-    try:
-        for name in SOLVE_REPORTS:  # none outlives a failed solve
-            (manifest.out_dir / name).unlink(missing_ok=True)
-        raw = manifest.load_spec()
-        problem = ProblemSpec.from_dict(raw)
-        cfg = _solver_config(raw, manifest)
-        # no child and no unfinished solution file outlives the block, whatever it raises
-        with closing(SolutionWriter(manifest.out_dir, grid_nodes(problem.ell, cfg.nx))) as writer:
-            sol = solve(problem, cfg, on_store=writer.store)
-            write_solution(sol, manifest.out_dir, writer=writer)
-    except (DynbcError, OSError, KeyError, ValueError) as exc:
-        print(f"solve: {exc}", file=sys.stderr)
-        return 1
+    raw = manifest.load_spec()
+    problem = ProblemSpec.from_dict(raw)
+    cfg = _solver_config(raw, manifest)
+    # no child and no unfinished solution file outlives the block, whatever it raises
+    with closing(SolutionWriter(manifest.out_dir, grid_nodes(problem.ell, cfg.nx))) as writer:
+        sol = solve(problem, cfg, on_store=writer.store)
+        write_solution(sol, manifest.out_dir, writer=writer)
 
     if isinstance(sol.status, Completed):
         return 0
@@ -600,23 +605,18 @@ def read_certificate(out_dir: Path) -> tuple[BarrierCertificate, SupBoundCertifi
     return cert, supc
 
 
+@_command("verify", ("verification.json", "verification.csv"))
 def cmd_verify(manifest: RunManifest) -> int:
-    try:
-        for name in ("verification.json", "verification.csv"):  # none outlives a failed verify
-            (manifest.out_dir / name).unlink(missing_ok=True)
-        sol = read_solution(manifest.out_dir)
-        if isinstance(sol.status, BlowUpDetected):
-            # only the growth gauge matters for a blow-up run; a barrier
-            # cannot exist when the budget condition fails
-            cert_doc = json.loads((manifest.out_dir / "certificate.json").read_text())
-            return _verify_blowup(manifest, sol, str(cert_doc["psi"]))
-        cert, supc = read_certificate(manifest.out_dir)
-        report = bounds_check(sol, cert, sup_cert=supc)
-        # DYNBC_TOL, when set, replaces the grid-derived tolerance
-        tolerance = default_tol() if "DYNBC_TOL" in os.environ else report.tolerance
-    except (DynbcError, OSError, KeyError, ValueError) as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 1
+    sol = read_solution(manifest.out_dir)
+    if isinstance(sol.status, BlowUpDetected):
+        # only the growth gauge matters for a blow-up run; a barrier
+        # cannot exist when the budget condition fails
+        cert_doc = json.loads((manifest.out_dir / "certificate.json").read_text())
+        return _verify_blowup(manifest, sol, str(cert_doc["psi"]))
+    cert, supc = read_certificate(manifest.out_dir)
+    report = bounds_check(sol, cert, sup_cert=supc)
+    # DYNBC_TOL, when set, replaces the grid-derived tolerance
+    tolerance = default_tol() if "DYNBC_TOL" in os.environ else report.tolerance
 
     slacks = {"max_w_tilde": -report.max_w_tilde, "max_w1_tilde": -report.max_w1_tilde,
               "gradient_slack": report.gradient_slack, "modulus_slack": report.modulus_slack}
@@ -630,21 +630,17 @@ def cmd_verify(manifest: RunManifest) -> int:
         "tolerance_used": tolerance,
         "passed": ok,
     }
-    try:
-        _write(manifest.out_dir / "verification.json", json_dumps(doc))
-        if manifest.report_format == "csv":
-            lines = ["quantity,value"]
-            for k, v in report.as_dict().items():
+    _write(manifest.out_dir / "verification.json", json_dumps(doc))
+    if manifest.report_format == "csv":
+        lines = ["quantity,value"]
+        for k, v in report.as_dict().items():
+            if isinstance(v, (int, float)):
+                lines.append(_csv_row((k, float(v))))
+        for kind, wit in report.witnesses.items():
+            for fld, v in wit.items():
                 if isinstance(v, (int, float)):
-                    lines.append(_csv_row((k, float(v))))
-            for kind, wit in report.witnesses.items():
-                for fld, v in wit.items():
-                    if isinstance(v, (int, float)):
-                        lines.append(_csv_row((f"witness.{kind}.{fld}", float(v))))
-            _write(manifest.out_dir / "verification.csv", "\n".join(lines))
-    except OSError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 1
+                    lines.append(_csv_row((f"witness.{kind}.{fld}", float(v))))
+        _write(manifest.out_dir / "verification.csv", "\n".join(lines))
     if not ok:
         for k, v in slacks.items():
             if v < -tolerance:
@@ -708,32 +704,27 @@ def _sweep_rows(psis: list, q0s: list, Ms: list, K_est: float) -> list[str]:
     return [row(p, q, M) for p in psis for q in q0s for M in Ms]
 
 
+@_command("sweep", ("sweep.csv",))
 def cmd_sweep(manifest: RunManifest) -> int:
-    try:
-        (manifest.out_dir / "sweep.csv").unlink(missing_ok=True)  # none outlives a failed sweep
-        raw = manifest.load_spec()
-        blk = raw.get("sweep")
-        if not blk:
-            raise ConfigError('spec needs a non-empty "sweep" block')
-        blk = spec_value(blk, dict, "sweep")
+    raw = manifest.load_spec()
+    blk = raw.get("sweep")
+    if not blk:
+        raise ConfigError('spec needs a non-empty "sweep" block')
+    blk = spec_value(blk, dict, "sweep")
 
-        def axis(name: str, read) -> list:
-            return [read(v, f"sweep.{name} entry")
-                    for v in spec_value(blk.get(name, []), list, f"sweep.{name}")]
+    def axis(name: str, kind: type) -> list:
+        return [spec_value(v, kind, f"sweep.{name} entry")
+                for v in spec_value(blk.get(name, []), list, f"sweep.{name}")]
 
-        psis = axis("psi", lambda v, name: spec_value(v, str, name))
-        q0s, Ms = axis("q0", _finite), axis("M", _finite)
-        if not (psis and q0s and Ms):
-            raise ConfigError('sweep block needs non-empty "psi", "q0" and "M" axes')
-        # sampled Lipschitz constant of the problem's initial data, reported
-        # per row so q0 choices can be screened against it
-        problem = ProblemSpec.from_dict(raw)
-        K_est = estimate_lipschitz(problem.u0, problem.ell)
-        _write(manifest.out_dir / "sweep.csv", "\n".join(
-            ["psi,q0,M,status,q1,kappa0,q0_covers_K,detail", *_sweep_rows(psis, q0s, Ms, K_est)]))
-    except (DynbcError, OSError, ValueError) as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 1
+    psis, q0s, Ms = axis("psi", str), axis("q0", float), axis("M", float)
+    if not (psis and q0s and Ms):
+        raise ConfigError('sweep block needs non-empty "psi", "q0" and "M" axes')
+    # sampled Lipschitz constant of the problem's initial data, reported
+    # per row so q0 choices can be screened against it
+    problem = ProblemSpec.from_dict(raw)
+    K_est = estimate_lipschitz(problem.u0, problem.ell)
+    _write(manifest.out_dir / "sweep.csv", "\n".join(
+        ["psi,q0,M,status,q1,kappa0,q0_covers_K,detail", *_sweep_rows(psis, q0s, Ms, K_est)]))
     return 0
 
 
@@ -771,14 +762,9 @@ def main(argv: list[str] | None = None) -> int:
     flags = vars(parser.parse_args(argv))
     command = flags.pop("command")
 
-    try:
-        manifest = RunManifest(
-            spec_path=Path(flags.pop("spec")), command=command, out_dir=Path(flags.pop("out")),
-            report_format=flags.pop("format", "json"), overrides=flags)
-    except DynbcError as exc:
-        print(f"dynbc: {exc}", file=sys.stderr)
-        return 1
-
+    manifest = RunManifest(
+        spec_path=Path(flags.pop("spec")), command=command, out_dir=Path(flags.pop("out")),
+        report_format=flags.pop("format", "json"), overrides=flags)
     cmd = {"certify": cmd_certify, "solve": cmd_solve,
            "verify": cmd_verify, "sweep": cmd_sweep}[command]
     return cmd(manifest)

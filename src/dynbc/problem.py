@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -31,12 +32,17 @@ _KINDS = {bool: "true or false", int: "an integer", float: "a number",
           str: "a string", list: "a list", dict: "an object"}
 
 
-def spec_value(value, kind: type, name: str):
+def spec_value(value, kind: type, name: str, *, infinite: bool = False):
     """``value`` read from a spec file as ``kind``, or a ConfigError naming
-    ``name``; a number may be an integer, and only true or false is a bool."""
-    if kind is float and type(value) is int:
-        return float(value)
+    ``name``; a number may be an integer, and only true or false is a bool.
+    A number must be finite, unless ``infinite`` (a key whose infinity
+    means something): inf or nan certifies and solves nothing."""
+    if kind is float and type(value) is int:  # an integer past the float range reads as inf
+        value = (float(value) if abs(value) <= sys.float_info.max
+                 else math.inf if value > 0 else -math.inf)
     if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        if kind is float and not (infinite or math.isfinite(value)):
+            raise ConfigError(f"{name} must be a finite number, got {json.dumps(value)}")
         return value
     raise ConfigError(f"{name} must be {_KINDS[kind]}, got {json.dumps(value)}")
 

@@ -88,6 +88,9 @@ class SolverConfig:
         # a cutoff <= 0 would flag blow-up at t = 0; inf never flags one
         if not (self.gradient_cutoff > 0):
             raise ConfigError(f"gradient_cutoff must be positive, got {self.gradient_cutoff}")
+        # newton_tol <= 0 fails every Newton solve; inf accepts any iterate
+        if not (0 < self.newton_tol < math.inf):
+            raise ConfigError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if not (self.local_error_tol > 0 or self.fixed_step):
             raise ConfigError(
                 f"an adaptive run needs local_error_tol > 0, got {self.local_error_tol}")

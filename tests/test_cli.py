@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,18 +83,6 @@ def test_invalid_json_spec(tmp_path):
         assert main([command, "--spec", str(p), "--out", str(tmp_path / "out")]) == 1
 
 
-# a bound of inf or nan, and the field the refusal names: each must be an
-# input error, not certified as inf
-NON_FINITE_BOUNDS = [
-    ("certify", {"sup_bound": {"Phi": "1", "B": math.inf}}, "sup_bound.B"),
-    ("certify", {"certificate": {"psi": "1", "q0": 1.0, "M": math.inf}}, "certificate.M"),
-    ("certify", {"certificate": {"psi": "1", "q0": math.inf, "M": 2.0}}, "certificate.q0"),
-    ("certify", {"certificate": {"psi": "1", "q0": math.nan, "M": 2.0}}, "certificate.q0"),
-    ("sweep", {"sweep": {"psi": ["1"], "q0": [1.0, math.inf], "M": [2.0]}}, "sweep.q0 entry"),
-    ("sweep", {"sweep": {"psi": ["1"], "q0": [1.0], "M": [2.0, math.nan]}}, "sweep.M entry"),
-]
-
-
 @pytest.mark.parametrize("command, changes", [
     ("certify", {"ell": None}),
     ("certify", {"T": math.inf}),
@@ -123,7 +113,12 @@ NON_FINITE_BOUNDS = [
     ("certify", {"certificate": {"psi": "1+0*1e400", "q0": 1.0, "M": 2.0}}),
     ("solve", {"solver": {"nxx": 17}}),
     ("solve", {"solver": {"gradient_cutoff": 25.0}}),
-    *[(command, changes) for command, changes, _ in NON_FINITE_BOUNDS],
+    ("certify", {"sup_bound": {"Phi": "1", "B": math.inf}}),
+    ("certify", {"certificate": {"psi": "1", "q0": 1.0, "M": math.inf}}),
+    ("certify", {"certificate": {"psi": "1", "q0": math.inf, "M": 2.0}}),
+    ("certify", {"certificate": {"psi": "1", "q0": math.nan, "M": 2.0}}),
+    ("sweep", {"sweep": {"psi": ["1"], "q0": [1.0, math.inf], "M": [2.0]}}),
+    ("sweep", {"sweep": {"psi": ["1"], "q0": [1.0], "M": [2.0, math.nan]}}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_a_malformed_spec_is_an_input_error(tmp_path, capsys, command, changes):
     # changes replace top-level fields of STEADY; a list is the whole file
@@ -135,13 +130,88 @@ def test_a_malformed_spec_is_an_input_error(tmp_path, capsys, command, changes):
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("command, changes, name", NON_FINITE_BOUNDS,
-                         ids=lambda v: v if isinstance(v, str) else json.dumps(v))
-def test_a_non_finite_bound_is_an_input_error_naming_it(tmp_path, capsys, command, changes, name):
-    spec = _write_spec(tmp_path, STEADY | changes)
-    assert main([command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+PRESETS = ("steady", "manufactured", "burgers", "blowup_270", "weakened_nagumo", "cubic_damping")
+
+
+def _set_number(base: dict, field: str, value) -> tuple[dict, str]:
+    """A copy of the spec ``base`` with ``field`` set to ``value``, and the
+    words its refusal must hold.  A sweep field appends an entry to that
+    axis; a missing block is added.  An allow-listed solver key's -inf or
+    nan is refused by SolverConfig, under its field's name."""
+    doc = json.loads(json.dumps(base))
+    block, _, key = field.rpartition(".")
+    got = f", got {json.dumps(value)}"
+    if block == "sweep":
+        doc["sweep"][key].append(value)
+        return doc, f"{field} entry must be a finite number{got}"
+    target = doc.setdefault(block, {"Phi": "1"} if block == "sup_bound" else {}) if block else doc
+    target[key] = value
+    if block == "solver" and key in cli._INFINITE_KEYS:
+        return doc, cli._SOLVER_KEYS[key][0]
+    kind = cli._SOLVER_KEYS[key][1] if block == "solver" else int if key == "n_samples" else float
+    what = {float: "a finite number", int: "an integer", bool: "true or false"}[kind]
+    return doc, f"{field} must be {what}{got}"
+
+
+def _number_cases():
+    """Every numeric field of each preset, read by each command that reads
+    it, set to inf, -inf and nan: ell and T; the certificate's q0, M, pmax
+    and n_samples; sup_bound.B; every solver key, present or not; an entry
+    of each numeric sweep axis.  The allow-listed infinities are not run."""
+    fields = [*((command, key) for key in ("ell", "T") for command in ("certify", "solve", "sweep")),
+              *(("certify", f"certificate.{key}") for key in ("q0", "M", "pmax", "n_samples")),
+              ("certify", "sup_bound.B"),
+              *(("solve", f"solver.{key}") for key in cli._SOLVER_KEYS),
+              ("sweep", "sweep.q0"), ("sweep", "sweep.M")]
+    for preset in PRESETS:
+        spec = json.loads(preset_path(preset).read_text())
+        sweep = {key: [spec["certificate"][key]] for key in ("psi", "q0", "M")}
+        for command, field in fields:
+            base = spec | {"sweep": sweep} if command == "sweep" else spec
+            for value in (math.inf, -math.inf, math.nan):
+                if value == math.inf and field in {f"solver.{k}" for k in cli._INFINITE_KEYS}:
+                    continue
+                yield pytest.param(command, *_set_number(base, field, value),
+                                   id=f"{preset}-{command}-{field}={json.dumps(value)}")
+    # finite numbers that certify or solve nothing: no sampled slope past
+    # q0, one sample per axis, a Newton tolerance that no iterate meets
+    base = json.loads(preset_path("burgers").read_text())
+    for command, field, value, words in [
+            ("certify", "certificate.pmax", 0.0, "certificate.pmax must exceed certificate.q0"),
+            ("certify", "certificate.pmax", 0.5, "certificate.pmax must exceed certificate.q0"),
+            ("certify", "certificate.pmax", 1.0, "certificate.pmax must exceed certificate.q0"),
+            ("certify", "certificate.n_samples", 1, "certificate.n_samples must be at least 2"),
+            ("certify", "certificate.n_samples", 0, "certificate.n_samples must be at least 2"),
+            ("certify", "certificate.n_samples", -1, "certificate.n_samples must be at least 2"),
+            ("solve", "solver.newton_tol", 0.0, "newton_tol must be positive and finite"),
+            ("solve", "solver.newton_tol", -1.0, "newton_tol must be positive and finite")]:
+        doc, _ = _set_number(base, field, value)
+        yield pytest.param(command, doc, words, id=f"burgers-{command}-{field}={value}")
+
+
+@pytest.mark.parametrize("command, doc, words", _number_cases())
+def test_an_unusable_spec_number_is_an_input_error_naming_it(tmp_path, capsys, command, doc, words):
+    # every case stops where the command reads its input
+    out = tmp_path / "out"
+    assert main([command, "--spec", str(_write_spec(tmp_path, doc)), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"{command}: {name} must be a finite number"), err
+    assert len(err) == 1 and err[0].startswith(f"{command}: ") and words in err[0], err
+    assert not any(out.iterdir())
+
+
+def test_the_documented_solver_keys_and_infinities_are_the_codes():
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    keys = re.search(r"The `solver` block's keys are exactly\s+`([^`]+)`", text).group(1)
+    assert keys.split() == list(cli._SOLVER_KEYS)
+    infinite = re.search(r"Only (.*?) may\s+be\s+`Infinity`", text, re.S).group(1)
+    assert re.findall(r"`solver\.(\w+)`", infinite) == list(cli._INFINITE_KEYS)
+    # and each allow-listed key takes inf from the spec and from a flag
+    manifest = RunManifest(spec_path="spec.json", command="solve", out_dir=".")
+    raw = {"solver": {key: math.inf for key in cli._INFINITE_KEYS}}
+    cfg = cli._solver_config(raw, manifest)
+    assert (cfg.gradient_cutoff, cfg.dt_max) == (math.inf, math.inf)
+    manifest.overrides = {"cutoff": math.inf}
+    assert cli._solver_config({}, manifest).gradient_cutoff == math.inf
 
 
 @pytest.mark.parametrize("cutoff, code", [(0.0, 1), (-1.0, 1), (-math.inf, 1), (math.inf, 0)])
@@ -157,17 +227,20 @@ def test_a_cutoff_must_be_positive_and_may_be_infinite(tmp_path, capsys, cutoff,
             assert err == f"solve: gradient_cutoff must be positive, got {cutoff}\n"
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["solve", "--cutoff", "nan"], {}),
-    (["certify"], {"DYNBC_TOL": "nan"}),
-], ids=["flag", "environment"])
-def test_a_nan_flag_or_tolerance_is_an_input_error(tmp_path, capsys, monkeypatch, argv, env):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+@pytest.mark.parametrize("argv, env, name", [
+    (["solve", "--cutoff", "nan"], {}, "gradient_cutoff"),
+    (["solve", "--dt0", "inf"], {}, "solver.dt0"),
+    (["certify"], {"DYNBC_TOL": "nan"}, "DYNBC_TOL"),
+    (["certify"], {"DYNBC_TOL": "inf"}, "DYNBC_TOL"),
+    (["solve"], {"DYNBC_TOL": "-inf"}, "DYNBC_TOL"),
+], ids=["flag", "flag-inf", "environment", "environment-inf", "environment-solve"])
+def test_a_nan_flag_or_tolerance_is_an_input_error(tmp_path, capsys, monkeypatch, argv, env, name):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
     out = tmp_path / "out"
     assert main([*argv, "--spec", str(_write_spec(tmp_path, STEADY)), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"{argv[0]}: "), err
+    assert len(err) == 1 and err[0].startswith(f"{argv[0]}: ") and name in err[0], err
     assert not any(out.iterdir())
 
 
@@ -379,11 +452,14 @@ def test_verify_with_a_malformed_dynbc_tol_is_an_input_error(tmp_path, monkeypat
     out = tmp_path / "run"
     assert main(["certify", "--spec", str(spec), "--out", str(out)]) == 0
     assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
-    monkeypatch.setenv("DYNBC_TOL", "abc")
     capsys.readouterr()
-    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
-    assert "verify: could not convert string to float: 'abc'" in capsys.readouterr().err
-    assert not (out / "verification.json").exists()
+    # an inf tolerance would pass every slack
+    for value, line in [("abc", "verify: could not convert string to float: 'abc'"),
+                        ("inf", "verify: DYNBC_TOL must be a finite number, got Infinity")]:
+        monkeypatch.setenv("DYNBC_TOL", value)
+        assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
+        assert line in capsys.readouterr().err
+        assert not (out / "verification.json").exists()
 
 
 def test_a_slope_past_the_float_range_ends_in_step_failure(tmp_path, capsys):

@@ -308,6 +308,10 @@ def test_config_validation():
     for name in ("dt0", "gradient_cutoff", "newton_tol", "compat_tol"):
         with pytest.raises(ConfigError, match=f"^{name} must be a number"):
             SolverConfig(**{name: math.nan})
+    # a Newton tolerance <= 0 fails every solve; inf accepts any iterate
+    for tol in (0.0, -1.0, math.inf):
+        with pytest.raises(ConfigError, match="^newton_tol must be positive and finite"):
+            SolverConfig(newton_tol=tol)
 
 
 # ---------------------------------------------------------------------------
