@@ -366,23 +366,6 @@ def tail_integral(fn, a: float) -> TailReading:
 # ---------------------------------------------------------------------------
 # slope budget
 
-def _top_slope(integrand, budget: TailReading, q0: float, M: float) -> float:
-    """``find_q1`` on ``budget``, the reading of integrand = rho/psi from q0."""
-    if not (q0 > 0):
-        raise PreconditionFailed(f"q0 must be positive, got {q0}")
-    if not (M > 0):
-        raise PreconditionFailed(f"M must be positive, got {M}")
-    target = 2.0 * M
-    tail = budget.decide(target)
-    if tail.classified == "crossed_target":
-        return _reach(integrand, budget.edges, budget.sums, target)
-    reach = ("converges to" if tail.classified == "convergent"
-             else f"up to {tail.upper:.6g} reaches")
-    raise ConditionViolated(
-        f"integral of rho/psi over [{q0}, inf) {reach} ~{tail.value:.6g}"
-        f" <= 2M = {target:.6g}; no finite q1 exists")
-
-
 def budget_reading(psi: PsiSpec, q0: float) -> TailReading:
     """The ``tail_integral`` reading of rho/psi that ``find_q1`` decides from;
     a q0 that is not positive is read from 0, and refused by ``find_q1``."""
@@ -405,7 +388,19 @@ def find_q1(psi: PsiSpec, q0: float, M: float, budget: TailReading | None = None
     """
     if budget is None:
         budget = budget_reading(psi, q0)
-    return _top_slope(psi.budget_integrand(), budget, q0, M)
+    if not (q0 > 0):
+        raise PreconditionFailed(f"q0 must be positive, got {q0}")
+    if not (M > 0):
+        raise PreconditionFailed(f"M must be positive, got {M}")
+    target = 2.0 * M
+    tail = budget.decide(target)
+    if tail.classified == "crossed_target":
+        return _reach(psi.budget_integrand(), budget.edges, budget.sums, target)
+    reach = ("converges to" if tail.classified == "convergent"
+             else f"up to {tail.upper:.6g} reaches")
+    raise ConditionViolated(
+        f"integral of rho/psi over [{q0}, inf) {reach} ~{tail.value:.6g}"
+        f" <= 2M = {target:.6g}; no finite q1 exists")
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +559,10 @@ def check_hypotheses(problem: ProblemSpec, M: float, q0: float, psi: PsiSpec,
     ``tail_integral`` decision as witness; (9), (266) and the default pmax
     decide from one reading of rho/psi.
     """
-    rho_over_psi = psi.budget_integrand()
-    budget = tail_integral(rho_over_psi, max(q0, 0.0))
+    budget = budget_reading(psi, q0)
     if pmax is None:
         try:
-            pmax = 4.0 * _top_slope(rho_over_psi, budget, q0, M)
+            pmax = 4.0 * find_q1(psi, q0, M, budget)
         except ConditionViolated:
             pmax = 100.0
     n = n_samples

@@ -525,16 +525,15 @@ def read_solution(out_dir: Path) -> Solution:
     """The solution of a run directory, from ``solution.npy`` and
     ``summary.json`` (``solution.csv`` is not read)."""
     npy_path = out_dir / "solution.npy"
-    summary_path = out_dir / "summary.json"
-    if not npy_path.is_file() or not summary_path.is_file():
+    if not npy_path.is_file():
         raise ConfigError(f"missing solution artifacts in {out_dir}")
+    summary = _read_report(out_dir, "summary.json")
     data = np.load(npy_path)
     if data.ndim != 2 or data.shape[1] != 5:
         raise ConfigError(f"solution.npy has shape {data.shape}, not (rows, 5)")
     slices = _time_slices(data)
     times, nodes = slices[:, 0, 0].copy(), slices[0, :, 1].copy()
     u, ux, ut = (np.ascontiguousarray(slices[:, :, k]) for k in (2, 3, 4))
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
     status = _status_from_dict(summary["status"])
     return Solution(grid=GridFunction(times, nodes, u), ux=ux, ut=ut, status=status,
                     step_log=dict(summary.get("step_log", {})))
@@ -579,12 +578,18 @@ def cmd_solve(manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+def _read_report(out_dir: Path, name: str) -> dict:
+    """The JSON object of the run directory's report ``name``; a ConfigError
+    naming it when it is missing, is not JSON or holds no object."""
+    path = out_dir / name
+    if not path.is_file():
+        raise ConfigError(f"missing {name} in {out_dir}")
+    return spec_value(json.loads(path.read_text(encoding="utf-8")), dict, name)
+
+
 def read_certificate(out_dir: Path) -> tuple[BarrierCertificate, SupBoundCertificate | None]:
-    cert_path = out_dir / "certificate.json"
     table_path = out_dir / "h_table.csv"
-    if not cert_path.is_file():
-        raise ConfigError(f"missing certificate.json in {out_dir}")
-    doc = json.loads(cert_path.read_text(encoding="utf-8"))
+    doc = _read_report(out_dir, "certificate.json")
     if doc.get("barrier") is None:
         raise ConfigError("certificate.json carries no barrier (certify failed?)")
     if not table_path.is_file():
@@ -611,24 +616,19 @@ def cmd_verify(manifest: RunManifest) -> int:
     if isinstance(sol.status, BlowUpDetected):
         # only the growth gauge matters for a blow-up run; a barrier
         # cannot exist when the budget condition fails
-        cert_doc = json.loads((manifest.out_dir / "certificate.json").read_text())
+        cert_doc = _read_report(manifest.out_dir, "certificate.json")
         return _verify_blowup(manifest, sol, str(cert_doc["psi"]))
     cert, supc = read_certificate(manifest.out_dir)
     report = bounds_check(sol, cert, sup_cert=supc)
     # DYNBC_TOL, when set, replaces the grid-derived tolerance
     tolerance = default_tol() if "DYNBC_TOL" in os.environ else report.tolerance
-
-    slacks = {"max_w_tilde": -report.max_w_tilde, "max_w1_tilde": -report.max_w1_tilde,
-              "gradient_slack": report.gradient_slack, "modulus_slack": report.modulus_slack}
-    if report.sup_slack is not None:
-        slacks["sup_slack"] = report.sup_slack
-    ok = all(v >= -tolerance for v in slacks.values())
+    failing = report.failing(tolerance)
 
     doc = {
         "command": "verify",
         "report": report.as_dict(),
         "tolerance_used": tolerance,
-        "passed": ok,
+        "passed": not failing,
     }
     _write(manifest.out_dir / "verification.json", json_dumps(doc))
     if manifest.report_format == "csv":
@@ -641,12 +641,9 @@ def cmd_verify(manifest: RunManifest) -> int:
                 if isinstance(v, (int, float)):
                     lines.append(_csv_row((f"witness.{kind}.{fld}", float(v))))
         _write(manifest.out_dir / "verification.csv", "\n".join(lines))
-    if not ok:
-        for k, v in slacks.items():
-            if v < -tolerance:
-                print(f"verify: {k} = {v:.6g} below -{tolerance:.6g}", file=sys.stderr)
-        return 2
-    return 0
+    for name, v in failing.items():
+        print(f"verify: {name} = {v:.6g} below -{tolerance:.6g}", file=sys.stderr)
+    return 2 if failing else 0
 
 
 def _verify_blowup(manifest: RunManifest, sol: Solution, psi_text: str) -> int:

@@ -88,6 +88,14 @@ class VerificationReport:
                 "blowup_lhs": self.blowup_lhs, "witnesses": self.witnesses,
                 "tolerance": self.tolerance}
 
+    def failing(self, tol: float) -> dict:
+        """The gated slacks not at least -tol, a NaN one included, by name;
+        the run passes when none fails.  sup_slack is gated when present."""
+        slacks = {"max_w_tilde": -self.max_w_tilde, "max_w1_tilde": -self.max_w1_tilde,
+                  "gradient_slack": self.gradient_slack, "modulus_slack": self.modulus_slack,
+                  "sup_slack": self.sup_slack}
+        return {name: v for name, v in slacks.items() if v is not None and not v >= -tol}
+
 
 @dataclass
 class BlowupCheck:
