@@ -34,6 +34,7 @@ import math
 import os
 import signal
 import sys
+import warnings
 from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from importlib import resources
@@ -235,8 +236,8 @@ def cmd_certify(manifest: RunManifest) -> int:
     phi = B = None
     if sup_blk is not None:
         sup_blk = spec_value(sup_blk, dict, "sup_bound")
-        phi = parse(spec_value(sup_blk["Phi"], str, "sup_bound.Phi"))
-        B = spec_value(sup_blk["B"], float, "sup_bound.B")
+        phi = parse(spec_value(sup_blk.get("Phi"), str, "sup_bound.Phi"))
+        B = spec_value(sup_blk.get("B"), float, "sup_bound.B")
     compat_tol = default_tol()
 
     supc: SupBoundCertificate | None = None
@@ -329,12 +330,21 @@ def _status_dict(status) -> dict:
     return {"kind": status.kind, **dataclasses.asdict(status)}
 
 
-def _status_from_dict(d: dict):
-    if d["kind"] == Completed.kind:
+def _status_from_dict(d) -> Completed | BlowUpDetected | StepFailure:
+    """The run status of ``summary.json``; its block and ``kind`` must be
+    what ``_status_dict`` writes."""
+    label = "summary.json status"
+    d = spec_value(d, dict, label)
+    kind = d.get("kind")
+    if kind == Completed.kind:
         return Completed()
-    if d["kind"] == BlowUpDetected.kind:
-        return BlowUpDetected(time=float(d["time"]), max_gradient=float(d["max_gradient"]))
-    return StepFailure(time=float(d["time"]), reason=str(d.get("reason", "")))
+    if kind == BlowUpDetected.kind:
+        return BlowUpDetected(time=_field(d, label, "time"),
+                              max_gradient=_field(d, label, "max_gradient"))
+    if kind == StepFailure.kind:
+        return StepFailure(time=_field(d, label, "time"), reason=_field(d, label, "reason", str))
+    kinds = ", ".join(c.kind for c in (Completed, BlowUpDetected, StepFailure))
+    raise ConfigError(f"{label}.kind must be one of {kinds}, got {json.dumps(kind)}")
 
 
 # Once the stored slices hold this many rows, a forked child formats the
@@ -528,15 +538,16 @@ def read_solution(out_dir: Path) -> Solution:
     if not npy_path.is_file():
         raise ConfigError(f"missing solution artifacts in {out_dir}")
     summary = _read_report(out_dir, "summary.json")
+    status = _status_from_dict(summary.get("status"))
+    step_log = spec_value(summary.get("step_log", {}), dict, "summary.json step_log")
     data = np.load(npy_path)
     if data.ndim != 2 or data.shape[1] != 5:
         raise ConfigError(f"solution.npy has shape {data.shape}, not (rows, 5)")
     slices = _time_slices(data)
     times, nodes = slices[:, 0, 0].copy(), slices[0, :, 1].copy()
     u, ux, ut = (np.ascontiguousarray(slices[:, :, k]) for k in (2, 3, 4))
-    status = _status_from_dict(summary["status"])
     return Solution(grid=GridFunction(times, nodes, u), ux=ux, ut=ut, status=status,
-                    step_log=dict(summary.get("step_log", {})))
+                    step_log=step_log)
 
 
 def _time_slices(data: np.ndarray) -> np.ndarray:
@@ -584,29 +595,60 @@ def _read_report(out_dir: Path, name: str) -> dict:
     path = out_dir / name
     if not path.is_file():
         raise ConfigError(f"missing {name} in {out_dir}")
-    return spec_value(json.loads(path.read_text(encoding="utf-8")), dict, name)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name} is not valid JSON: {exc}") from None
+    return spec_value(doc, dict, name)
+
+
+# the strings _fmt_float writes for the floats JSON has no number for
+_FLOAT_WORDS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _field(block: dict, label: str, key: str, kind: type = float):
+    """``block[key]`` of a report read as ``kind``, a float as ``_fmt_float``
+    wrote it, or a ConfigError naming ``<label>.<key>``."""
+    value = block.get(key)
+    if kind is float and isinstance(value, str):
+        value = _FLOAT_WORDS.get(value, value)
+    return spec_value(value, kind, f"{label}.{key}", infinite=True)
 
 
 def read_certificate(out_dir: Path) -> tuple[BarrierCertificate, SupBoundCertificate | None]:
-    table_path = out_dir / "h_table.csv"
+    """The barrier and sup-bound certificates of a run directory, from
+    ``certificate.json`` and ``h_table.csv``: at least 2 rows of 3 finite
+    numbers, since a NaN in h leaves the pair scans no extreme to set."""
     doc = _read_report(out_dir, "certificate.json")
     if doc.get("barrier") is None:
         raise ConfigError("certificate.json carries no barrier (certify failed?)")
+    table_path = out_dir / "h_table.csv"
     if not table_path.is_file():
         raise ConfigError(f"missing h_table.csv in {out_dir}")
-    table = np.loadtxt(table_path, delimiter=",", skiprows=1)
-    b = doc["barrier"]
+    try:
+        with warnings.catch_warnings():  # an empty table is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(table_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"h_table.csv: {exc}") from None
+    if table.shape[0] < 2 or table.shape[1] != 3:
+        raise ConfigError(f"h_table.csv must have 3 columns and at least 2 rows, "
+                          f"got {table.shape[1]} columns and {table.shape[0]} rows")
+    if not np.all(np.isfinite(table)):
+        raise ConfigError("h_table.csv holds a number that is not finite")
+    label = "certificate.json barrier"
+    b = spec_value(doc["barrier"], dict, label)
     cert = BarrierCertificate(
-        q0=float(b["q0"]), q1=float(b["q1"]), kappa0=float(b["kappa0"]),
-        M=float(b["M"]), K=float(b["K"]),
-        xi=table[:, 0], h=table[:, 1], hp=table[:, 2], psi_text=str(b["psi"]))
+        **{key: _field(b, label, key) for key in ("q0", "q1", "kappa0", "M", "K")},
+        xi=table[:, 0], h=table[:, 1], hp=table[:, 2], psi_text=_field(b, label, "psi", str))
     supc = None
     if doc.get("sup_bound") is not None:
-        s = doc["sup_bound"]
+        label = "certificate.json sup_bound"
+        s = spec_value(doc["sup_bound"], dict, label)
         supc = SupBoundCertificate(
-            phi_text=str(s["Phi"]), B=float(s["B"]), u0_sup=float(s["u0_sup"]),
-            T=float(s["T"]), M_paper=float(s["M_paper"]), M_proof=float(s["M_proof"]),
-            lambda_star=float(s["lambda_star"]))
+            phi_text=_field(s, label, "Phi", str),
+            **{key: _field(s, label, key)
+               for key in ("B", "u0_sup", "T", "M_paper", "M_proof", "lambda_star")})
     return cert, supc
 
 
@@ -617,7 +659,8 @@ def cmd_verify(manifest: RunManifest) -> int:
         # only the growth gauge matters for a blow-up run; a barrier
         # cannot exist when the budget condition fails
         cert_doc = _read_report(manifest.out_dir, "certificate.json")
-        return _verify_blowup(manifest, sol, str(cert_doc["psi"]))
+        return _verify_blowup(manifest, sol,
+                              spec_value(cert_doc.get("psi"), str, "certificate.json psi"))
     cert, supc = read_certificate(manifest.out_dir)
     report = bounds_check(sol, cert, sup_cert=supc)
     # DYNBC_TOL, when set, replaces the grid-derived tolerance

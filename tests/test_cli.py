@@ -114,6 +114,8 @@ def test_invalid_json_spec(tmp_path):
     ("solve", {"solver": {"nxx": 17}}),
     ("solve", {"solver": {"gradient_cutoff": 25.0}}),
     ("certify", {"sup_bound": {"Phi": "1", "B": math.inf}}),
+    ("certify", {"sup_bound": {"B": 1.0}}),
+    ("certify", {"sup_bound": {"Phi": "1"}}),
     ("certify", {"certificate": {"psi": "1", "q0": 1.0, "M": math.inf}}),
     ("certify", {"certificate": {"psi": "1", "q0": math.inf, "M": 2.0}}),
     ("certify", {"certificate": {"psi": "1", "q0": math.nan, "M": 2.0}}),
@@ -128,6 +130,16 @@ def test_a_malformed_spec_is_an_input_error(tmp_path, capsys, command, changes):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{command}: "), err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("sup_bound, line", [
+    ({"B": 1.0}, "certify: sup_bound.Phi must be a string, got null"),
+    ({"Phi": "1"}, "certify: sup_bound.B must be a number, got null"),
+])
+def test_a_missing_sup_bound_key_is_named(tmp_path, capsys, sup_bound, line):
+    spec = _write_spec(tmp_path, STEADY | {"sup_bound": sup_bound})
+    assert main(["certify", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == line + "\n"
 
 
 PRESETS = ("steady", "manufactured", "burgers", "blowup_270", "weakened_nagumo", "cubic_damping")
