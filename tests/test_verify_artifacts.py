@@ -30,7 +30,8 @@ READ = {
 }
 REMOVED = "removed"
 VALUES = {REMOVED: None, "list": [1.0], "object": {"x": 1.0}, "null": None, "string": "x"}
-DOCUMENTS = {"list": [1], "string": "x", "number": 1}
+# whole documents, as the text written
+DOCUMENTS = {"list": "[1]", "string": '"x"', "number": "1", "not-json": "{"}
 TABLES = ("empty", "two-column", "non-numeric", "one-row", "nan-xi")
 # the damage verify reads as valid: optional blocks, free text verify does not parse
 ACCEPTED = {("certificate.json", "barrier.psi", "string"),
@@ -59,7 +60,7 @@ def _damage(out: Path, name: str, field: str | None, label: str) -> None:
         path.write_text("\n".join([header, *rows]) + "\n")
         return
     if field is None:
-        path.write_text(json.dumps(DOCUMENTS[label]))
+        path.write_text(DOCUMENTS[label])
         return
     doc = json.loads(path.read_text())
     *blocks, key = field.split(".")
