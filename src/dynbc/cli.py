@@ -34,7 +34,6 @@ import math
 import os
 import signal
 import sys
-import warnings
 from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from importlib import resources
@@ -49,7 +48,7 @@ from .certificate import (
 from .errors import (
     ConditionViolated, ConfigError, DivergentIntegral, DynbcError, PreconditionFailed,
 )
-from .expr import compile_expr, parse
+from .expr import Expr, compile_expr, parse
 from .holder import GridFunction, parabolic_norm
 from .problem import ProblemSpec, spec_value
 from .solver import (
@@ -216,10 +215,31 @@ def _solver_config(raw: dict, manifest: RunManifest) -> SolverConfig:
 CERTIFY_REPORTS = ("certificate.json", "h_table.csv", "conditions.csv")
 
 
-@_command("certify", CERTIFY_REPORTS)
-def cmd_certify(manifest: RunManifest) -> int:
-    raw = manifest.load_spec()
-    problem = ProblemSpec.from_dict(raw)
+@dataclass
+class SpecBarrier:
+    """The barrier a spec determines, read as certify reads it: the
+    "certificate" and "sup_bound" blocks, M (given, or the sup bound's
+    M_proof), and pmax (given, or 4 q1).  A sup bound or barrier that could
+    not be built is None, beside its error; M is None when neither was given
+    nor derived, and ``barrier_error`` then says why."""
+    psi: PsiSpec
+    q0: float
+    M: float | None
+    m_source: str | None
+    pmax: float | None
+    n_samples: int
+    phi: Expr | None
+    B: float | None
+    supc: SupBoundCertificate | None
+    sup_error: str | None
+    cert: BarrierCertificate | None
+    barrier_error: str | None
+
+
+def spec_barrier(raw: dict, problem: ProblemSpec) -> SpecBarrier:
+    """certify's barrier path, which verify takes too: the barrier is
+    ``build_barrier`` on the spec's psi, q0 and M, with K the sampled
+    Lipschitz constant of u0."""
     blk = raw.get("certificate")
     if not isinstance(blk, dict) or "psi" not in blk or "q0" not in blk:
         raise ConfigError('spec needs a "certificate" block with "psi" and "q0"')
@@ -238,10 +258,8 @@ def cmd_certify(manifest: RunManifest) -> int:
         sup_blk = spec_value(sup_blk, dict, "sup_bound")
         phi = parse(spec_value(sup_blk.get("Phi"), str, "sup_bound.Phi"))
         B = spec_value(sup_blk.get("B"), float, "sup_bound.B")
-    compat_tol = default_tol()
 
-    supc: SupBoundCertificate | None = None
-    sup_error: str | None = None
+    supc = sup_error = None
     if phi is not None:
         try:
             supc = sup_bound(phi, B, u0_sup=_u0_sup(problem), T=problem.T)
@@ -250,18 +268,16 @@ def cmd_certify(manifest: RunManifest) -> int:
     if M is not None:
         m_source = "given"
     elif supc is not None:
-        M = supc.M_proof
-        m_source = "sup_bound.M_proof"
+        M, m_source = supc.M_proof, "sup_bound.M_proof"
     elif sup_error is not None:
-        print(f"certify: sup bound unavailable: {sup_error}", file=sys.stderr)
-        return 2
+        return SpecBarrier(psi, q0, None, None, pmax, n_samples, phi, B, None, sup_error,
+                           None, f"sup bound unavailable: {sup_error}")
     else:
         raise ConfigError('certificate block needs "M" (or a "sup_bound" block to derive it)')
 
     # the barrier goes first: its q1 gives the default pmax = 4 q1 that
     # check_hypotheses would otherwise find again
-    cert: BarrierCertificate | None = None
-    barrier_error = None
+    cert = barrier_error = None
     try:
         cert = build_barrier(psi, q0=q0, M=M,
                              K=estimate_lipschitz(problem.u0, problem.ell))
@@ -274,20 +290,33 @@ def cmd_certify(manifest: RunManifest) -> int:
             pmax = 100.0
     if pmax is None and cert is not None:
         pmax = 4.0 * cert.q1
+    return SpecBarrier(psi, q0, M, m_source, pmax, n_samples, phi, B, supc, sup_error,
+                       cert, barrier_error)
+
+
+@_command("certify", CERTIFY_REPORTS)
+def cmd_certify(manifest: RunManifest) -> int:
+    raw = manifest.load_spec()
+    problem = ProblemSpec.from_dict(raw)
+    b = spec_barrier(raw, problem)
+    if b.M is None:
+        print(f"certify: {b.barrier_error}", file=sys.stderr)
+        return 2
+    cert = b.cert
     report = check_hypotheses(
-        problem, M=M, q0=q0, psi=psi, pmax=pmax, n_samples=n_samples,
-        phi=phi, B=B, compat_tol=compat_tol)
+        problem, M=b.M, q0=b.q0, psi=b.psi, pmax=b.pmax, n_samples=b.n_samples,
+        phi=b.phi, B=b.B, compat_tol=default_tol())
 
     doc = {
         "command": "certify",
-        "M": M,
-        "M_source": m_source,
-        "q0": q0,
-        "psi": psi.text,
+        "M": b.M,
+        "M_source": b.m_source,
+        "q0": b.q0,
+        "psi": b.psi.text,
         "barrier": cert.as_dict() if cert else None,
-        "barrier_error": barrier_error,
-        "sup_bound": supc.as_dict() if supc else None,
-        "sup_bound_error": sup_error,
+        "barrier_error": b.barrier_error,
+        "sup_bound": b.supc.as_dict() if b.supc else None,
+        "sup_bound_error": b.sup_error,
         "conditions": report.as_dict(),
         "h_table": "h_table.csv" if cert else None,
     }
@@ -297,13 +326,13 @@ def cmd_certify(manifest: RunManifest) -> int:
         lines = ["name,satisfied,worst_violation"]
         lines += [_csv_row((e.name, e.satisfied, e.worst_violation)) for e in report.entries]
         _write(manifest.out_dir / "conditions.csv", "\n".join(lines))
-    _write(manifest.out_dir / "certificate.json", json_dumps(doc))  # last: verify reads it
+    _write(manifest.out_dir / "certificate.json", json_dumps(doc))
 
     if not report.all_satisfied or cert is None:
         for name in report.violated:
             print(f"certify: condition {name} violated", file=sys.stderr)
-        if barrier_error:
-            print(f"certify: {barrier_error}", file=sys.stderr)
+        if b.barrier_error:
+            print(f"certify: {b.barrier_error}", file=sys.stderr)
         return 2
     return 0
 
@@ -615,54 +644,18 @@ def _field(block: dict, label: str, key: str, kind: type = float):
     return spec_value(value, kind, f"{label}.{key}", infinite=True)
 
 
-def read_certificate(out_dir: Path) -> tuple[BarrierCertificate, SupBoundCertificate | None]:
-    """The barrier and sup-bound certificates of a run directory, from
-    ``certificate.json`` and ``h_table.csv``: at least 2 rows of 3 finite
-    numbers, since a NaN in h leaves the pair scans no extreme to set."""
-    doc = _read_report(out_dir, "certificate.json")
-    if doc.get("barrier") is None:
-        raise ConfigError("certificate.json carries no barrier (certify failed?)")
-    table_path = out_dir / "h_table.csv"
-    if not table_path.is_file():
-        raise ConfigError(f"missing h_table.csv in {out_dir}")
-    try:
-        with warnings.catch_warnings():  # an empty table is refused below
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(table_path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"h_table.csv: {exc}") from None
-    if table.shape[0] < 2 or table.shape[1] != 3:
-        raise ConfigError(f"h_table.csv must have 3 columns and at least 2 rows, "
-                          f"got {table.shape[1]} columns and {table.shape[0]} rows")
-    if not np.all(np.isfinite(table)):
-        raise ConfigError("h_table.csv holds a number that is not finite")
-    label = "certificate.json barrier"
-    b = spec_value(doc["barrier"], dict, label)
-    cert = BarrierCertificate(
-        **{key: _field(b, label, key) for key in ("q0", "q1", "kappa0", "M", "K")},
-        xi=table[:, 0], h=table[:, 1], hp=table[:, 2], psi_text=_field(b, label, "psi", str))
-    supc = None
-    if doc.get("sup_bound") is not None:
-        label = "certificate.json sup_bound"
-        s = spec_value(doc["sup_bound"], dict, label)
-        supc = SupBoundCertificate(
-            phi_text=_field(s, label, "Phi", str),
-            **{key: _field(s, label, key)
-               for key in ("B", "u0_sup", "T", "M_paper", "M_proof", "lambda_star")})
-    return cert, supc
-
-
 @_command("verify", ("verification.json", "verification.csv"))
 def cmd_verify(manifest: RunManifest) -> int:
     sol = read_solution(manifest.out_dir)
+    raw = manifest.load_spec()
+    b = spec_barrier(raw, ProblemSpec.from_dict(raw))
     if isinstance(sol.status, BlowUpDetected):
         # only the growth gauge matters for a blow-up run; a barrier
         # cannot exist when the budget condition fails
-        cert_doc = _read_report(manifest.out_dir, "certificate.json")
-        return _verify_blowup(manifest, sol,
-                              spec_value(cert_doc.get("psi"), str, "certificate.json psi"))
-    cert, supc = read_certificate(manifest.out_dir)
-    report = bounds_check(sol, cert, sup_cert=supc)
+        return _verify_blowup(manifest, sol, b.psi)
+    if b.cert is None:
+        raise ConfigError(f"the spec gives no barrier: {b.barrier_error}")
+    report = bounds_check(sol, b.cert, sup_cert=b.supc)
     # DYNBC_TOL, when set, replaces the grid-derived tolerance
     tolerance = default_tol() if "DYNBC_TOL" in os.environ else report.tolerance
     failing = report.failing(tolerance)
@@ -689,8 +682,7 @@ def cmd_verify(manifest: RunManifest) -> int:
     return 2 if failing else 0
 
 
-def _verify_blowup(manifest: RunManifest, sol: Solution, psi_text: str) -> int:
-    psi = PsiSpec.from_text(psi_text)
+def _verify_blowup(manifest: RunManifest, sol: Solution, psi: PsiSpec) -> int:
     try:
         chk = blowup_inequality(sol, psi)
         blowup, passed = chk.as_dict(), chk.consistent

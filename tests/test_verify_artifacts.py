@@ -1,6 +1,8 @@
-"""verify on damaged run directories: every artifact it reads, field by
-field, refused with exit 1 and one line naming the file, never a traceback;
-and the pass rule that turns the slacks into the exit code."""
+"""verify on damaged run directories: every field it reads from
+``summary.json`` refused with exit 1 and one line naming the file, never a
+traceback; certify's reports, which verify does not read, damaged, stale or
+replaced, leaving its exit code and report as they are; and the pass rule
+that turns the slacks into the exit code."""
 
 from __future__ import annotations
 
@@ -10,12 +12,13 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dynbc.cli import main, preset_path
 from dynbc.verify import VerificationReport
 
-# the fields verify reads from each preset's reports
+# the fields of each preset's reports that the cases damage
 _BARRIER = ["barrier", *(f"barrier.{k}" for k in ("q0", "q1", "kappa0", "M", "K", "psi")),
             "sup_bound"]
 _SUMMARY = ["status", "status.kind", "step_log"]
@@ -25,38 +28,52 @@ READ = {
         "certificate.json": _BARRIER + [f"sup_bound.{k}" for k in (
             "Phi", "B", "u0_sup", "T", "M_paper", "M_proof", "lambda_star")],
         "summary.json": _SUMMARY},
+    "burgers": {"certificate.json": ["barrier.kappa0"], "summary.json": []},
     "blowup_270": {"certificate.json": ["psi"],
                    "summary.json": _SUMMARY + ["status.time", "status.max_gradient"]},
 }
 REMOVED = "removed"
 VALUES = {REMOVED: None, "list": [1.0], "object": {"x": 1.0}, "null": None, "string": "x"}
-# whole documents, as the text written
+# a kappa0 that leaves the pair scans no pair, as certify writes a NaN or as a number
+KAPPA0 = {"nan": "nan", "negative": -1.0, "tiny": 1e-9}
+# whole documents, as the text written; a directory in place of the file
 DOCUMENTS = {"list": "[1]", "string": '"x"', "number": "1", "not-json": "{"}
-TABLES = ("empty", "two-column", "non-numeric", "one-row", "nan-xi")
-# the damage verify reads as valid: optional blocks, free text verify does not parse
-ACCEPTED = {("certificate.json", "barrier.psi", "string"),
-            ("certificate.json", "sup_bound", REMOVED), ("certificate.json", "sup_bound", "null"),
-            ("certificate.json", "sup_bound.Phi", "string"),
-            ("summary.json", "step_log", REMOVED), ("summary.json", "step_log", "object")}
+DIRECTORY = "directory"
+TABLES = ("empty", "two-column", "non-numeric", "one-row", "nan-xi", "nan-h")
+# certify's reports of another preset in place of the run's own
+STALE = "steady's"
+CERTIFY_REPORTS = ("certificate.json", "h_table.csv")
+# the summary damage verify reads as valid
+ACCEPTED = {("summary.json", "step_log", REMOVED), ("summary.json", "step_log", "object")}
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Each preset certified and solved once; cases copy its directory."""
+    """Each preset certified, solved and verified once; cases copy its
+    directory."""
     root = tmp_path_factory.mktemp("runs")
     for preset in READ:
-        for stage in ("certify", "solve"):
+        for stage in ("certify", "solve", "verify"):
             main([stage, "--spec", str(preset_path(preset)), "--out", str(root / preset)])
     return root
 
 
-def _damage(out: Path, name: str, field: str | None, label: str) -> None:
+def _damage(runs: Path, out: Path, name: str, field: str | None, label: str) -> None:
     path = out / name
+    if label == STALE:
+        for report in CERTIFY_REPORTS:
+            shutil.copy(runs / "steady" / report, out / report)
+        return
+    if label == DIRECTORY:
+        path.unlink(missing_ok=True)
+        path.mkdir()
+        return
     if name == "h_table.csv":
         header, *rows = path.read_text().splitlines()
         rows = {"empty": [], "two-column": [r.rsplit(",", 1)[0] for r in rows],
                 "non-numeric": rows[:4] + ["x,x,x"] + rows[5:], "one-row": rows[:1],
-                "nan-xi": ["nan" + r[r.index(","):] for r in rows]}[label]
+                "nan-xi": ["nan" + r[r.index(","):] for r in rows],
+                "nan-h": [f"{xi},nan,{hp}" for xi, _, hp in (r.split(",") for r in rows)]}[label]
         path.write_text("\n".join([header, *rows]) + "\n")
         return
     if field is None:
@@ -70,7 +87,7 @@ def _damage(out: Path, name: str, field: str | None, label: str) -> None:
     if label == REMOVED:
         del block[key]
     else:
-        block[key] = VALUES[label]
+        block[key] = (VALUES | KAPPA0)[label]
     path.write_text(json.dumps(doc))
 
 
@@ -78,68 +95,72 @@ def _cases():
     for preset, files in READ.items():
         for name, fields in files.items():
             for field in fields:
-                for label in VALUES:
+                labels = [*VALUES, *KAPPA0] if field == "barrier.kappa0" else VALUES
+                for label in labels:
                     yield pytest.param(preset, name, field, label,
                                        id=f"{preset}-{name}:{field}={label}")
-            for label in DOCUMENTS:
+            for label in [*DOCUMENTS, DIRECTORY]:
                 yield pytest.param(preset, name, None, label, id=f"{preset}-{name}=<{label}>")
-        if preset != "blowup_270":  # a blow-up run reads no barrier table
+        yield pytest.param(preset, "h_table.csv", None, DIRECTORY,
+                           id=f"{preset}-h_table.csv=<{DIRECTORY}>")
+        if preset != "blowup_270":  # certify writes no barrier table for a blow-up run
             for label in TABLES:
                 yield pytest.param(preset, "h_table.csv", None, label,
                                    id=f"{preset}-h_table.csv={label}")
+        if preset != "steady":
+            yield pytest.param(preset, "certificate.json", None, STALE,
+                               id=f"{preset}-certify reports=<{STALE}>")
 
 
-@pytest.mark.parametrize("preset, name, field, label", _cases())
-def test_a_damaged_artifact_is_refused_with_one_line_naming_it(
-        runs, tmp_path, capsys, preset, name, field, label):
+def _verify_damaged(runs, tmp_path, capsys, preset, name, field, label):
+    """verify's exit code and stderr lines on a copy of ``preset``'s run
+    with ``name`` damaged, and the copy."""
     out = tmp_path / "run"
     shutil.copytree(runs / preset, out, ignore=shutil.ignore_patterns("solution.csv"))
-    _damage(out, name, field, label)
+    _damage(runs, out, name, field, label)
     capsys.readouterr()
     code = main(["verify", "--spec", str(preset_path(preset)), "--out", str(out)])
-    err = capsys.readouterr().err.splitlines()
+    return code, capsys.readouterr().err.splitlines(), out
+
+
+@pytest.mark.parametrize("preset, name, field, label", [
+    case for case in _cases() if case.values[1] in CERTIFY_REPORTS])
+def test_certifys_reports_do_not_change_the_verification(
+        runs, tmp_path, capsys, preset, name, field, label):
+    # verify builds the barrier from the spec: a damaged table, a kappa0
+    # that leaves no pair to scan or a stale certificate once passed or
+    # failed by what certify's reports held
+    code, err, out = _verify_damaged(runs, tmp_path, capsys, preset, name, field, label)
+    assert code == 0 and err == []
+    clean = (runs / preset / "verification.json").read_bytes()
+    assert (out / "verification.json").read_bytes() == clean
+
+
+@pytest.mark.parametrize("preset, name, field, label", [
+    case for case in _cases() if case.values[1] == "summary.json"])
+def test_a_damaged_summary_is_refused_with_one_line_naming_it(
+        runs, tmp_path, capsys, preset, name, field, label):
+    code, err, out = _verify_damaged(runs, tmp_path, capsys, preset, name, field, label)
     if (name, field, label) in ACCEPTED:
         assert code == 0 and err == []
         return
     assert code == 1 and len(err) == 1 and err[0].startswith("verify: "), err
     assert not (out / "verification.json").exists()
-    if preset == "blowup_270" and field == "psi" and label == "string":
-        # a string, as certify writes it, that is not a gauge in p
-        assert err[0] == "verify: psi may depend on p only, found ['x']"
-    elif field is not None and "." in field:
+    if field is not None and "." in field:
         assert f"{name} {field}" in err[0]
     else:
         assert name in err[0]
 
 
-def _certified_and_solved(tmp_path, preset: str) -> Path:
-    out = tmp_path / "run"
-    for stage in ("certify", "solve"):
-        assert main([stage, "--spec", str(preset_path(preset)), "--out", str(out)]) == 0
-    return out
-
-
-def test_a_nan_barrier_table_does_not_verify(tmp_path, capsys):
-    # a NaN h makes every pair's comparison value NaN, so no scan ever sets
-    # an extreme: max_w_tilde stayed -inf and modulus_slack inf, and verify passed
-    out = _certified_and_solved(tmp_path, "burgers")
-    header, *rows = (out / "h_table.csv").read_text().splitlines()
-    cells = [row.split(",") for row in rows]
-    (out / "h_table.csv").write_text(
-        "\n".join([header, *(f"{xi},nan,{hp}" for xi, _, hp in cells)]) + "\n")
-    capsys.readouterr()
-    assert main(["verify", "--spec", str(preset_path("burgers")), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "verify: h_table.csv holds a number that is not finite\n"
-    assert not (out / "verification.json").exists()
-
-
 def test_a_nan_slack_names_itself(tmp_path, capsys):
-    out = _certified_and_solved(tmp_path, "steady")
-    doc = json.loads((out / "certificate.json").read_text())
-    doc["barrier"]["q1"] = "nan"  # as certify writes a NaN
-    (out / "certificate.json").write_text(json.dumps(doc))
+    spec = str(preset_path("steady"))
+    out = tmp_path / "run"
+    assert main(["solve", "--spec", spec, "--out", str(out)]) == 0
+    data = np.load(out / "solution.npy")
+    data[data.shape[0] // 2, 3] = math.nan  # one u_x cell
+    np.save(out / "solution.npy", data)
     capsys.readouterr()
-    assert main(["verify", "--spec", str(preset_path("steady")), "--out", str(out)]) == 2
+    assert main(["verify", "--spec", spec, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert any(line.startswith("verify: gradient_slack = nan below ") for line in err), err
     rep = json.loads((out / "verification.json").read_text())
