@@ -14,9 +14,10 @@ verify reads, filled as the solver stores each slice, and ``solution.csv``,
 formatted from it to read; where ``os.fork`` exists, by one forked child
 while the solver runs (``SolutionWriter``), with the bytes one process
 writes.  Every command removes its reports when it starts, so none from an
-earlier run outlives one that exits 1; certify and solve write
-``certificate.json`` and ``summary.json`` last, so verify refuses a
-directory where one exited 1.
+earlier run outlives one that exits 1; solve writes ``summary.json`` last,
+so verify refuses a directory where it exited 1.  verify builds the barrier
+from the spec by certify's own path (``spec_barrier``) and reads none of
+certify's reports.
 A report that cannot be written exits 1.  Sweeps run serially.
 
 Exit codes: 0 success / all conditions satisfied; 1 input or artifact error,
@@ -582,16 +583,18 @@ def read_solution(out_dir: Path) -> Solution:
 def _time_slices(data: np.ndarray) -> np.ndarray:
     """The rows of ``solution.npy`` as an array (times, nodes, 5).  The rows
     must be time-major: each slice the rows of one t, t strictly increasing,
-    and every slice repeating the first slice's strictly increasing x."""
+    and every slice repeating the first slice's strictly increasing x.  The
+    ends of both, and so every t and x, must be finite."""
     rows = data.shape[0]
     nx = (int(np.argmax(data[:, 0] != data[0, 0])) or rows) if rows else 0
     if nx and rows % nx == 0:
         slices = data.reshape(-1, nx, 5)
         t, x = slices[:, :1, 0], slices[:1, :, 1]
         if (np.all(slices[:, :, 0] == t) and np.all(slices[:, :, 1] == x)
-                and np.all(np.diff(t[:, 0]) > 0) and np.all(np.diff(x[0]) > 0)):
+                and np.all(np.diff(t[:, 0]) > 0) and np.all(np.diff(x[0]) > 0)
+                and np.all(np.isfinite((t[0, 0], t[-1, 0], x[0, 0], x[0, -1])))):
             return slices
-    raise ConfigError("solution.npy is not a full rectangular grid")
+    raise ConfigError("solution.npy is not a full rectangular grid of finite t and x")
 
 
 @_command("solve", SOLVE_REPORTS)

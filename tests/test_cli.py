@@ -368,22 +368,52 @@ def test_verify_needs_the_binary_solution(tmp_path, capsys):
     assert not (out / "verification.json").exists()
 
 
-@pytest.mark.parametrize("order", ["shuffled", "node-major"])
-def test_verify_needs_time_major_rows(tmp_path, capsys, order):
+@pytest.mark.parametrize("rows", ["shuffled", "node-major", "infinite-t", "infinite-x"])
+def test_verify_needs_time_major_rows(tmp_path, capsys, rows):
     spec = _write_spec(tmp_path, STEADY)
     out = tmp_path / "run"
     assert main(["certify", "--spec", str(spec), "--out", str(out)]) == 0
     assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
     data = np.load(out / "solution.npy")
-    if order == "shuffled":
+    nx = STEADY["solver"]["nx"]
+    if rows == "shuffled":
         data = data[np.random.default_rng(5).permutation(data.shape[0])]
-    else:
-        nx = STEADY["solver"]["nx"]
+    elif rows == "node-major":
         data = data.reshape(-1, nx, 5).transpose(1, 0, 2).reshape(-1, 5)
+    elif rows == "infinite-t":
+        # t strictly increasing up to inf: an inf tolerance passed any u_x
+        data[-nx:, 0] = math.inf
+        data[-nx:, 3] = 1e6
+    else:
+        data[nx - 1::nx, 1] = math.inf  # x strictly increasing up to inf
     np.save(out / "solution.npy", data)
     capsys.readouterr()
     assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
     assert "not a full rectangular grid" in capsys.readouterr().err
+    assert not (out / "verification.json").exists()
+
+
+@pytest.mark.parametrize("certificate, sup_bound, reason", [
+    # the budget 2M exceeds the integral of rho/psi: no finite q1
+    ({"psi": "(1+p^2)^1.5", "M": 1.0}, {}, "integral of rho/psi"),
+    ({"q0": -1.0, "pmax": 5.0}, {}, "K = 0.0 exceeds q0 = -1.0"),
+    # no M given, and the sup bound that would give it fails
+    ({"M": None}, {"Phi": "1+z^2"}, "sup bound unavailable: integral of 1/Phi"),
+])
+def test_verify_refuses_a_spec_that_gives_no_barrier(
+        tmp_path, capsys, certificate, sup_bound, reason):
+    doc = json.loads(preset_path("cubic_damping").read_text())
+    out = tmp_path / "run"
+    assert main(["solve", "--spec", str(_write_spec(tmp_path, doc)), "--out", str(out)]) == 0
+    doc["certificate"] = {k: v for k, v in (doc["certificate"] | certificate).items()
+                          if v is not None}
+    doc["sup_bound"] |= sup_bound
+    spec = _write_spec(tmp_path, doc)
+    assert main(["certify", "--spec", str(spec), "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"verify: the spec gives no barrier: {reason}")
     assert not (out / "verification.json").exists()
 
 

@@ -2,7 +2,8 @@
 
 The SHA-256 digest of each deterministic report, and the exit code of each
 stage, must match ``golden_digests.json``.  A refactor that keeps the numbers
-and the bytes passes unchanged; any changed digit fails here.  Reports a
+and the bytes passes unchanged; any changed digit fails here, and so does a
+verify whose report differs when certify never ran.  Reports a
 stage does not write (``h_table.csv`` when certify finds no barrier) are
 recorded as ``null``.  ``GRIDS`` adds problems derived from a preset: burgers
 at nx = 257 and amplitude 0.47 is a grid where the verify scans' oscillation
@@ -72,12 +73,15 @@ def problem_file(name: str, out: Path) -> Path:
     return spec
 
 
-def run_chain(name: str, out: Path) -> dict:
-    """Exit codes and report digests of one problem's certify/solve/verify."""
+STAGES = {"certify": cmd_certify, "solve": cmd_solve, "verify": cmd_verify}
+
+
+def run_chain(name: str, out: Path, stages: tuple[str, ...] = tuple(STAGES)) -> dict:
+    """Exit codes and report digests of one problem's certify/solve/verify,
+    or of the given ``stages``."""
     spec = problem_file(name, out)
-    codes = [cmd(RunManifest(spec_path=spec, command=stage, out_dir=out))
-             for stage, cmd in (("certify", cmd_certify), ("solve", cmd_solve),
-                                ("verify", cmd_verify))]
+    codes = [STAGES[stage](RunManifest(spec_path=spec, command=stage, out_dir=out))
+             for stage in stages]
     digests = {}
     for report in REPORTS:
         path = out / report
@@ -116,6 +120,17 @@ def test_reports_match_golden_digests_when_each_slice_goes_to_a_formatter(
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", raw.get("solver", {}).get("nx", SolverConfig.nx))
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     assert run_chain(name, tmp_path / name) == want
+
+
+@pytest.mark.parametrize("name", PRESETS + tuple(GRIDS))
+def test_verify_without_certify_matches_golden_digests(name, tmp_path, monkeypatch):
+    """verify builds the barrier from the spec, so solve and verify in a
+    directory that certify never ran in give the golden reports."""
+    monkeypatch.delenv("DYNBC_TOL", raising=False)
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    got = run_chain(name, tmp_path / name, ("solve", "verify"))
+    assert got["exit"] == want["exit"][1:]
+    assert got["sha256"] == want["sha256"] | {"certificate.json": None, "h_table.csv": None}
 
 
 @pytest.mark.parametrize("name", PRESETS + tuple(GRIDS))

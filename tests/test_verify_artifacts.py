@@ -41,7 +41,7 @@ DOCUMENTS = {"list": "[1]", "string": '"x"', "number": "1", "not-json": "{"}
 DIRECTORY = "directory"
 TABLES = ("empty", "two-column", "non-numeric", "one-row", "nan-xi", "nan-h")
 # certify's reports of another preset in place of the run's own
-STALE = "steady's"
+STALE = "from-steady"
 CERTIFY_REPORTS = ("certificate.json", "h_table.csv")
 # the summary damage verify reads as valid
 ACCEPTED = {("summary.json", "step_log", REMOVED), ("summary.json", "step_log", "object")}
@@ -109,7 +109,7 @@ def _cases():
                                    id=f"{preset}-h_table.csv={label}")
         if preset != "steady":
             yield pytest.param(preset, "certificate.json", None, STALE,
-                               id=f"{preset}-certify reports=<{STALE}>")
+                               id=f"{preset}-certify-reports=<{STALE}>")
 
 
 def _verify_damaged(runs, tmp_path, capsys, preset, name, field, label):
