@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynbc.cli import main, preset_path
 from dynbc.errors import ConfigError, PreconditionFailed
@@ -503,16 +504,26 @@ def test_step_failure_at_minimal_step():
     assert isinstance(sol.status, StepFailure)
 
 
-def test_every_run_has_exactly_one_status():
-    sols = [
-        solve(steady_problem(T=0.2), SolverConfig(nx=21)),
-        solve(manufactured_problem(T=0.2), SolverConfig(nx=21)),
-    ]
-    for sol in sols:
-        assert sol.status.kind in ("completed", "blowup", "stepfailure")
-        if isinstance(sol.status, Completed):
-            assert sol.grid.times[-1] == pytest.approx(0.2, rel=1e-9)
-            assert np.all(np.isfinite(sol.grid.values))
+SOURCES = {"sqrt": "-{k}*sqrt(z + {c})", "pole": "{k}/({c} - z)", "exp": "exp({k}*z)"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(source=st.sampled_from(sorted(SOURCES)),
+       k=st.integers(1, 120).map(lambda n: n / 4), c=st.integers(1, 10).map(lambda n: n / 10),
+       nx=st.integers(17, 33), T=st.integers(1, 4).map(lambda n: n / 20),
+       dt0=st.sampled_from((1e-3, 0.05, 0.2)), dt_min=st.sampled_from((1e-4, 1e-3)))
+def test_every_run_has_exactly_one_status(source, k, c, nx, T, dt0, dt_min):
+    """burgers with a source that leaves its domain or grows without bound:
+    solve returns, with one of the three statuses, and every state it
+    stores has a finite u and u_x (a non-finite u would not make a grid)."""
+    raw = json.loads(preset_path("burgers").read_text())
+    raw |= {"f": SOURCES[source].format(k=k, c=c), "T": T}
+    cfg = SolverConfig(nx=nx, dt0=dt0, dt_min=dt_min, strict_compatibility=False)
+    sol = solve(ProblemSpec.from_dict(raw), cfg)
+    assert isinstance(sol.status, (Completed, BlowUpDetected, StepFailure))
+    if isinstance(sol.status, Completed):
+        assert sol.grid.times[-1] == pytest.approx(T, rel=1e-9)
+    assert np.all(np.isfinite(sol.grid.values)) and np.all(np.isfinite(sol.ux))
 
 
 def test_solution_carries_derived_grids():
@@ -586,6 +597,23 @@ def test_a_zero_pivot_fails_the_newton_attempt(monkeypatch):
     assert sol.status == StepFailure(time=0.0, reason="newton failure at minimal step")
     assert sol.step_log == {"accepted": 0, "rejected": 0, "newton_failures": 1,
                             "stage_solves": 2, "jacobians": 2}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_update_fails_the_stage_solve(monkeypatch, bad):
+    """An update with one non-finite entry makes every damped trial
+    non-finite, so the stage solve fails after its one Jacobian."""
+    prob = ProblemSpec.from_json(preset_path("burgers").read_text())
+    disc = SemiDiscretization(prob, nx=33)
+    u = disc.initial_state()
+    f0 = disc.rhs(0.0, u)
+    dU = np.zeros(u.size)
+    dU[u.size // 2] = bad
+    monkeypatch.setattr(solver, "_solve_bordered", lambda *system: dU)
+    log = {"stage_solves": 0, "jacobians": 0}
+    with np.errstate(all="ignore"), pytest.raises(solver._NewtonFailure):
+        solver._theta_step(disc, 0.0, u, f0, 0.01, 0.5, SolverConfig(nx=33), log)
+    assert log == {"stage_solves": 1, "jacobians": 1}
 
 
 def test_an_error_other_than_a_zero_pivot_propagates(monkeypatch):
