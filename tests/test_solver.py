@@ -600,6 +600,32 @@ def test_a_zero_pivot_fails_the_newton_attempt(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("band", [0, 1, 2])
+def test_a_non_finite_jacobian_fails_before_the_linear_solve(monkeypatch, band, bad):
+    """One nan or inf entry in any band of dF/du fails the stage solve after
+    that Jacobian, and no linear solve is made: an inf pivot would give its
+    row a 0 update, and Newton would go on."""
+    prob = ProblemSpec.from_json(preset_path("burgers").read_text())
+    disc = SemiDiscretization(prob, nx=33)
+    u = disc.initial_state()
+    f0 = disc.rhs(0.0, u)
+    jacobian = disc.rhs_jacobian
+
+    def spoiled(*args):
+        bands = jacobian(*args)
+        bands[band][u.size // 2] = bad
+        return bands
+
+    solves = []
+    monkeypatch.setattr(disc, "rhs_jacobian", spoiled)
+    monkeypatch.setattr(solver, "_solve_bordered", lambda *system: solves.append(system))
+    log = {"stage_solves": 0, "jacobians": 0}
+    with np.errstate(all="ignore"), pytest.raises(solver._NewtonFailure):
+        solver._theta_step(disc, 0.0, u, f0, 0.01, 0.5, SolverConfig(nx=33), log)
+    assert log == {"stage_solves": 1, "jacobians": 1} and solves == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_update_fails_the_stage_solve(monkeypatch, bad):
     """An update with one non-finite entry makes every damped trial
     non-finite, so the stage solve fails after its one Jacobian."""
