@@ -34,7 +34,8 @@ stored state's row of u_t, unless (t + dt/2) + dt/2 rounds away from the
 stored time t + dt; the gradient meets the cutoff and is its row of u_x.
 
 Every run ends in exactly one of three states: Completed at T, BlowUpDetected
-once max |u_x| crosses the cutoff, or StepFailure when dt hits its floor.
+once max |u_x| crosses the cutoff, or StepFailure when Newton or the error
+control fails at dt's floor, or the step budget runs out.
 """
 
 from __future__ import annotations
