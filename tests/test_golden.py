@@ -15,12 +15,14 @@ theta = 0.6: both step-double, where a trapezoidal run pairs TR-AB2 half
 steps after its first step.  ``burgers_pinned`` pins both ends:
 a moving pin at +ell and a pin at exactly -0.0 at -ell, so the digests
 also fix the sign of each zero the stage solve stores there.
-``burgers_sqrt_floor`` drives u below the domain of sqrt(z + 0.5): Newton
-meets non-finite start residuals and damped trials, and the run ends in
-step failure at dt_min.  ``burgers_nan_jacobian`` keeps its mid node at
-exactly 0, where the kernel of f_z evaluates sign(0) times 1/sqrt(0) as
-nan, so Newton refuses those Jacobians, rejects, and still completes.  Together they pin
-each non-finite refusal of the stage solve.  For every problem ``solution.npy``
+``burgers_sqrt_floor`` drives u to -0.5, the edge of sqrt(z + 0.5)'s
+domain: Newton meets non-finite start residuals and damped trials, and
+the run ends in step failure at dt_min.  ``burgers_nan_jacobian`` holds
+its mid node at exactly 0 up to t = 0.006, where the kernel of f_z
+evaluates sign(0) times 1/sqrt(0) as nan, so Newton refuses those
+Jacobians and rejects; once roundoff moves the node off 0, the run
+completes.  Together they pin each non-finite refusal of the stage
+solve.  For every problem ``solution.npy``
 must also equal ``solution.csv`` parsed back, ``read_solution`` must build
 the grids that sorting and scattering its rows builds, and verify must
 write the same report from a ``solution.npy`` rebuilt from the CSV.

@@ -599,47 +599,45 @@ def test_a_zero_pivot_fails_the_newton_attempt(monkeypatch):
                             "stage_solves": 2, "jacobians": 2}
 
 
+def _failed_burgers_stage_solve():
+    """The log of one stage solve of burgers at nx = 33 from its initial
+    state, which must raise _NewtonFailure."""
+    disc = SemiDiscretization(ProblemSpec.from_json(preset_path("burgers").read_text()), nx=33)
+    u = disc.initial_state()
+    log = {"stage_solves": 0, "jacobians": 0}
+    with np.errstate(all="ignore"), pytest.raises(solver._NewtonFailure):
+        solver._theta_step(disc, 0.0, u, disc.rhs(0.0, u), 0.01, 0.5, SolverConfig(nx=33), log)
+    return log
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("band", [0, 1, 2])
 def test_a_non_finite_jacobian_fails_before_the_linear_solve(monkeypatch, band, bad):
     """One nan or inf entry in any band of dF/du fails the stage solve after
     that Jacobian, and no linear solve is made: an inf pivot would give its
     row a 0 update, and Newton would go on."""
-    prob = ProblemSpec.from_json(preset_path("burgers").read_text())
-    disc = SemiDiscretization(prob, nx=33)
-    u = disc.initial_state()
-    f0 = disc.rhs(0.0, u)
-    jacobian = disc.rhs_jacobian
+    jacobian = SemiDiscretization.rhs_jacobian
 
-    def spoiled(*args):
-        bands = jacobian(*args)
-        bands[band][u.size // 2] = bad
+    def spoiled(self, *args):
+        bands = jacobian(self, *args)
+        bands[band][16] = bad
         return bands
 
     solves = []
-    monkeypatch.setattr(disc, "rhs_jacobian", spoiled)
+    monkeypatch.setattr(SemiDiscretization, "rhs_jacobian", spoiled)
     monkeypatch.setattr(solver, "_solve_bordered", lambda *system: solves.append(system))
-    log = {"stage_solves": 0, "jacobians": 0}
-    with np.errstate(all="ignore"), pytest.raises(solver._NewtonFailure):
-        solver._theta_step(disc, 0.0, u, f0, 0.01, 0.5, SolverConfig(nx=33), log)
-    assert log == {"stage_solves": 1, "jacobians": 1} and solves == []
+    assert _failed_burgers_stage_solve() == {"stage_solves": 1, "jacobians": 1}
+    assert solves == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_update_fails_the_stage_solve(monkeypatch, bad):
     """An update with one non-finite entry makes every damped trial
     non-finite, so the stage solve fails after its one Jacobian."""
-    prob = ProblemSpec.from_json(preset_path("burgers").read_text())
-    disc = SemiDiscretization(prob, nx=33)
-    u = disc.initial_state()
-    f0 = disc.rhs(0.0, u)
-    dU = np.zeros(u.size)
-    dU[u.size // 2] = bad
+    dU = np.zeros(33)
+    dU[16] = bad
     monkeypatch.setattr(solver, "_solve_bordered", lambda *system: dU)
-    log = {"stage_solves": 0, "jacobians": 0}
-    with np.errstate(all="ignore"), pytest.raises(solver._NewtonFailure):
-        solver._theta_step(disc, 0.0, u, f0, 0.01, 0.5, SolverConfig(nx=33), log)
-    assert log == {"stage_solves": 1, "jacobians": 1}
+    assert _failed_burgers_stage_solve() == {"stage_solves": 1, "jacobians": 1}
 
 
 def test_an_error_other_than_a_zero_pivot_propagates(monkeypatch):
