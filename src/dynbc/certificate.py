@@ -21,10 +21,12 @@ one slope-space quadrature: five-point Gauss-Legendre sums over cells,
 accumulated, with the kernel called on arrays of nodes.  Every integral over
 [a, inf) is read once, by ``tail_integral``, and decided from that reading:
 find_q1 finds q1 in it, (9) and (266) share one, sup_bound inverts its
-reading of 1/Phi as G, and blowup_inequality halves one.  A sweep shares one
-reading of rho/psi over its M axis, and takes kappa0 from a reading of 1/psi
-up to q1 (``TailReading.upto``) instead of building the arc.  Cells halve on
-their own, so no sum depends on the call, and no two readings disagree.
+reading of 1/Phi as G, and blowup_inequality halves one.  A sweep reads a
+gauge's tails from all of its q0 in one pass, searches all of its q1 in
+lockstep, and takes kappa0 from a reading of 1/psi up to q1
+(``TailReading.upto``) instead of building the arc.  Cells halve on their
+own and are summed without BLAS, so no sum depends on the call or on the
+host's BLAS kernel, and no two readings disagree.
 
 Hypothesis checks are dense-sampling falsifiers over the stated boxes, not
 proofs.  They report signed worst margins (satisfied iff margin <= 0): a
@@ -42,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConditionViolated, PreconditionFailed
+from .errors import ConditionViolated, DynbcError, PreconditionFailed
 from .expr import Expr, compile_expr, diff, evaluate, free_variables, parse, to_str
 from .numerics import PchipCurve, golden_section
 from .problem import DirichletBC, DynamicBC, ProblemSpec
@@ -239,15 +241,21 @@ def _cells(fn, lo, hi, root=None) -> np.ndarray:
     parts of its input cell (its root) disagree at one level: a kink costs a
     few parts per level in its own cell, also next to the cell's ends, which
     only Lobatto samples, and noise that halving cannot resolve stops after
-    a few levels.  Halving also stops at adjacent floats.  So a cell's value
-    does not depend on the other cells of the call.
+    a few levels.  Halving also stops at adjacent floats.
+
+    Both rules contract a cell's nine node values with ``np.einsum`` and its
+    default ``optimize=False``, numpy's own loop over the nodes, which calls
+    no BLAS: a matrix product's rounding depends on the BLAS kernel the host
+    picks and on how many rows it is given.  So a cell's value does not
+    depend on the other cells of the call, nor on the BLAS library.
 
     fn is called once per level, on the array of every node, and may return
     a stack of integrands along leading axes.
     """
     half = 0.5 * (hi - lo)
     mid = lo + half
-    rules = half[:, None] * (fn(mid[:, None] + half[:, None] * _NODES) @ _WEIGHTS)
+    rules = half[:, None] * np.einsum("...j,jk->...k", fn(mid[:, None] + half[:, None] * _NODES),
+                                      _WEIGHTS)
     out, check = rules[..., 0], rules[..., 1]
     bad = np.any((np.abs(out - check) > CELL_TOL * np.abs(out)).reshape(-1, lo.size), axis=0)
     redo = bad & (lo < mid) & (mid < hi)
@@ -262,31 +270,57 @@ def _cells(fn, lo, hi, root=None) -> np.ndarray:
     return out
 
 
-def _gauss_sums(fn, lo, hi) -> np.ndarray:
-    """Integrals of fn over the cells [lo[i], hi[i]] (see ``_cells``),
-    accumulated: entry 0 is 0 and entry i + 1 adds cell i."""
-    cells = np.concatenate([_cells(fn, lo[i:i + CHUNK], hi[i:i + CHUNK])
-                            for i in range(0, lo.size, CHUNK)], axis=-1)
+def _cell_values(fn, lo, hi) -> np.ndarray:
+    """``_cells`` over any number of cells, CHUNK cells to a call."""
+    return np.concatenate([_cells(fn, lo[i:i + CHUNK], hi[i:i + CHUNK])
+                           for i in range(0, lo.size, CHUNK)], axis=-1)
+
+
+def _accumulated(cells: np.ndarray) -> np.ndarray:
+    """Running sums of cell integrals: entry 0 is 0 and entry i + 1 adds cell i."""
     return np.concatenate([np.zeros(cells.shape[:-1] + (1,)), np.cumsum(cells, axis=-1)],
                           axis=-1)
 
 
-def _reach(fn, edges: np.ndarray, sums: np.ndarray, target: float) -> float:
-    """The point where the integral of fn from edges[0] reaches target, given
-    its sums at the edges.  The search starts in the first cell whose sum
-    passes target (the last cell when none does) and splits the bracket into
-    SECTIONS equal parts per round, down to adjacent floats."""
-    k = int(np.argmax(sums >= target)) or edges.size - 1
-    lo, hi, s_lo, s_hi = edges[k - 1], edges[k], sums[k - 1], sums[k]
-    while True:
-        xs = lo + (hi - lo) * _SPLIT
-        xs[-1] = hi
-        s = s_lo + _gauss_sums(fn, xs[:-1], xs[1:])
-        j = int(np.argmax(s >= target)) or SECTIONS
-        if xs[j] - xs[j - 1] >= hi - lo:
-            break
-        lo, hi, s_lo, s_hi = xs[j - 1], xs[j], s[j - 1], s[j]
-    return float(hi if s_hi - target <= target - s_lo else lo)
+def _gauss_sums(fn, lo, hi) -> np.ndarray:
+    """Integrals of fn over the cells [lo[i], hi[i]] (see ``_cells``),
+    accumulated: entry 0 is 0 and entry i + 1 adds cell i."""
+    return _accumulated(_cell_values(fn, lo, hi))
+
+
+def _reach(fn, searches) -> list[float]:
+    """For each search (edges, sums, target), the point where the integral
+    of fn from edges[0] reaches target, given its sums at the edges.  A
+    search starts in the first cell whose sum passes target (the last cell
+    when none does) and splits its bracket into SECTIONS equal parts per
+    round, down to adjacent floats.
+
+    The searches run in lockstep: each round reads the sections of every
+    search still open in one ``_cells`` call, and a search drops out once
+    its bracket stops shrinking.  Cells do not depend on their call, so no
+    search's point depends on the others.
+    """
+    lo, hi, s_lo, s_hi, target = np.empty((5, len(searches)))
+    for i, (edges, sums, goal) in enumerate(searches):
+        k = int(np.argmax(sums >= goal)) or edges.size - 1
+        lo[i], hi[i], s_lo[i], s_hi[i] = edges[k - 1], edges[k], sums[k - 1], sums[k]
+        target[i] = goal
+    found = np.empty(len(searches))
+    open_ = np.arange(len(searches))
+    while open_.size:
+        xs = lo[:, None] + (hi - lo)[:, None] * _SPLIT
+        xs[:, -1] = hi
+        cells = _cells(fn, xs[:, :-1].ravel(), xs[:, 1:].ravel())
+        s = s_lo[:, None] + _accumulated(cells.reshape(-1, SECTIONS))
+        j = np.argmax(s >= target[:, None], axis=1)
+        j[j == 0] = SECTIONS
+        rows = np.arange(open_.size)
+        done = xs[rows, j] - xs[rows, j - 1] >= hi - lo
+        found[open_[done]] = np.where(s_hi - target <= target - s_lo, hi, lo)[done]
+        go, j = rows[~done], j[~done]
+        open_, target = open_[go], target[go]
+        lo, hi, s_lo, s_hi = xs[go, j - 1], xs[go, j], s[go, j - 1], s[go, j]
+    return [float(x) for x in found]
 
 
 def _doubling_edges(lo: float, hi: float) -> np.ndarray:
@@ -294,6 +328,14 @@ def _doubling_edges(lo: float, hi: float) -> np.ndarray:
     each doubling."""
     count = CELLS_PER_DOUBLING * max(1, math.ceil(math.log2(hi / lo)))
     return lo * 2.0 ** (np.arange(count + 1) / CELLS_PER_DOUBLING)
+
+
+def _one(batch: list):
+    """The only entry of a batch of one, raised when it is an error."""
+    (entry,) = batch
+    if isinstance(entry, DynbcError):
+        raise entry
+    return entry
 
 
 class TailIntegral(NamedTuple):
@@ -338,15 +380,9 @@ class TailReading(NamedTuple):
         return float(self.sums[k] + _gauss_sums(fn, self.edges[k:k + 1], np.array([y]))[-1])
 
 
-@np.errstate(all="ignore")  # cells far out may overflow the integrand
-def tail_integral(fn, a: float) -> TailReading:
-    """The one reading of the integral of fn over [a, inf), a >= 0, that
-    every caller decides from, with window ends max(1, a) 2^j for
-    j = 1..TAIL_DOUBLINGS.  fn is summed over geometric cells: from a to
-    2 max(1, a) in equal ratios, CELLS_PER_DOUBLING cells or more to a
-    doubling (for a = 0 the first cell is [0, 2^-10]), then
-    CELLS_PER_DOUBLING to each window, up to the last window end.
-    """
+def _tail_edges(a: float) -> tuple[np.ndarray, int]:
+    """The edges of ``tail_integral``'s reading from a, and the index of its
+    first window end."""
     low = max(1.0, a)
     last = low * 2.0 ** TAIL_DOUBLINGS
     ratio = 2.0 * low / a if a else 1.0
@@ -359,35 +395,55 @@ def tail_integral(fn, a: float) -> TailReading:
         n = CELLS_PER_DOUBLING * max(1, math.ceil(math.log2(ratio)))
         head = a * ratio ** (np.arange(n + 1) / n)
         head[-1] = 2.0 * low
-    edges = np.concatenate([head, _doubling_edges(2.0 * low, last)[1:]])
-    return TailReading(edges, _gauss_sums(fn, edges[:-1], edges[1:]), head.size - 1)
+    return np.concatenate([head, _doubling_edges(2.0 * low, last)[1:]]), head.size - 1
+
+
+@np.errstate(all="ignore")  # cells far out may overflow the integrand
+def tail_integral(fn, a):
+    """The one reading of the integral of fn over [a, inf), a >= 0, that
+    every caller decides from, with window ends max(1, a) 2^j for
+    j = 1..TAIL_DOUBLINGS.  fn is summed over geometric cells: from a to
+    2 max(1, a) in equal ratios, CELLS_PER_DOUBLING cells or more to a
+    doubling (for a = 0 the first cell is [0, 2^-10]), then
+    CELLS_PER_DOUBLING to each window, up to the last window end.
+
+    a may also be a sequence of starts.  Every start's cells are then read
+    in one pass and summed start by start, and the result is a list
+    holding, for each start, its reading or the PreconditionFailed that the
+    start raises alone, since its cells overflow a float.  A single start
+    is the batch of one, and no reading depends on the other starts.
+    """
+    readings = []
+    for start in [a] if np.ndim(a) == 0 else a:
+        try:
+            readings.append(_tail_edges(start))
+        except PreconditionFailed as exc:
+            readings.append(exc)
+    read = [r for r in readings if not isinstance(r, DynbcError)]
+    if read:
+        cells = _cell_values(fn, np.concatenate([edges[:-1] for edges, _ in read]),
+                             np.concatenate([edges[1:] for edges, _ in read]))
+        parts = iter(np.split(cells, np.cumsum([e.size - 1 for e, _ in read])[:-1], axis=-1))
+        readings = [r if isinstance(r, DynbcError)
+                    else TailReading(r[0], _accumulated(next(parts)), r[1]) for r in readings]
+    return _one(readings) if np.ndim(a) == 0 else readings
 
 
 # ---------------------------------------------------------------------------
 # slope budget
 
-def budget_reading(psi: PsiSpec, q0: float) -> TailReading:
+def budget_reading(psi: PsiSpec, q0):
     """The ``tail_integral`` reading of rho/psi that ``find_q1`` decides from;
-    a q0 that is not positive is read from 0, and refused by ``find_q1``."""
-    return tail_integral(psi.budget_integrand(), q0 if q0 > 0 else 0.0)
+    a q0 that is not positive is read from 0, and refused by ``find_q1``.
+    A sequence of q0 is read as ``tail_integral`` reads several starts."""
+    if np.ndim(q0) == 0:
+        return tail_integral(psi.budget_integrand(), q0 if q0 > 0 else 0.0)
+    return tail_integral(psi.budget_integrand(), [q if q > 0 else 0.0 for q in q0])
 
 
-@np.errstate(all="ignore")  # cells past q1 may overflow the gauge
-def find_q1(psi: PsiSpec, q0: float, M: float, budget: TailReading | None = None) -> float:
-    """Top slope q1 > q0 with integral_{q0}^{q1} rho/psi = 2M.
-
-    One reading of rho/psi, ``budget_reading(psi, q0)``, decides whether q1
-    exists; a caller that holds it already (a sweep, over its M axis) passes
-    it as ``budget``.  When the integral passes 2M at a window end, q1 is
-    found inside the cell of that reading where its sum passes 2M, by
-    repeated sectioning.
-
-    Raises ConditionViolated when the integral stays <= 2M: it converges to
-    a value <= 2M, so no finite q1 meets the budget, or it is still short
-    at max(1, q0) 2^61, the last window end.
-    """
-    if budget is None:
-        budget = budget_reading(psi, q0)
+def _budget_search(q0: float, M: float, budget: TailReading) -> tuple:
+    """``_reach``'s search for q1 in the budget reading from q0, or the
+    error that no q1 exists."""
     if not (q0 > 0):
         raise PreconditionFailed(f"q0 must be positive, got {q0}")
     if not (M > 0):
@@ -395,12 +451,49 @@ def find_q1(psi: PsiSpec, q0: float, M: float, budget: TailReading | None = None
     target = 2.0 * M
     tail = budget.decide(target)
     if tail.classified == "crossed_target":
-        return _reach(psi.budget_integrand(), budget.edges, budget.sums, target)
+        return budget.edges, budget.sums, target
     reach = ("converges to" if tail.classified == "convergent"
              else f"up to {tail.upper:.6g} reaches")
     raise ConditionViolated(
         f"integral of rho/psi over [{q0}, inf) {reach} ~{tail.value:.6g}"
         f" <= 2M = {target:.6g}; no finite q1 exists")
+
+
+@np.errstate(all="ignore")  # cells past q1 may overflow the gauge
+def find_q1(psi: PsiSpec, q0, M, budget=None):
+    """Top slope q1 > q0 with integral_{q0}^{q1} rho/psi = 2M.
+
+    One reading of rho/psi, ``budget_reading(psi, q0)``, decides whether q1
+    exists; a caller that holds it already (a sweep, over its M axis) passes
+    it as ``budget``.  When the integral passes 2M at a window end, q1 is
+    found inside the cell of that reading where its sum passes 2M, by
+    repeated sectioning (``_reach``).
+
+    Raises ConditionViolated when the integral stays <= 2M: it converges to
+    a value <= 2M, so no finite q1 meets the budget, or it is still short
+    at max(1, q0) 2^61, the last window end.
+
+    q0, M and budget may also be sequences, one entry to a point: a sweep
+    passes a gauge's grid, and its budget readings or their errors.  The
+    points' searches then run in lockstep, and the result is a list
+    holding, for each point, q1 or the DynbcError that the point raises
+    alone.  A single point is the batch of one, and no point's q1 depends
+    on the others.
+    """
+    if budget is None:
+        budget = budget_reading(psi, q0)
+    one = np.ndim(q0) == 0
+    points = []
+    for q0_i, M_i, budget_i in zip(*(([v] if one else v) for v in (q0, M, budget)), strict=True):
+        try:
+            points.append(budget_i if isinstance(budget_i, DynbcError)
+                          else _budget_search(q0_i, M_i, budget_i))
+        except DynbcError as exc:
+            points.append(exc)
+    q1s = iter(_reach(psi.budget_integrand(),
+                      [p for p in points if not isinstance(p, DynbcError)]))
+    points = [p if isinstance(p, DynbcError) else next(q1s) for p in points]
+    return _one(points) if one else points
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +916,7 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
             return 0.0
         if c > sums[-1]:
             return math.inf
-        return _reach(inv_phi, edges, sums, c)
+        return _reach(inv_phi, [(edges, sums, c)])[0]
 
     Gu0 = G(u0_sup)
 

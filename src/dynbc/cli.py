@@ -704,39 +704,55 @@ def _verify_blowup(manifest: RunManifest, sol: Solution, psi: PsiSpec) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
+def _gauge_points(text: str, q0s: list, points: list) -> list:
+    """Each (q0, M) point's (q1, kappa0) under the gauge ``text``, or the
+    error the point raises alone: from the gauge's parse, its budget
+    reading or ``find_q1``.  The width reading of a q0 that crosses cannot
+    fail, since its budget reading from the same q0 did not."""
+    try:
+        psi = PsiSpec.from_text(text)
+    except DynbcError as exc:
+        return [exc] * len(points)
+    budgets = dict(zip(q0s, budget_reading(psi, q0s)))
+    q1s = find_q1(psi, [q0 for q0, _ in points], [M for _, M in points],
+                  [budgets[q0] for q0, _ in points])
+    crossed = list(dict.fromkeys(q0 for (q0, _), q1 in zip(points, q1s)
+                                 if not isinstance(q1, DynbcError)))
+    width = psi.width_integrand()
+    widths = dict(zip(crossed, tail_integral(width, crossed))) if crossed else {}
+    return [q1 if isinstance(q1, DynbcError) else (q1, widths[q0].upto(width, q1))
+            for (q0, _), q1 in zip(points, q1s)]
+
+
 def _sweep_rows(psis: list, q0s: list, Ms: list, K_est: float) -> list[str]:
     """The ``sweep.csv`` rows of the grid, psi-major: each point's q1 and
     kappa0, or the error it raised.
 
-    Each gauge is parsed once, and each (psi, q0) reads its tail of rho/psi
-    once, shared by the M axis, and its tail of 1/psi once: q1 is
-    ``find_q1`` on the first reading, and kappa0 the second read up to q1,
-    the width of the barrier arc, which is not built.  Errors are not
-    cached, so a failing gauge or reading fails each of its rows alike.
+    The grid is read one gauge at a time: the gauge is parsed once, its
+    tails of rho/psi from every q0 are read in one pass, and one
+    ``find_q1`` call searches all of its points' q1 in lockstep.  Only when
+    some point crosses are the tails of 1/psi read, in one more pass from
+    the q0 that cross, and a point's kappa0 is its tail of 1/psi up to its
+    q1 (``TailReading.upto``), the width of the barrier arc, which is not
+    built.  A gauge listed twice is read once.  A row is the row that
+    point gives alone, bit for bit and error for error: a gauge that does
+    not parse, or a q0 whose reading overflows, fails each of its rows
+    alike.
     """
-    gauge = functools.cache(PsiSpec.from_text)
-
-    @functools.cache
-    def budget(text: str, q0: float):
-        return budget_reading(gauge(text), q0)
-
-    @functools.cache
-    def width(text: str, q0: float):
-        return tail_integral(gauge(text).width_integrand(), q0)
-
-    def row(text: str, q0: float, M: float) -> str:
-        # build_barrier's K > q0 check has no sweep counterpart: with
-        # K = min(K_est, q0) it cannot fire
-        try:
-            psi = gauge(text)
-            q1 = find_q1(psi, q0, M, budget=budget(text, q0))
-            kappa0 = width(text, q0).upto(psi.width_integrand(), q1)
-            cells, detail = ("ok", q1, kappa0, K_est <= q0 * (1.0 + K_SLACK)), ""
-        except DynbcError as exc:
-            cells, detail = (type(exc).__name__, math.nan, math.nan, False), str(exc)
-        return _csv_row((json.dumps(text), q0, M, *cells, json.dumps(detail)))
-
-    return [row(p, q, M) for p in psis for q in q0s for M in Ms]
+    points = [(q0, M) for q0 in q0s for M in Ms]
+    distinct = list(dict.fromkeys(q0s))
+    read = {text: _gauge_points(text, distinct, points) for text in dict.fromkeys(psis)}
+    rows = []
+    for text in psis:
+        for (q0, M), got in zip(points, read[text]):
+            # build_barrier's K > q0 check has no sweep counterpart: with
+            # K = min(K_est, q0) it cannot fire
+            if isinstance(got, DynbcError):
+                cells, detail = (type(got).__name__, math.nan, math.nan, False), str(got)
+            else:
+                cells, detail = ("ok", *got, K_est <= q0 * (1.0 + K_SLACK)), ""
+            rows.append(_csv_row((json.dumps(text), q0, M, *cells, json.dumps(detail))))
+    return rows
 
 
 @_command("sweep", ("sweep.csv",))

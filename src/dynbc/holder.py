@@ -185,18 +185,22 @@ def _fd_weights(xs: np.ndarray, x0: float, m: int) -> np.ndarray:
 
 def _second_diff(values: np.ndarray, coords: np.ndarray, axis: int) -> np.ndarray:
     """Direct second derivative: 3-point interior, 4-point one-sided edges
-    (second order everywhere, no loss from composing first differences)."""
+    (second order everywhere, no loss from composing first differences).
+
+    Each stencil is contracted by ``np.einsum``, numpy's own loop, not by a
+    BLAS product, so a slice's result does not depend on the other slices
+    or on the BLAS library."""
     v = np.moveaxis(values, axis, -1)
     n = coords.size
     out = np.empty_like(v)
     for j in range(1, n - 1):
         w = _fd_weights(coords[j - 1:j + 2], coords[j], 2)
-        out[..., j] = v[..., j - 1:j + 2] @ w
+        out[..., j] = np.einsum("...j,j->...", v[..., j - 1:j + 2], w)
     ne = min(4, n)  # 3-node grids fall back to the full-width stencil
     we0 = _fd_weights(coords[:ne], coords[0], 2)
     wen = _fd_weights(coords[-ne:], coords[-1], 2)
-    out[..., 0] = v[..., :ne] @ we0
-    out[..., -1] = v[..., -ne:] @ wen
+    out[..., 0] = np.einsum("...j,j->...", v[..., :ne], we0)
+    out[..., -1] = np.einsum("...j,j->...", v[..., -ne:], wen)
     return np.moveaxis(out, -1, axis)
 
 

@@ -30,7 +30,7 @@ def test_the_solution_csv_bytes_counter_reads_the_written_file(tmp_path, monkeyp
     assert tracer.counters["cli.solution_csv_bytes"] == (out / "solution.csv").stat().st_size
 
 
-def test_a_traced_sweep_finds_q1_once_a_point_and_builds_no_arc(tmp_path, monkeypatch):
+def test_a_traced_sweep_finds_q1_once_a_gauge_and_builds_no_arc(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import spans
 
@@ -42,5 +42,6 @@ def test_a_traced_sweep_finds_q1_once_a_point_and_builds_no_arc(tmp_path, monkey
     with spans.instrument(tracer):
         assert cli.cmd_sweep(RunManifest(spec_path=spec, command="sweep",
                                          out_dir=tmp_path / "out")) == 0
-    assert tracer.spans["certificate.find_q1"][0] == 12  # calls_per_point reads 1
+    # one lockstep search of each gauge's four points: calls_per_point reads 1/4
+    assert tracer.spans["certificate.find_q1"][0] == 3
     assert "certificate.build_barrier" not in tracer.spans

@@ -30,6 +30,9 @@ write the same report from a ``solution.npy`` rebuilt from the CSV.
 Record the digests again, from the root of a checkout, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each problem and report whose digest or exit codes it
+changes, as short hashes old -> new.
 """
 
 from __future__ import annotations
@@ -171,9 +174,40 @@ def test_verify_reads_the_numbers_of_the_csv(name, tmp_path, monkeypatch):
     assert (report.read_bytes() if report.is_file() else None) == before
 
 
+def record_changes(old: dict, new: dict) -> list[str]:
+    """One line per problem and report whose digest or exit codes differ
+    between two records, as short hashes (or exit codes) old -> new."""
+    def short(digest):
+        return "-" if digest is None else digest[:12]
+
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        was, now = old.get(name, {}), new.get(name, {})
+        if was.get("exit") != now.get("exit"):
+            lines.append(f"{name} exit: {was.get('exit')} -> {now.get('exit')}")
+        before, after = was.get("sha256", {}), now.get("sha256", {})
+        for report in sorted(before.keys() | after.keys()):
+            if before.get(report) != after.get(report):
+                lines.append(f"{name}/{report}: {short(before.get(report))}"
+                             f" -> {short(after.get(report))}")
+    return lines
+
+
+def test_a_re_record_prints_each_moved_digest_and_exit_code():
+    old = {"a": {"exit": [0, 0, 0], "sha256": {"x.json": "1" * 64, "y.csv": None}},
+           "b": {"exit": [2, 0, 0], "sha256": {"x.json": "2" * 64}}}
+    new = {"a": {"exit": [0, 0, 0], "sha256": {"x.json": "3" * 64, "y.csv": None}},
+           "b": {"exit": [2, 0, 1], "sha256": {"x.json": "2" * 64}}}
+    assert record_changes(old, new) == ["a/x.json: 111111111111 -> 333333333333",
+                                        "b exit: [2, 0, 0] -> [2, 0, 1]"]
+    assert record_changes(new, new) == []
+
+
 if __name__ == "__main__":
     os.environ.pop("DYNBC_TOL", None)
     with tempfile.TemporaryDirectory() as work:
         record = {name: run_chain(name, Path(work) / name) for name in PRESETS + tuple(GRIDS)}
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.is_file() else {}
+    print("\n".join(record_changes(previous, record)) or "no digest or exit code changed")
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     sys.exit(0)

@@ -12,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from dynbc.errors import DegenerateGrid
 from dynbc.holder import (
-    GridFunction, _pairwise_max, holder_seminorm, interpolation_diagnostic, parabolic_norm,
-    sup_norm,
+    GridFunction, _pairwise_max, _second_diff, holder_seminorm, interpolation_diagnostic,
+    parabolic_norm, sup_norm,
 )
 
 
@@ -243,3 +243,18 @@ def test_offset_scan_equals_the_pair_scan_on_a_solver_sized_table():
     for alpha in (0.25, 0.5, 0.75, 1.0):
         assert _pairwise_max(coords, values2d, alpha) == pairwise_max_by_pairs(
             coords, values2d, alpha)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nearly equal coords overflow the weights
+@settings(max_examples=60, deadline=None)
+@given(coords=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=40, unique=True).map(sorted),
+       rows=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_second_diff_of_a_batch_is_each_slice_alone(coords, rows, seed):
+    # the stencils are contracted slice by slice, so a batch changes no bit
+    coords = np.asarray(coords)
+    values = np.random.default_rng(seed).standard_normal((rows, coords.size)) * 1e3
+    batch = _second_diff(values, coords, axis=1)
+    alone = np.concatenate([_second_diff(values[i:i + 1], coords, axis=1) for i in range(rows)])
+    assert np.array_equal(batch.view(np.uint64), alone.view(np.uint64))
+    assert np.array_equal(_second_diff(values.T, coords, axis=0).T.view(np.uint64),
+                          batch.view(np.uint64))

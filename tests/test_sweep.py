@@ -1,8 +1,11 @@
-"""The sweep's rows from shared budget readings.
+"""The sweep's rows from batched readings, one gauge at a time.
 
-``cmd_sweep`` parses each gauge once and reads each (psi, q0) tail of
-rho/psi and of 1/psi once.  A row's q1 is ``find_q1`` on the first reading,
-so it is the q1 of certify bit for bit; its kappa0 is the second reading up
+``cmd_sweep`` parses each gauge once, reads its tails of rho/psi from every
+q0 in one pass, searches every point's q1 in one lockstep ``find_q1`` call,
+and reads its tails of 1/psi from the q0 that cross in one more pass.  A
+row must be the row its point gives alone: the per-point path (``find_q1``
+and ``TailReading.upto`` per row) in bytes and in error text.  A row's q1 is
+therefore the q1 of certify bit for bit; its kappa0 is the tail of 1/psi up
 to q1 (``TailReading.upto``), which must agree with the width of the arc
 ``build_barrier`` tabulates, and with the closed forms of the integral of
 1/psi over [q0, q1] at the row's own q1.
@@ -22,9 +25,10 @@ from hypothesis import given, settings, strategies as st
 import dynbc.certificate as certificate
 import dynbc.cli as cli
 from dynbc.certificate import (
-    PsiSpec, _gauss_sums, build_barrier, find_q1, tail_integral,
+    K_SLACK, PsiSpec, _gauss_sums, budget_reading, build_barrier, find_q1, tail_integral,
 )
 from dynbc.cli import main
+from dynbc.errors import DynbcError
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -88,7 +92,7 @@ def test_a_sweep_row_is_certify_s_q1_and_the_arc_s_width(tmp_path, monkeypatch, 
 
 
 def test_a_sweep_reads_each_gauge_and_tail_once(tmp_path, monkeypatch):
-    parses, readings, q1s = Counter(), Counter(), []
+    parses, passes, searches = Counter(), [], []
     from_text, read = PsiSpec.from_text, certificate.tail_integral
 
     def parse(text):
@@ -96,7 +100,7 @@ def test_a_sweep_reads_each_gauge_and_tail_once(tmp_path, monkeypatch):
         return from_text(text)
 
     def tail(fn, a):
-        readings[a] += 1
+        passes.append(list(a))  # a sweep reads every start of a pass at once
         return read(fn, a)
 
     def barrier(*args, **kwargs):
@@ -107,16 +111,57 @@ def test_a_sweep_reads_each_gauge_and_tail_once(tmp_path, monkeypatch):
         monkeypatch.setattr(mod, "tail_integral", tail)
         monkeypatch.setattr(mod, "build_barrier", barrier)
     find = cli.find_q1
-    monkeypatch.setattr(cli, "find_q1", lambda *a, **kw: q1s.append(a) or find(*a, **kw))
-    grid = {"psi": ["1", "1+p^2", "(1+p^2)^1.5", "1"], "q0": [0.5, 1.0, 2.0],
-            "M": [0.25, 0.5, 1.0, 2.0]}
+    monkeypatch.setattr(cli, "find_q1", lambda *a: searches.append(a) or find(*a))
+    # (1+p^2)^2 reads 1/(2 (1 + q0^2)) <= 0.4 from q0 = 0.5 on: no point crosses
+    gauges = ["1", "1+p^2", "(1+p^2)^1.5", "(1+p^2)^2"]
+    grid = {"psi": gauges + ["1"], "q0": [0.5, 1.0, 2.0], "M": [0.25, 0.5, 1.0, 2.0]}
     rows = _sweep(tmp_path, grid)
     assert {row[3] for row in rows} == {"ok", "ConditionViolated"}
-    assert parses == {"1": 1, "1+p^2": 1, "(1+p^2)^1.5": 1}
-    # one rho/psi and at most one 1/psi reading per distinct (psi, q0)
-    assert set(readings) == set(grid["q0"])
-    assert all(n <= 2 * 3 for n in readings.values())
-    assert len(q1s) == len(rows)  # find_q1 once a point, as the bench counts it
+    assert parses == dict.fromkeys(gauges, 1)
+    # find_q1 once a gauge, over all of its points, as the bench counts it
+    assert [len(q0s) for _, q0s, _, _ in searches] == [12] * len(gauges)
+    want = []
+    for text in gauges:
+        want.append(grid["q0"])  # rho/psi from every q0
+        crossed = [q0 for q0 in grid["q0"] if any(
+            json.loads(row[0]) == text and float(row[1]) == q0 and row[3] == "ok" for row in rows)]
+        want += [crossed] if crossed else []  # 1/psi from the q0 that cross, if any
+    assert passes == want and want[-1] == grid["q0"]
+
+
+def _row_alone(text: str, q0: float, M: float, K_est: float) -> str:
+    """The sweep row of one point by the per-point path: parse, the budget
+    reading, find_q1, then the tail of 1/psi read up to q1."""
+    try:
+        psi = PsiSpec.from_text(text)
+        q1 = find_q1(psi, q0, M, budget=budget_reading(psi, q0))
+        width = psi.width_integrand()
+        kappa0 = tail_integral(width, q0).upto(width, q1)
+        cells, detail = ("ok", q1, kappa0, K_est <= q0 * (1.0 + K_SLACK)), ""
+    except DynbcError as exc:
+        cells, detail = (type(exc).__name__, math.nan, math.nan, False), str(exc)
+    return cli._csv_row((json.dumps(text), q0, M, *cells, json.dumps(detail)))
+
+
+@pytest.mark.parametrize("grid", [
+    # (1+p^2)^1.5 reads 1/sqrt(1 + q0^2) from q0: M = 0.1 crosses, M = 2 does
+    # not; q0 = 1e300 overflows, q0 <= 0 and M <= 0 are refused, "1+" does
+    # not parse, and "1" is listed twice
+    {"psi": ["(1+p^2)^1.5", "1", "1+", "1+p^2", "1"],
+     "q0": [0.5, 1e300, -1.0, 0.0, 2.0, 0.5], "M": [0.1, 2.0, -1.0, 0.0, 1e3]},
+    {"psi": ["(1+p^2)^2", "p"], "q0": [1.0, 3.0], "M": [1.0, 5.0]},  # nothing crosses
+    "bench seed 3",
+])
+def test_a_sweep_row_is_the_row_of_its_point_alone(tmp_path, monkeypatch, grid):
+    if isinstance(grid, str):
+        grid = _bench_grid(int(grid.split()[-1]), tmp_path, monkeypatch)
+    K_est = 0.75
+    rows = cli._sweep_rows(grid["psi"], grid["q0"], grid["M"], K_est)
+    alone = [_row_alone(p, q, M, K_est) for p in grid["psi"] for q in grid["q0"] for M in grid["M"]]
+    assert rows == alone
+    if "1+" in grid["psi"]:
+        status = {row.split(",")[3] for row in rows}
+        assert status == {"ok", "ConditionViolated", "PreconditionFailed", "ExprSyntaxError"}
 
 
 def test_a_failing_gauge_fails_each_of_its_rows(tmp_path):
