@@ -330,12 +330,20 @@ def _doubling_edges(lo: float, hi: float) -> np.ndarray:
     return lo * 2.0 ** (np.arange(count + 1) / CELLS_PER_DOUBLING)
 
 
-def _one(batch: list):
-    """The only entry of a batch of one, raised when it is an error."""
-    (entry,) = batch
-    if isinstance(entry, DynbcError):
-        raise entry
-    return entry
+def _or_error(call, *args):
+    """call(*args), or the DynbcError it raises, kept without its traceback,
+    whose frames would hold the batch that holds the error."""
+    try:
+        return call(*args)
+    except DynbcError as exc:
+        return exc.with_traceback(None)
+
+
+def _batch(entries: list, run) -> list:
+    """entries with each one that is not an error replaced by its result:
+    run takes the list of those entries and returns a result for each."""
+    done = iter(run([e for e in entries if not isinstance(e, DynbcError)]))
+    return [e if isinstance(e, DynbcError) else next(done) for e in entries]
 
 
 class TailIntegral(NamedTuple):
@@ -413,20 +421,22 @@ def tail_integral(fn, a):
     start raises alone, since its cells overflow a float.  A single start
     is the batch of one, and no reading depends on the other starts.
     """
-    readings = []
-    for start in [a] if np.ndim(a) == 0 else a:
-        try:
-            readings.append(_tail_edges(start))
-        except PreconditionFailed as exc:
-            readings.append(exc)
-    read = [r for r in readings if not isinstance(r, DynbcError)]
-    if read:
-        cells = _cell_values(fn, np.concatenate([edges[:-1] for edges, _ in read]),
-                             np.concatenate([edges[1:] for edges, _ in read]))
-        parts = iter(np.split(cells, np.cumsum([e.size - 1 for e, _ in read])[:-1], axis=-1))
-        readings = [r if isinstance(r, DynbcError)
-                    else TailReading(r[0], _accumulated(next(parts)), r[1]) for r in readings]
-    return _one(readings) if np.ndim(a) == 0 else readings
+    if np.ndim(a) == 0:
+        return _read_tails(fn, [_tail_edges(a)])[0]
+    return _batch([_or_error(_tail_edges, start) for start in a],
+                  functools.partial(_read_tails, fn))
+
+
+def _read_tails(fn, starts: list) -> list[TailReading]:
+    """The readings of fn over each start's (edges, first window end), all
+    cells in one pass."""
+    if not starts:
+        return []
+    cells = _cell_values(fn, np.concatenate([edges[:-1] for edges, _ in starts]),
+                         np.concatenate([edges[1:] for edges, _ in starts]))
+    parts = np.split(cells, np.cumsum([edges.size - 1 for edges, _ in starts])[:-1], axis=-1)
+    return [TailReading(edges, _accumulated(part), first)
+            for (edges, first), part in zip(starts, parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +492,12 @@ def find_q1(psi: PsiSpec, q0, M, budget=None):
     """
     if budget is None:
         budget = budget_reading(psi, q0)
-    one = np.ndim(q0) == 0
-    points = []
-    for q0_i, M_i, budget_i in zip(*(([v] if one else v) for v in (q0, M, budget)), strict=True):
-        try:
-            points.append(budget_i if isinstance(budget_i, DynbcError)
-                          else _budget_search(q0_i, M_i, budget_i))
-        except DynbcError as exc:
-            points.append(exc)
-    q1s = iter(_reach(psi.budget_integrand(),
-                      [p for p in points if not isinstance(p, DynbcError)]))
-    points = [p if isinstance(p, DynbcError) else next(q1s) for p in points]
-    return _one(points) if one else points
+    fn = psi.budget_integrand()
+    if np.ndim(q0) == 0:
+        return _reach(fn, [_budget_search(q0, M, budget)])[0]
+    return _batch([b if isinstance(b, DynbcError) else _or_error(_budget_search, q, m, b)
+                   for q, m, b in zip(q0, M, budget, strict=True)],
+                  functools.partial(_reach, fn))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ to q1 (``TailReading.upto``), which must agree with the width of the arc
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections import Counter
@@ -162,6 +163,33 @@ def test_a_sweep_row_is_the_row_of_its_point_alone(tmp_path, monkeypatch, grid):
     if "1+" in grid["psi"]:
         status = {row.split(",")[3] for row in rows}
         assert status == {"ok", "ConditionViolated", "PreconditionFailed", "ExprSyntaxError"}
+
+
+def test_a_failing_point_leaves_no_reference_cycle():
+    # an error kept in a batch with its traceback forms a cycle through the
+    # traceback's frames, which held a failed certify's arrays until the next
+    # collection and raised the presets' peak RSS
+    psi = PsiSpec.from_text("(1+p^2)^1.5")
+    readings = budget_reading(psi, [0.5, 1e300])
+    gc.collect()
+    gc.disable()
+    try:
+        for q0, M in ((0.5, 2.0), (-1.0, 1.0)):
+            try:
+                find_q1(psi, q0, M)
+            except DynbcError:
+                pass
+        try:
+            tail_integral(psi.budget_integrand(), 1e300)
+        except DynbcError:
+            pass
+        got = find_q1(psi, [0.5, -1.0, 1e300], [2.0, 0.1, 0.1], [readings[0], readings[0],
+                                                                readings[1]])
+        assert [type(e).__name__ for e in got] == ["ConditionViolated", "PreconditionFailed",
+                                                   "PreconditionFailed"]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_failing_gauge_fails_each_of_its_rows(tmp_path):
