@@ -129,7 +129,6 @@ class RunManifest:
     spec_path: Path
     command: str
     out_dir: Path
-    report_format: str = "json"
     jobs: int = 1  # unused: sweeps run serially
     overrides: dict = field(default_factory=dict)
 
@@ -138,11 +137,9 @@ class RunManifest:
         self.out_dir = Path(self.out_dir)
 
     def prepare(self) -> None:
-        """Check the spec file and format, and create the output directory."""
+        """Check the spec file and create the output directory."""
         if not self.spec_path.is_file():
             raise ConfigError(f"spec file not found: {self.spec_path}")
-        if self.report_format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.report_format!r}")
         self.out_dir.mkdir(parents=True, exist_ok=True)
         if not os.access(self.out_dir, os.W_OK):
             raise ConfigError(f"output directory not writable: {self.out_dir}")
@@ -213,7 +210,7 @@ def _solver_config(raw: dict, manifest: RunManifest) -> SolverConfig:
 # ---------------------------------------------------------------------------
 # certify
 
-CERTIFY_REPORTS = ("certificate.json", "h_table.csv", "conditions.csv")
+CERTIFY_REPORTS = ("certificate.json", "h_table.csv")
 
 
 @dataclass
@@ -323,10 +320,6 @@ def cmd_certify(manifest: RunManifest) -> int:
     }
     if cert is not None:
         write_h_table(cert, manifest.out_dir)
-    if manifest.report_format == "csv":
-        lines = ["name,satisfied,worst_violation"]
-        lines += [_csv_row((e.name, e.satisfied, e.worst_violation)) for e in report.entries]
-        _write(manifest.out_dir / "conditions.csv", "\n".join(lines))
     _write(manifest.out_dir / "certificate.json", json_dumps(doc))
 
     if not report.all_satisfied or cert is None:
@@ -647,7 +640,10 @@ def _field(block: dict, label: str, key: str, kind: type = float):
     return spec_value(value, kind, f"{label}.{key}", infinite=True)
 
 
-@_command("verify", ("verification.json", "verification.csv"))
+VERIFY_REPORTS = ("verification.json",)
+
+
+@_command("verify", VERIFY_REPORTS)
 def cmd_verify(manifest: RunManifest) -> int:
     sol = read_solution(manifest.out_dir)
     raw = manifest.load_spec()
@@ -670,16 +666,6 @@ def cmd_verify(manifest: RunManifest) -> int:
         "passed": not failing,
     }
     _write(manifest.out_dir / "verification.json", json_dumps(doc))
-    if manifest.report_format == "csv":
-        lines = ["quantity,value"]
-        for k, v in report.as_dict().items():
-            if isinstance(v, (int, float)):
-                lines.append(_csv_row((k, float(v))))
-        for kind, wit in report.witnesses.items():
-            for fld, v in wit.items():
-                if isinstance(v, (int, float)):
-                    lines.append(_csv_row((f"witness.{kind}.{fld}", float(v))))
-        _write(manifest.out_dir / "verification.csv", "\n".join(lines))
     for name, v in failing.items():
         print(f"verify: {name} = {v:.6g} below -{tolerance:.6g}", file=sys.stderr)
     return 2 if failing else 0
@@ -755,7 +741,10 @@ def _sweep_rows(psis: list, q0s: list, Ms: list, K_est: float) -> list[str]:
     return rows
 
 
-@_command("sweep", ("sweep.csv",))
+SWEEP_REPORTS = ("sweep.csv",)
+
+
+@_command("sweep", SWEEP_REPORTS)
 def cmd_sweep(manifest: RunManifest) -> int:
     raw = manifest.load_spec()
     blk = raw.get("sweep")
@@ -801,8 +790,6 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="problem file (JSON)")
         p.add_argument("--out", default="out", help="output directory")
-        if name in ("certify", "verify"):
-            p.add_argument("--format", default="json", choices=("json", "csv"))
         if name == "solve":
             p.add_argument("--strict", action="store_true", default=None,
                            help="require exact zero-time compatibility")
@@ -815,7 +802,7 @@ def main(argv: list[str] | None = None) -> int:
 
     manifest = RunManifest(
         spec_path=Path(flags.pop("spec")), command=command, out_dir=Path(flags.pop("out")),
-        report_format=flags.pop("format", "json"), overrides=flags)
+        overrides=flags)
     cmd = {"certify": cmd_certify, "solve": cmd_solve,
            "verify": cmd_verify, "sweep": cmd_sweep}[command]
     return cmd(manifest)

@@ -95,6 +95,25 @@ def test_criterion_04_solver_mms_order():
     _report("4 solver MMS", f"errors={[f'{e:.3e}' for e in errs]}, orders={[f'{o:.2f}' for o in orders]}")
 
 
+def test_criterion_04_quasilinear_translator_order():
+    """u = t - log cos x solves u_t = u_xx/(1+u_x^2): u_x = tan x, so
+    a u_xx = 1 = u_t, and both dynamic ends read u_t +/- u_x = 1 + tan 1."""
+    g = parse("1+sin(1)/cos(1)")
+    prob = ProblemSpec(ell=1.0, T=1.0, a=parse("1/(1+p^2)"), f=parse("0"),
+                       u0=parse("-log(cos(x))"),
+                       bc_minus=DynamicBC(parse("1"), g), bc_plus=DynamicBC(parse("1"), g))
+    errs = []
+    for nx in (33, 65, 129):
+        sol = solve(prob, SolverConfig(nx=nx))
+        assert isinstance(sol.status, Completed)
+        tt, xx = np.meshgrid(sol.grid.times, sol.grid.nodes, indexing="ij")
+        errs.append(float(np.max(np.abs(sol.grid.values - (tt - np.log(np.cos(xx)))))))
+    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert min(orders) >= 1.8
+    _report("4 quasilinear translator",
+            f"errors={[f'{e:.3e}' for e in errs]}, orders={[f'{o:.2f}' for o in orders]}")
+
+
 def test_criterion_05_steady_exactness():
     prob = ProblemSpec(ell=1.0, T=1.0, a=parse("1"), f=parse("0"), u0=parse("x"),
                        bc_minus=DynamicBC(parse("1"), parse("-1")),

@@ -57,14 +57,17 @@ def test_missing_spec_file(tmp_path):
                                   ["solve", "--spec", "p.json", "--bogus"], [],
                                   ["sweep", "--spec", "p.json", "--jobs", "2"],
                                   ["certify", "--spec", "p.json", "--nx", "5"],
-                                  ["sweep", "--spec", "p.json", "--format", "csv"]])
+                                  ["sweep", "--spec", "p.json", "--format", "csv"],
+                                  ["certify", "--spec", "p.json", "--format", "json"],
+                                  ["verify", "--spec", "p.json", "--format", "csv"]])
 def test_usage_errors_exit_1(argv, capsys):
     # exit 2 is reserved for violated conditions; a flag is parsed only by
-    # the commands it acts on
+    # the commands it acts on, and certify and verify write JSON only
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert "error:" in capsys.readouterr().err
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: dynbc ") and "error:" in error
 
 
 def test_help_exits_0(capsys):
@@ -209,6 +212,16 @@ def test_an_unusable_spec_number_is_an_input_error_naming_it(tmp_path, capsys, c
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"{command}: ") and words in err[0], err
     assert not any(out.iterdir())
+
+
+def test_the_documented_reports_are_the_ones_each_command_removes():
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    listed = re.search(r"Every command removes the reports it writes when it starts,"
+                       r".*?\((.*?)\)", text, re.S).group(1)
+    documented = {command: tuple(re.findall(r"`([^`]+)`", names))
+                  for command, names in re.findall(r"(\w+): ([^;]+)", listed)}
+    assert documented == {"certify": cli.CERTIFY_REPORTS, "solve": cli.SOLVE_REPORTS,
+                          "verify": cli.VERIFY_REPORTS, "sweep": cli.SWEEP_REPORTS}
 
 
 def test_the_documented_solver_keys_and_infinities_are_the_codes():
@@ -690,18 +703,6 @@ def test_reports_are_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_csv_format_writes_tabular_mirrors(tmp_path):
-    spec = _write_spec(tmp_path, STEADY)
-    out = tmp_path / "run"
-    assert main(["certify", "--spec", str(spec), "--out", str(out), "--format", "csv"]) == 0
-    assert (out / "conditions.csv").is_file()
-    assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
-    assert main(["verify", "--spec", str(spec), "--out", str(out), "--format", "csv"]) == 0
-    text = (out / "verification.csv").read_text()
-    assert text.startswith("quantity,value")
-    assert "witness.gradient.t," in text
-
-
 def test_dynbc_tol_env_override(tmp_path, monkeypatch):
     spec = _write_spec(tmp_path, STEADY)
     out = tmp_path / "run"
@@ -781,12 +782,12 @@ def test_a_failed_certify_leaves_no_report_of_the_run_before(tmp_path):
 def test_a_failed_verify_leaves_no_report_of_the_run_before(tmp_path):
     doc, out = _burgers_run(tmp_path)
     spec = _write_spec(tmp_path, doc)
-    assert main(["verify", "--spec", str(spec), "--out", str(out), "--format", "csv"]) == 0
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 0
     assert json.loads((out / "verification.json").read_text())["passed"] is True
     doc["solver"]["nx"] = 4
     spec = _write_spec(tmp_path, doc)
     assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 1
-    assert main(["verify", "--spec", str(spec), "--out", str(out), "--format", "csv"]) == 1
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 1
     assert sorted(p.name for p in out.iterdir()) == ["certificate.json", "h_table.csv"]
 
 

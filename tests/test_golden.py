@@ -26,6 +26,9 @@ solve.  For every problem ``solution.npy``
 must also equal ``solution.csv`` parsed back, ``read_solution`` must build
 the grids that sorting and scattering its rows builds, and verify must
 write the same report from a ``solution.npy`` rebuilt from the CSV.
+numpy's power, exp and log loops round differently without AVX-512, so
+the digests hold only on AVX-512 hosts, and a mismatch names the AVX-512
+features numpy finds on the host.
 
 Record the digests again, from the root of a checkout, with
 
@@ -78,6 +81,16 @@ GRIDS = {
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
 
+def simd_note() -> str:
+    """The AVX-512 features numpy may pick its loops by on this host: its
+    power, exp and log loops round differently without them."""
+    from numpy._core._multiarray_umath import __cpu_features__
+    on = sorted(name for name, flag in __cpu_features__.items()
+                if flag and name.startswith("AVX512"))
+    return (f"numpy AVX-512 features on this host: {', '.join(on) or 'none'}; the golden "
+            "digests hold only on AVX-512 hosts (ROADMAP item 17)")
+
+
 def problem_file(name: str, out: Path) -> Path:
     """A shipped preset, or a ``GRIDS`` problem written under ``out``."""
     if name not in GRIDS:
@@ -123,7 +136,7 @@ def scattered_grids(data: np.ndarray) -> list[np.ndarray]:
 def test_preset_reports_match_golden_digests(name, tmp_path, monkeypatch):
     monkeypatch.delenv("DYNBC_TOL", raising=False)
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
-    assert run_chain(name, tmp_path / name) == want
+    assert run_chain(name, tmp_path / name) == want, simd_note()
 
 
 @pytest.mark.parametrize("name", PRESETS + tuple(GRIDS))
@@ -136,7 +149,7 @@ def test_reports_match_golden_digests_when_each_slice_goes_to_a_formatter(
     raw = json.loads(problem_file(name, tmp_path / name).read_text(encoding="utf-8"))
     monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", raw.get("solver", {}).get("nx", SolverConfig.nx))
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
-    assert run_chain(name, tmp_path / name) == want
+    assert run_chain(name, tmp_path / name) == want, simd_note()
 
 
 @pytest.mark.parametrize("name", PRESETS + tuple(GRIDS))
@@ -146,8 +159,9 @@ def test_verify_without_certify_matches_golden_digests(name, tmp_path, monkeypat
     monkeypatch.delenv("DYNBC_TOL", raising=False)
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     got = run_chain(name, tmp_path / name, ("solve", "verify"))
-    assert got["exit"] == want["exit"][1:]
-    assert got["sha256"] == want["sha256"] | {"certificate.json": None, "h_table.csv": None}
+    assert got["exit"] == want["exit"][1:], simd_note()
+    assert got["sha256"] == want["sha256"] | {"certificate.json": None, "h_table.csv": None}, \
+        simd_note()
 
 
 @pytest.mark.parametrize("name", PRESETS + tuple(GRIDS))

@@ -90,10 +90,12 @@ def test_semidiscretize_rejects_tiny_grid():
         SemiDiscretization(steady_problem(), nx=4)
 
 
-def test_rhs_jacobian_matches_difference_quotients():
+@pytest.mark.parametrize("a", ["1 + z^2/4", "1/(1+p^2)", "1+z^2+p^2"])
+def test_rhs_jacobian_matches_difference_quotients(a):
     """Split sources, a dynamic and a pinned end: each column of the
-    banded Jacobian (corners included) against a central difference of rhs."""
-    prob = ProblemSpec(ell=1.0, T=1.0, a=parse("1 + z^2/4"), f=parse("sin(p)"),
+    banded Jacobian (corners included) against a central difference of rhs.
+    The last two diffusivities depend on p, so the a_p * u_xx terms count."""
+    prob = ProblemSpec(ell=1.0, T=1.0, a=parse(a), f=parse("sin(p)"),
                        f1=parse("-z^3"), u0=parse("cos(x)"),
                        bc_minus=DynamicBC(parse("1 + p^2/8"), parse("z"), g1=parse("-z^3")),
                        bc_plus=DirichletBC(parse("cos(1)*exp(-t)")))
