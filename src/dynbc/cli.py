@@ -36,7 +36,7 @@ import os
 import signal
 import sys
 from contextlib import closing, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -62,7 +62,7 @@ __all__ = ["RunManifest", "cmd_certify", "cmd_solve", "cmd_verify", "cmd_sweep",
 
 
 def default_tol() -> float:
-    """Base tolerance; the DYNBC_TOL environment variable overrides it.
+    """Base tolerance; the DYNBC_TOL environment variable replaces it.
     Raises ValueError when it is not a number, and ConfigError when it is
     not finite: every slack would pass an inf or nan tolerance."""
     return spec_value(float(os.environ.get("DYNBC_TOL", "1e-8")), float, "DYNBC_TOL")
@@ -130,7 +130,6 @@ class RunManifest:
     command: str
     out_dir: Path
     jobs: int = 1  # unused: sweeps run serially
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.spec_path = Path(self.spec_path)
@@ -195,11 +194,10 @@ _SOLVER_KEYS = {
 _INFINITE_KEYS = ("cutoff", "dt_max")
 
 
-def _solver_config(raw: dict, manifest: RunManifest) -> SolverConfig:
+def _solver_config(raw: dict) -> SolverConfig:
     blk = spec_value(raw.get("solver", {}), dict, "solver")
-    flags = {key: value for key, value in manifest.overrides.items() if value is not None}
     kwargs = {}
-    for key, value in (blk | flags).items():  # a solve flag is read as the key it overrides
+    for key, value in blk.items():
         if key not in _SOLVER_KEYS:
             raise ConfigError(f"unknown solver key {key!r}; the keys are {' '.join(_SOLVER_KEYS)}")
         target, kind = _SOLVER_KEYS[key]
@@ -594,7 +592,7 @@ def _time_slices(data: np.ndarray) -> np.ndarray:
 def cmd_solve(manifest: RunManifest) -> int:
     raw = manifest.load_spec()
     problem = ProblemSpec.from_dict(raw)
-    cfg = _solver_config(raw, manifest)
+    cfg = _solver_config(raw)
     # no child and no unfinished solution file outlives the block, whatever it raises
     with closing(SolutionWriter(manifest.out_dir, grid_nodes(problem.ell, cfg.nx))) as writer:
         sol = solve(problem, cfg, on_store=writer.store)
@@ -790,21 +788,10 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="problem file (JSON)")
         p.add_argument("--out", default="out", help="output directory")
-        if name == "solve":
-            p.add_argument("--strict", action="store_true", default=None,
-                           help="require exact zero-time compatibility")
-            p.add_argument("--nx", type=int)
-            p.add_argument("--dt0", type=float)
-            p.add_argument("--cutoff", type=float)
-    # what is left after the common flags are solve's overrides
-    flags = vars(parser.parse_args(argv))
-    command = flags.pop("command")
-
-    manifest = RunManifest(
-        spec_path=Path(flags.pop("spec")), command=command, out_dir=Path(flags.pop("out")),
-        overrides=flags)
+    args = parser.parse_args(argv)
+    manifest = RunManifest(spec_path=args.spec, command=args.command, out_dir=args.out)
     cmd = {"certify": cmd_certify, "solve": cmd_solve,
-           "verify": cmd_verify, "sweep": cmd_sweep}[command]
+           "verify": cmd_verify, "sweep": cmd_sweep}[args.command]
     return cmd(manifest)
 
 

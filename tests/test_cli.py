@@ -59,10 +59,13 @@ def test_missing_spec_file(tmp_path):
                                   ["certify", "--spec", "p.json", "--nx", "5"],
                                   ["sweep", "--spec", "p.json", "--format", "csv"],
                                   ["certify", "--spec", "p.json", "--format", "json"],
-                                  ["verify", "--spec", "p.json", "--format", "csv"]])
+                                  ["verify", "--spec", "p.json", "--format", "csv"],
+                                  ["solve", "--spec", "p.json", "--nx", "21"],
+                                  ["solve", "--spec", "p.json", "--strict"]])
 def test_usage_errors_exit_1(argv, capsys):
     # exit 2 is reserved for violated conditions; a flag is parsed only by
-    # the commands it acts on, and certify and verify write JSON only
+    # the commands it acts on, certify and verify write JSON only, and solve
+    # reads its settings from the spec's solver block
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -230,42 +233,31 @@ def test_the_documented_solver_keys_and_infinities_are_the_codes():
     assert keys.split() == list(cli._SOLVER_KEYS)
     infinite = re.search(r"Only (.*?) may\s+be\s+`Infinity`", text, re.S).group(1)
     assert re.findall(r"`solver\.(\w+)`", infinite) == list(cli._INFINITE_KEYS)
-    # and each allow-listed key takes inf from the spec and from a flag
-    manifest = RunManifest(spec_path="spec.json", command="solve", out_dir=".")
+    # and each allow-listed key takes inf from the spec
     raw = {"solver": {key: math.inf for key in cli._INFINITE_KEYS}}
-    cfg = cli._solver_config(raw, manifest)
+    cfg = cli._solver_config(raw)
     assert (cfg.gradient_cutoff, cfg.dt_max) == (math.inf, math.inf)
-    manifest.overrides = {"cutoff": math.inf}
-    assert cli._solver_config({}, manifest).gradient_cutoff == math.inf
 
 
 @pytest.mark.parametrize("cutoff, code", [(0.0, 1), (-1.0, 1), (-math.inf, 1), (math.inf, 0)])
 def test_a_cutoff_must_be_positive_and_may_be_infinite(tmp_path, capsys, cutoff, code):
     # a cutoff <= 0 used to flag blow-up at t = 0 (exit 3); inf detects none
-    for argv in ([], [f"--cutoff={cutoff}"]):  # from the solver block, then the flag
-        doc = STEADY if argv else dict(STEADY, solver={"nx": 33, "cutoff": cutoff})
-        spec = _write_spec(tmp_path, doc)
-        out = tmp_path / f"out{len(argv)}"
-        assert main(["solve", "--spec", str(spec), "--out", str(out), *argv]) == code
-        err = capsys.readouterr().err
-        if code:
-            assert err == f"solve: gradient_cutoff must be positive, got {cutoff}\n"
+    spec = _write_spec(tmp_path, dict(STEADY, solver={"nx": 33, "cutoff": cutoff}))
+    assert main(["solve", "--spec", str(spec), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"solve: gradient_cutoff must be positive, got {cutoff}\n"
 
 
-@pytest.mark.parametrize("argv, env, name", [
-    (["solve", "--cutoff", "nan"], {}, "gradient_cutoff"),
-    (["solve", "--dt0", "inf"], {}, "solver.dt0"),
-    (["certify"], {"DYNBC_TOL": "nan"}, "DYNBC_TOL"),
-    (["certify"], {"DYNBC_TOL": "inf"}, "DYNBC_TOL"),
-    (["solve"], {"DYNBC_TOL": "-inf"}, "DYNBC_TOL"),
-], ids=["flag", "flag-inf", "environment", "environment-inf", "environment-solve"])
-def test_a_nan_flag_or_tolerance_is_an_input_error(tmp_path, capsys, monkeypatch, argv, env, name):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+@pytest.mark.parametrize("command, tol", [("certify", "nan"), ("certify", "inf"), ("solve", "-inf")],
+                         ids=["environment", "environment-inf", "environment-solve"])
+def test_a_nan_tolerance_is_an_input_error(tmp_path, capsys, monkeypatch, command, tol):
+    # a spec's NaN or infinite solver.cutoff and solver.dt0 are _number_cases
+    monkeypatch.setenv("DYNBC_TOL", tol)
     out = tmp_path / "out"
-    assert main([*argv, "--spec", str(_write_spec(tmp_path, STEADY)), "--out", str(out)]) == 1
+    assert main([command, "--spec", str(_write_spec(tmp_path, STEADY)), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"{argv[0]}: ") and name in err[0], err
+    assert len(err) == 1 and err[0].startswith(f"{command}: ") and "DYNBC_TOL" in err[0], err
     assert not any(out.iterdir())
 
 
@@ -569,14 +561,6 @@ def test_cubic_chain_populates_sup_slacks(tmp_path):
     # sup|u| = 0.4 (attained at t = 0); budgets are M_proof = 3, M_paper = 0.4
     assert rep["sup_slack"] == pytest.approx(3.0 - 0.4, abs=1e-5)
     assert rep["sup_slack_paper"] == pytest.approx(0.0, abs=1e-6)
-
-
-def test_solver_overrides_from_cli(tmp_path):
-    spec = _write_spec(tmp_path, STEADY)
-    out = tmp_path / "run"
-    assert main(["solve", "--spec", str(spec), "--out", str(out), "--nx", "21"]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["nx"] == 21
 
 
 def test_sweep_closed_form_column(tmp_path):
