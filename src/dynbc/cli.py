@@ -788,7 +788,9 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="problem file (JSON)")
         p.add_argument("--out", default="out", help="output directory")
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # with the subcommand's usage, which lists the flags it takes
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     manifest = RunManifest(spec_path=args.spec, command=args.command, out_dir=args.out)
     cmd = {"certify": cmd_certify, "solve": cmd_solve,
            "verify": cmd_verify, "sweep": cmd_sweep}[args.command]

@@ -70,7 +70,9 @@ def test_usage_errors_exit_1(argv, capsys):
         main(argv)
     assert exc.value.code == 1
     usage, error = capsys.readouterr().err.splitlines()
-    assert usage.startswith("usage: dynbc ") and "error:" in error
+    # an error after the subcommand shows that command's usage
+    assert usage.startswith(f"usage: dynbc {argv[0]} " if argv else "usage: dynbc ")
+    assert error.startswith(f"dynbc {argv[0]}: error: " if argv else "dynbc: error: ")
 
 
 def test_help_exits_0(capsys):
