@@ -51,7 +51,7 @@ from .errors import (
 )
 from .expr import Expr, compile_expr, parse
 from .holder import GridFunction, parabolic_norm
-from .problem import ProblemSpec, spec_value
+from .problem import ProblemSpec, spec_keys, spec_value
 from .solver import (
     BlowUpDetected, Completed, Solution, SolverConfig, StepFailure, grid_nodes, solve,
 )
@@ -195,11 +195,9 @@ _INFINITE_KEYS = ("cutoff", "dt_max")
 
 
 def _solver_config(raw: dict) -> SolverConfig:
-    blk = spec_value(raw.get("solver", {}), dict, "solver")
+    blk = spec_keys(spec_value(raw.get("solver", {}), dict, "solver"), _SOLVER_KEYS, "solver")
     kwargs = {}
     for key, value in blk.items():
-        if key not in _SOLVER_KEYS:
-            raise ConfigError(f"unknown solver key {key!r}; the keys are {' '.join(_SOLVER_KEYS)}")
         target, kind = _SOLVER_KEYS[key]
         kwargs[target] = spec_value(value, kind, f"solver.{key}", infinite=key in _INFINITE_KEYS)
     return SolverConfig(compat_tol=default_tol(), **kwargs)
@@ -209,6 +207,10 @@ def _solver_config(raw: dict) -> SolverConfig:
 # certify
 
 CERTIFY_REPORTS = ("certificate.json", "h_table.csv")
+
+# the keys of the blocks that certify and verify read
+_CERTIFICATE_KEYS = ("psi", "q0", "M", "pmax", "n_samples")
+_SUP_BOUND_KEYS = ("Phi", "B")
 
 
 @dataclass
@@ -239,6 +241,7 @@ def spec_barrier(raw: dict, problem: ProblemSpec) -> SpecBarrier:
     blk = raw.get("certificate")
     if not isinstance(blk, dict) or "psi" not in blk or "q0" not in blk:
         raise ConfigError('spec needs a "certificate" block with "psi" and "q0"')
+    spec_keys(blk, _CERTIFICATE_KEYS, "certificate")
     psi = PsiSpec.from_text(spec_value(blk["psi"], str, "certificate.psi"))
     q0 = spec_value(blk["q0"], float, "certificate.q0")
     M = spec_value(blk["M"], float, "certificate.M") if "M" in blk else None
@@ -251,7 +254,7 @@ def spec_barrier(raw: dict, problem: ProblemSpec) -> SpecBarrier:
     sup_blk = raw.get("sup_bound")
     phi = B = None
     if sup_blk is not None:
-        sup_blk = spec_value(sup_blk, dict, "sup_bound")
+        sup_blk = spec_keys(spec_value(sup_blk, dict, "sup_bound"), _SUP_BOUND_KEYS, "sup_bound")
         phi = parse(spec_value(sup_blk.get("Phi"), str, "sup_bound.Phi"))
         B = spec_value(sup_blk.get("B"), float, "sup_bound.B")
 
@@ -740,6 +743,7 @@ def _sweep_rows(psis: list, q0s: list, Ms: list, K_est: float) -> list[str]:
 
 
 SWEEP_REPORTS = ("sweep.csv",)
+_SWEEP_KEYS = ("psi", "q0", "M")
 
 
 @_command("sweep", SWEEP_REPORTS)
@@ -748,7 +752,7 @@ def cmd_sweep(manifest: RunManifest) -> int:
     blk = raw.get("sweep")
     if not blk:
         raise ConfigError('spec needs a non-empty "sweep" block')
-    blk = spec_value(blk, dict, "sweep")
+    blk = spec_keys(spec_value(blk, dict, "sweep"), _SWEEP_KEYS, "sweep")
 
     def axis(name: str, kind: type) -> list:
         return [spec_value(v, kind, f"sweep.{name} entry")

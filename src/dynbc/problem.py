@@ -26,7 +26,8 @@ import numpy as np
 from .errors import ConfigError
 from .expr import Expr, free_variables, parse
 
-__all__ = ["DynamicBC", "DirichletBC", "BoundaryCondition", "End", "ProblemSpec", "spec_value"]
+__all__ = ["DynamicBC", "DirichletBC", "BoundaryCondition", "End", "ProblemSpec", "spec_value",
+           "spec_keys"]
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a number",
           str: "a string", list: "a list", dict: "an object"}
@@ -45,6 +46,23 @@ def spec_value(value, kind: type, name: str, *, infinite: bool = False):
             raise ConfigError(f"{name} must be a finite number, got {json.dumps(value)}")
         return value
     raise ConfigError(f"{name} must be {_KINDS[kind]}, got {json.dumps(value)}")
+
+
+def spec_keys(block: dict, keys, name: str) -> dict:
+    """``block``, an object of a spec file, when each of its keys is one of
+    ``keys``; else a ConfigError naming ``name`` and the first other key.
+    Every key is read, so a misspelt one is refused, not dropped."""
+    for key in block:
+        if key not in keys:
+            raise ConfigError(f"unknown {name} key {key!r}; the keys are {' '.join(keys)}")
+    return block
+
+
+# the keys of a spec file, the workflow blocks the commands read included,
+# and of each kind of boundary condition
+_SPEC_KEYS = ("ell", "T", "a", "f", "f1", "u0", "bc_minus", "bc_plus",
+              "certificate", "sup_bound", "solver", "sweep")
+_BC_KEYS = {"dynamic": ("kind", "b", "g", "g1"), "dirichlet": ("kind", "value")}
 
 
 @dataclass(frozen=True)
@@ -131,13 +149,16 @@ class ProblemSpec:
             raw = spec_value(raw, dict, key)
             kind = raw.get("kind", "dynamic")
             if kind == "dynamic":
+                spec_keys(raw, _BC_KEYS[kind], key)
                 g1 = raw.get("g1")
                 return DynamicBC(b=expr(raw["b"], f"{key}.b"), g=expr(raw["g"], f"{key}.g"),
                                  g1=expr(g1, f"{key}.g1") if g1 is not None else None)
             if kind == "dirichlet":
+                spec_keys(raw, _BC_KEYS[kind], key)
                 return DirichletBC(value=expr(raw.get("value", "0"), f"{key}.value"))
             raise ConfigError(f"unknown boundary kind {kind!r}")
 
+        spec_keys(d, _SPEC_KEYS, "spec")
         try:
             f1 = d.get("f1")
             return cls(

@@ -13,6 +13,7 @@ import pytest
 
 import dynbc.certificate as certificate
 import dynbc.cli as cli
+import dynbc.problem as problem
 import dynbc.verify as verify
 from dynbc.certificate import BarrierCertificate, PsiSpec, check_hypotheses
 from dynbc.cli import (
@@ -150,6 +151,38 @@ def test_a_missing_sup_bound_key_is_named(tmp_path, capsys, sup_bound, line):
     assert capsys.readouterr().err == line + "\n"
 
 
+def _unknown_key_cases():
+    """A misspelt key in each object of the spec, run by each command that
+    reads that object: the file and both ends by certify, solve and sweep,
+    each workflow block by its own command.  The right end is a Dirichlet
+    end given a dynamic end's key."""
+    dynamic, dirichlet = problem._BC_KEYS["dynamic"], problem._BC_KEYS["dirichlet"]
+    for command in ("certify", "solve", "sweep"):
+        for block, key, keys in [(None, "TT", problem._SPEC_KEYS), ("bc_minus", "g_1", dynamic),
+                                 ("bc_plus", "b", dirichlet)]:
+            yield pytest.param(command, block, key, keys, id=f"{command}-{block or 'spec'}.{key}")
+    for command, block, key, keys in [("certify", "certificate", "n_sampels", cli._CERTIFICATE_KEYS),
+                                      ("certify", "sup_bound", "BB", cli._SUP_BOUND_KEYS),
+                                      ("solve", "solver", "nxx", cli._SOLVER_KEYS),
+                                      ("sweep", "sweep", "Mx", cli._SWEEP_KEYS)]:
+        yield pytest.param(command, block, key, keys, id=f"{command}-{block}.{key}")
+
+
+@pytest.mark.parametrize("command, block, key, keys", _unknown_key_cases())
+def test_an_unknown_spec_key_is_an_input_error_naming_it(tmp_path, capsys, command, block, key,
+                                                         keys):
+    # every key is read: a misspelt g1 used to drop a boundary source without a word
+    doc = json.loads(json.dumps(STEADY | {
+        "bc_plus": {"kind": "dirichlet", "value": "1"}, "sup_bound": {"Phi": "1", "B": 1.0},
+        "sweep": {"psi": ["1"], "q0": [1.0], "M": [2.0]}}))
+    (doc[block] if block else doc)[key] = 1.0
+    out = tmp_path / "out"
+    assert main([command, "--spec", str(_write_spec(tmp_path, doc)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"{command}: unknown {block or 'spec'} key {key!r}; the keys are {' '.join(keys)}\n")
+    assert not any(out.iterdir())
+
+
 PRESETS = ("steady", "manufactured", "burgers", "blowup_270", "weakened_nagumo", "cubic_damping")
 
 
@@ -227,6 +260,18 @@ def test_the_documented_reports_are_the_ones_each_command_removes():
                   for command, names in re.findall(r"(\w+): ([^;]+)", listed)}
     assert documented == {"certify": cli.CERTIFY_REPORTS, "solve": cli.SOLVE_REPORTS,
                           "verify": cli.VERIFY_REPORTS, "sweep": cli.SWEEP_REPORTS}
+
+
+def test_the_documented_spec_keys_are_the_codes():
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    listed = re.search(r"Every key is read, so(.*?)\n\*", text, re.S).group(1)
+    keys = {label: names.split() for label, names in re.findall(r"\n  - (.+?): `([^`]+)`", listed)}
+    assert keys == {"the file": list(problem._SPEC_KEYS),
+                    "a dynamic end": list(problem._BC_KEYS["dynamic"]),
+                    "a Dirichlet end": list(problem._BC_KEYS["dirichlet"]),
+                    "`certificate`": list(cli._CERTIFICATE_KEYS),
+                    "`sup_bound`": list(cli._SUP_BOUND_KEYS),
+                    "`sweep`": list(cli._SWEEP_KEYS)}
 
 
 def test_the_documented_solver_keys_and_infinities_are_the_codes():
