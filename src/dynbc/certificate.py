@@ -188,9 +188,10 @@ class SupBoundCertificate:
     """Sup-norm budget from the growth gauge of the zero-gradient sources.
 
     Two variants of the infimum are kept: M_paper is the bare form without
-    horizon amplification, M_proof carries the exp(lambda T) factor the
-    maximum-principle argument actually produces.  Both are reported;
-    M_proof is the bound this package treats as licensed.
+    horizon amplification, which is sup|u0| (see ``sup_bound``), M_proof
+    carries the exp(lambda T) factor the maximum-principle argument
+    actually produces.  Both are reported; M_proof is the bound this
+    package treats as licensed.
     """
 
     phi_text: str
@@ -875,8 +876,11 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
         M_proof  = inf over lambda > 1 of  G^{-1}( max{...} + lambda T )
 
     with beta = B / ((lambda - 1) Phi(0)).  G^{-1} increases, so each
-    infimum is G^{-1} of the infimum of its argument, which is scanned on
-    the grid lambda = 1 + 10^k, k = -6..6, then refined by golden section.
+    infimum is G^{-1} of the infimum of its argument.  beta falls as lambda
+    grows and G increases, so M_paper's argument never increases: its
+    infimum is its limit max{0, G(u0_sup)}, and M_paper is u0_sup up to
+    the rounding of G and G^{-1}.  M_proof's argument is scanned on the
+    grid lambda = 1 + 10^k, k = -6..6, then refined by golden section.
 
     G is the ``tail_integral`` reading of 1/Phi from 0, whose edges end at
     2^61; G^{-1} is searched inside the cell where its sums pass the
@@ -943,7 +947,7 @@ def sup_bound(Phi: Expr, B: float, u0_sup: float, T: float) -> SupBoundCertifica
             return 1.0 + 10.0 ** u_star, f_star
         return grid[i], vals[i]
 
-    _, paper = minimize(log_xi)
+    paper = max(0.0, Gu0)  # log_xi's infimum: its limit as lambda grows
     lam_star, proof = minimize(lambda lam: log_xi(lam) + lam * T)
     return SupBoundCertificate(phi_text=to_str(Phi), B=B, u0_sup=u0_sup, T=T,
                                M_paper=G_inv(paper), M_proof=G_inv(proof),

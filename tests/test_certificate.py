@@ -468,6 +468,15 @@ def test_sup_bound_vanishing_offset():
     assert cert.M_paper == pytest.approx(0.7, abs=1e-9)
 
 
+@pytest.mark.parametrize("phi, B, u0_sup", [("1", 1.0, 0.0), ("1+z", 2.0, 0.0), ("1", 0.5, 1e-7),
+                                           ("1+z", 3.0, 5.0)])
+def test_sup_bound_paper_budget_is_the_initial_sup(phi, B, u0_sup):
+    # the bare infimum is its limit as lambda grows, G^{-1}(max(0, G(u0_sup)));
+    # a lambda scan that stops at 1 + 10^6 read 1e-6 B / Phi(0) for zero data
+    cert = sup_bound(parse(phi), B=B, u0_sup=u0_sup, T=1.0)
+    assert cert.M_paper == pytest.approx(u0_sup, rel=1e-14, abs=0.0)
+
+
 def test_sup_bound_linear_gauge_brute_force():
     # Phi(r) = 1 + r: G(y) = ln(1+y), so phi(xi) = xi - 1 and
     # M_paper(lambda) = max(0, B/(lambda-1), u0_sup)
