@@ -188,7 +188,7 @@ class SupBoundCertificate:
     """Sup-norm budget from the growth gauge of the zero-gradient sources.
 
     Two variants of the infimum are kept: M_paper is the bare form without
-    horizon amplification, which is sup|u0| (see ``sup_bound``), M_proof
+    horizon amplification, which is sup|u0| (see ``sup_bound``); M_proof
     carries the exp(lambda T) factor the maximum-principle argument
     actually produces.  Both are reported; M_proof is the bound this
     package treats as licensed.

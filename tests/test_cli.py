@@ -299,7 +299,7 @@ def test_a_cutoff_must_be_positive_and_may_be_infinite(tmp_path, capsys, cutoff,
 @pytest.mark.parametrize("command, tol", [("certify", "nan"), ("certify", "inf"), ("solve", "-inf")],
                          ids=["environment", "environment-inf", "environment-solve"])
 def test_a_nan_tolerance_is_an_input_error(tmp_path, capsys, monkeypatch, command, tol):
-    # a spec's NaN or infinite solver.cutoff and solver.dt0 are _number_cases
+    # a spec's NaN solver.cutoff and infinite solver.dt0 are among _number_cases
     monkeypatch.setenv("DYNBC_TOL", tol)
     out = tmp_path / "out"
     assert main([command, "--spec", str(_write_spec(tmp_path, STEADY)), "--out", str(out)]) == 1
